@@ -20,7 +20,7 @@ from .lattice import (
     orthogonalization,
     short_vectors,
 )
-from .oracle import deuring_polynomial, spine_count, supersingular_j_set
+from .oracle import OracleError, deuring_polynomial, spine_count, supersingular_j_set
 from .orders import (
     QuaternionIdeal,
     QuaternionOrder,
@@ -43,6 +43,7 @@ __all__ = [
     "GrossLattice",
     "MinimaTriple",
     "MinimalBasis",
+    "OracleError",
     "QuaternionAlgebra",
     "QuaternionElement",
     "QuaternionIdeal",

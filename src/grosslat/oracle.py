@@ -2,19 +2,41 @@
 
 A Legendre curve y^2 = x(x-1)(x-lambda) is supersingular exactly when the
 Hasse polynomial H_p(lambda) = sum C(m,i)^2 lambda^i vanishes, m = (p-1)/2.
-The sweep evaluates H_p at every lambda in F_{p^2} minus {0, 1} and maps
-roots through j(lambda); everything else (spine flags, Galois orbit count)
-is read off the root set.  F_{p^2} = F_p(s) with s^2 the smallest positive
-non-residue.
+H_p is monic and separable, and all m of its roots lie in F_{p^2}, so it
+splits over F_p into linear factors (roots in F_p) and irreducible
+quadratics (conjugate pairs).  The roots are found exactly, with Python
+integers only, in time quasi-quadratic in p:
+
+1. x^p mod H_p by repeated squaring; gcd(H_p, x^p - x) collects the linear
+   factors and the cofactor is the product of the quadratics.
+2. Both parts are split by Cantor-Zassenhaus equal-degree factorisation,
+   seeded per prime, down to factors of degree <= 2.  A quadratic factor
+   with root a is split off by ((x+d)(x^p+d))^((p-1)/2), which takes the
+   value chi(N(a+d)) = +-1 at both a and its conjugate; a product of two
+   quadratics is split by the traces of their roots instead.
+3. Each factor of degree 2 is solved with a square root in F_p.
+
+Products of residues use Kronecker substitution (coefficients packed into
+one integer) and are reduced by a precomputed Newton inverse of the
+reversed modulus; gcds take Euclidean steps in blocks (Lehmer).  The roots
+are mapped through j(lambda); everything else (spine flags, Galois orbit
+count) is read off the j set.  F_{p^2} = F_p(s) with s^2 the smallest
+positive non-residue.
 """
 
 from __future__ import annotations
 
+import random
+import sys
+from array import array
 from dataclasses import dataclass
+from math import isqrt
 
-import numpy as np
+from .exact import is_prime, legendre
 
-from .exact import is_prime
+
+class OracleError(ValueError):
+    """A finite-field invariant of the oracle does not hold."""
 
 
 @dataclass(frozen=True)
@@ -45,11 +67,362 @@ def deuring_polynomial(p: int):
 
 
 def _smallest_nonresidue(p: int) -> int:
-    residues = {(x * x) % p for x in range(1, p)}
     for s in range(2, p):
-        if s not in residues:
+        if legendre(s, p) == -1:
             return s
-    raise AssertionError("no non-residue found")
+    raise OracleError(f"no quadratic non-residue mod {p}")
+
+
+# Polynomials over F_p are coefficient lists, constant term first, with
+# coefficients in [0, p).  Moduli are monic; results are trimmed unless a
+# docstring says otherwise.
+
+def _trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _add_const(a, c, p):
+    a = list(a) or [0]
+    a[0] = (a[0] + c) % p
+    return a
+
+
+def _mul_plain(a, b):
+    """Schoolbook product, coefficients not reduced or trimmed."""
+    lb = len(b)
+    out = [0] * (len(a) + lb - 1)
+    for i, x in enumerate(a):
+        if x:
+            out[i:i + lb] = [u + x * y for u, y in zip(out[i:i + lb], b)]
+    return out
+
+
+def _divmod(a, f, p):
+    """(quotient, remainder) of a by f != 0, by long division."""
+    a = [c % p for c in a]
+    n = len(f) - 1
+    low = f[:n]
+    inv = pow(f[-1], -1, p)
+    q = [0] * max(len(a) - n, 0)
+    for i in range(len(a) - 1, n - 1, -1):
+        c = a[i] * inv % p
+        if c:
+            q[i - n] = c
+            a[i - n:i] = [(x - c * y) % p for x, y in zip(a[i - n:i], low)]
+    return q, _trim(a[:n])
+
+
+# Kronecker substitution: a coefficient list becomes one integer with a
+# fixed-width slot per coefficient, wide enough that no slot of a product
+# carries into the next.  Native 4- and 8-byte slots pack and unpack through
+# `array` at C speed; wider slots (p > 2^20) go through `int.to_bytes`.
+_NATIVE = {
+    w: code for w, code in ((4, "I"), (8, "Q"))
+    if sys.byteorder == "little" and array(code).itemsize == w
+}
+
+# Below this degree schoolbook arithmetic beats packing.
+_PLAIN_DEGREE = 4
+
+
+def _slot_width(bound):
+    """Bytes per slot for slot values below `bound`."""
+    for w in (4, 8):
+        if bound < 1 << (8 * w):
+            return w
+    return (bound.bit_length() + 7) // 8
+
+
+def _pack(a, w):
+    code = _NATIVE.get(w)
+    if code:
+        return int.from_bytes(array(code, a).tobytes(), "little")
+    return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in a), "little")
+
+
+def _unpack(x, count, w):
+    """The `count` slots of x, low first (not reduced mod p)."""
+    data = x.to_bytes(count * w, "little")
+    code = _NATIVE.get(w)
+    if code:
+        return memoryview(data).cast(code)
+    return [int.from_bytes(data[i:i + w], "little") for i in range(0, len(data), w)]
+
+
+def _product(a, b, w):
+    """Slots of a * b, not reduced mod p."""
+    return _unpack(_pack(a, w) * _pack(b, w), len(a) + len(b) - 1, w)
+
+
+def _series_inverse(f, k, p, w):
+    """f^-1 mod x^k by Newton iteration, for f(0) = 1."""
+    inv, m = [1], 1
+    while m < k:
+        m = min(2 * m, k)
+        e = [(-c) % p for c in _product(f[:m], inv, w)[:m]]
+        e[0] = (e[0] + 2) % p
+        inv = [c % p for c in _product(inv, e, w)[:m]]
+    return inv
+
+
+def _divexact(g, a, p):
+    """g / a for a factor a of g."""
+    q, r = _divmod(g, a, p)
+    if r:
+        raise OracleError(f"nonzero remainder dividing by a factor of H_{p}")
+    return q
+
+
+# Below this degree a gcd takes plain Euclidean steps only.
+_LEHMER_DEGREE = 96
+
+
+def _quotient_matrix(a, b, k, p):
+    """Euclid's quotients on (a, b) that hold whatever lies below the top.
+
+    a, b are the coefficients of degree >= s of two polynomials of degree
+    n = s + 2k and at most n.  A quotient depends only on coefficients that
+    are exact as long as the divisor keeps degree >= n - k, so Euclid runs
+    that far.  Returns (u, v, w, z) with (u a + v b, w a + z b) the pair of
+    remainders reached, or None when no quotient qualifies.  The matrix is
+    unimodular, so applied to the full pair it keeps the gcd whatever the
+    quotients; the bound on the divisor is what makes the degree drop.
+    """
+    u, v, w, z = [1], [], [], [1]
+    steps = 0
+    while len(b) > k:
+        q, r = _divmod(a, b, p)
+        u, v, w, z = w, z, _sub_mul(u, q, w, p), _sub_mul(v, q, z, p)
+        a, b = b, r
+        steps += 1
+    return (u, v, w, z) if steps else None
+
+
+def _sub_mul(u, q, w, p):
+    """u - q w."""
+    qw = _mul_plain(q, w)
+    n = max(len(u), len(qw))
+    u, qw = u + [0] * (n - len(u)), qw + [0] * (n - len(qw))
+    return _trim([(x - y) % p for x, y in zip(u, qw)])
+
+
+def _apply_matrix(m, a, b, p):
+    """(u a + v b, w a + z b) for m = (u, v, w, z)."""
+    u, v, w, z = m
+    width = _slot_width(2 * max(map(len, m)) * (p - 1) ** 2 + 1)
+    pa, pb = _pack(a, width), _pack(b, width)
+
+    def row(x, y):
+        val = _pack(x, width) * pa + _pack(y, width) * pb
+        count = max(len(x) + len(a), len(y) + len(b)) - 1
+        return _trim([c % p for c in _unpack(val, count, width)])
+
+    return row(u, v), row(w, z)
+
+
+def _gcd(a, b, p):
+    """Monic gcd, by blocks of Euclidean steps (Lehmer) at large degree."""
+    a, b = _trim(list(a)), _trim(list(b))
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        n = len(a) - 1
+        if n >= _LEHMER_DEGREE:
+            k = isqrt(n)
+            s = n - 2 * k
+            m = _quotient_matrix(a[s:], b[s:], k, p)
+            if m:
+                a, b = _apply_matrix(m, a, b, p)
+                continue
+        a, b = b, _divmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+class _Modulus:
+    """Arithmetic in F_p[x]/(f) for a monic f of degree n >= 1.
+
+    Residues are lists of at most n coefficients, not trimmed.  A product
+    of two residues has degree at most 2n - 2, which is what the Newton
+    inverse of rev(f) mod x^(n-1) reduces in one step; `reduce` takes
+    longer dividends n - 1 coefficients at a time.
+    """
+
+    def __init__(self, f, p):
+        self.f, self.p, self.n = f, p, len(f) - 1
+        if self.n < _PLAIN_DEGREE:
+            return
+        self.w = w = _slot_width(self.n * (p - 1) ** 2 + 1)
+        self.f_packed = _pack(f, w)
+        self.inv_packed = _pack(_series_inverse(f[::-1], self.n - 1, p, w), w)
+
+    def _reduce(self, prod, length):
+        """Residue of the packed `prod`, which has length <= 2n - 1 slots."""
+        p, n, w = self.p, self.n, self.w
+        s = _unpack(prod, length, w)
+        k = length - n
+        if k <= 0:
+            return [c % p for c in s]
+        top = [c % p for c in s[:n - 1:-1]]
+        t = _unpack(_pack(top, w) * self.inv_packed, k + n - 2, w)
+        q = [c % p for c in t[k - 1::-1]]
+        qf = _unpack(_pack(q, w) * self.f_packed, length, w)
+        return [(x - y) % p for x, y in zip(s[:n], qf[:n])]
+
+    def reduce(self, a):
+        """a mod f for any a."""
+        if self.n < _PLAIN_DEGREE:
+            return _divmod(a, self.f, self.p)[1]
+        n, w = self.n, self.w
+        a = list(a)
+        while len(a) > n:
+            j = max(len(a) - 2 * n + 1, 0)
+            a = a[:j] + self._reduce(_pack(a[j:], w), len(a) - j)
+        return a
+
+    def mul(self, a, b):
+        if self.n < _PLAIN_DEGREE:
+            return _divmod(_mul_plain(a, b), self.f, self.p)[1]
+        x = _pack(a, self.w)
+        y = x if b is a else _pack(b, self.w)
+        return self._reduce(x * y, len(a) + len(b) - 1)
+
+    def pow(self, a, e):
+        """a^e for e >= 1, left to right."""
+        r = a
+        for bit in bin(e)[3:]:
+            r = self.mul(r, r)
+            if bit == "1":
+                r = self.mul(r, a)
+        return r
+
+
+def _sqrt_mod(t, p, z):
+    """A square root of t mod p by Tonelli-Shanks, z a non-residue.
+
+    For a non-residue t the result is not a root; callers check r^2 = t.
+    """
+    if t == 0:
+        return 0
+    q, m = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        m += 1
+    c, u, r = pow(z, q, p), pow(t, q, p), pow(t, (q + 1) // 2, p)
+    while u != 1:
+        i, v = 0, u
+        while v != 1:
+            v = v * v % p
+            i += 1
+            if i == m:
+                return r
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, u, r = i, b * b % p, u * b * b % p, r * b % p
+    return r
+
+
+def _trace_split(g, xp, ring, sigma):
+    """A quadratic factor of g = q1 q2 (degree 4) read off the traces t1, t2
+    of their roots, or None when t1 = t2.
+
+    T = x + x^p is t_i modulo q_i, so T^2 = (t1 + t2) T - t1 t2 mod g, and
+    gcd(g, T - t1) = q1.
+    """
+    p = ring.p
+    t = list(xp) + [0] * (4 - len(xp))
+    t[1] = (t[1] + 1) % p
+    j = max((i for i in (1, 2, 3) if t[i]), default=0)
+    if not j:
+        return None
+    t2 = ring.mul(t, t) + [0] * 4
+    e1 = t2[j] * pow(t[j], -1, p) % p
+    e2 = (e1 * t[0] - t2[0]) % p
+    disc = (e1 * e1 - 4 * e2) % p
+    r = _sqrt_mod(disc, p, sigma)
+    a = _gcd(g, _add_const(t, -(e1 + r) * ((p + 1) // 2), p), p)
+    return a if len(a) == 3 else None
+
+
+# Consecutive failed random splits of one factor before giving up; a product
+# of two or more factors of the right degree splits with probability >= 1/2.
+_SPLIT_TRIES = 64
+
+
+def _equal_degree_factors(g, xp, p, sigma, rng):
+    """Factors of degree <= 2 of g, a product of distinct monic linear
+    factors (xp None) or of irreducible quadratics.
+
+    For the quadratic case xp is x^p modulo g or a multiple of g.
+    """
+    e = (p - 1) // 2
+    done, todo = [], [(g, xp)]
+    while todo:
+        g, xp = todo.pop()
+        deg = len(g) - 1
+        if deg <= 2:
+            if deg:
+                done.append(g)
+            continue
+        ring = _Modulus(g, p)
+        if xp is not None:
+            xp = ring.reduce(xp)
+        a = _trace_split(g, xp, ring, sigma) if xp is not None and deg == 4 else None
+        for _ in range(_SPLIT_TRIES):
+            if a:
+                break
+            delta = rng.randrange(p)
+            if xp is None:
+                h = ring.pow([delta, 1], e)
+            else:
+                h = ring.pow(ring.mul([delta, 1], _add_const(xp, delta, p)), e)
+            a = _gcd(g, _add_const(h, -1, p), p)
+            if not 0 < len(a) - 1 < deg:
+                a = None
+        if not a:
+            raise OracleError(f"a degree-{deg} factor of H_{p} does not split")
+        todo += [(a, xp), (_divexact(g, a, p), xp)]
+    return done
+
+
+def _quadratic_roots(g, p, sigma, split):
+    """The two roots (re, im) over s, s^2 = sigma, of a monic quadratic g
+    that splits over F_p (`split`) or is irreducible."""
+    if len(g) != 3:
+        raise OracleError(f"degree-{len(g) - 1} factor where H_{p} needs a quadratic")
+    c, b = g[0], g[1]
+    t = (b * b - 4 * c) % p
+    if not split:
+        t = t * pow(sigma, -1, p) % p
+    r = _sqrt_mod(t, p, sigma)
+    if r * r % p != t:
+        raise OracleError(f"quadratic factor of H_{p} has no root where expected")
+    half = (p + 1) // 2
+    re, im = -b * half % p, r * half % p
+    if split:
+        return [((re + im) % p, 0), ((re - im) % p, 0)]
+    return [(re, im), (re, -im % p)]
+
+
+def _hasse_roots(p: int, sigma: int):
+    """All roots (re, im) of H_p in F_p(s), s^2 = sigma."""
+    f = deuring_polynomial(p)
+    rng = random.Random(p)
+    xp = _Modulus(f, p).pow([0, 1], p)
+    xp_minus_x = list(xp) + [0] * (2 - len(xp))
+    xp_minus_x[1] = (xp_minus_x[1] - 1) % p
+    linear = _gcd(f, xp_minus_x, p)
+    quadratic = _divexact(f, linear, p)
+    roots = []
+    for g in _equal_degree_factors(linear, None, p, sigma, rng):
+        if len(g) == 2:
+            roots.append((-g[0] % p, 0))
+        else:
+            roots += _quadratic_roots(g, p, sigma, True)
+    for g in _equal_degree_factors(quadratic, xp, p, sigma, rng):
+        roots += _quadratic_roots(g, p, sigma, False)
+    return roots
 
 
 def _j_invariant(lam_re: int, lam_im: int, p: int, sigma: int):
@@ -87,43 +460,17 @@ def supersingular_j_set(p: int) -> SupersingularSet:
         return SupersingularSet(2, 0, ((0, 0),), 1, 1)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    coeffs = deuring_polynomial(p)
     sigma = _smallest_nonresidue(p)
-    if (2 + sigma) * p * p >= 2 ** 63:
-        raise ValueError(f"p = {p} exceeds the int64-safe sweep range")
-    roots = []
-
-    # lambda in F_p (excluding 0, 1): vectorized Horner
-    u = np.arange(2, p, dtype=np.int64)
-    acc = np.zeros_like(u)
-    for c in reversed(coeffs):
-        acc = (acc * u + c) % p
-    for lam in u[acc == 0]:
-        roots.append((int(lam), 0))
-
-    # lambda = u + v s with 1 <= v <= (p-1)/2; conjugates added afterwards
-    uu, vv = np.meshgrid(
-        np.arange(p, dtype=np.int64),
-        np.arange(1, (p - 1) // 2 + 1, dtype=np.int64),
-        indexing="ij",
-    )
-    re = np.zeros_like(uu)
-    im = np.zeros_like(vv)
-    for c in reversed(coeffs):
-        re, im = (re * uu + sigma * im * vv + c) % p, (re * vv + im * uu) % p
-    hit = (re == 0) & (im == 0)
-    for a, v in zip(uu[hit].tolist(), vv[hit].tolist()):
-        roots.append((a, v))
-        roots.append((a, p - v))
-
     js = set()
-    for lre, lim in roots:
+    for lre, lim in _hasse_roots(p, sigma):
         js.add(_j_invariant(lre, lim, p, sigma))
     total = len(js)
     expected = _eichler_count(p)
-    assert total == expected, f"count {total} != Eichler-Deuring {expected} at p={p}"
+    if total != expected:
+        raise OracleError(f"count {total} != Eichler-Deuring {expected} at p={p}")
     spine = sum(1 for _, im in js if im == 0)
-    assert (total - spine) % 2 == 0
+    if (total - spine) % 2:
+        raise OracleError(f"odd number {total - spine} of j outside F_p at p={p}")
     orbit = spine + (total - spine) // 2
     return SupersingularSet(p, sigma, tuple(sorted(js)), spine, orbit)
 

@@ -26,7 +26,7 @@ from .lattice import (
 from .oracle import supersingular_j_set
 from .orders import enumerate_types
 
-ORACLE_CAP = 500
+ORACLE_CAP = 2000
 
 P2_GRAM = ((3, 1, 1), (1, 3, -1), (1, -1, 3))
 P3_GRAMS = (

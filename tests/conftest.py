@@ -2,14 +2,26 @@ import os
 
 import pytest
 
+# marker -> (environment flag that enables it, reason shown when skipped)
+OPT_IN = {
+    "extended_cm": (
+        "GROSSLAT_EXTENDED_CM",
+        "extended CM rows (d in {43, 67, 163}); set GROSSLAT_EXTENDED_CM=1 "
+        "or use `grosslat verify --extended-cm`",
+    ),
+    "oracle_reference": (
+        "GROSSLAT_ORACLE_REFERENCE",
+        "oracle against the numpy sweep for every prime <= 500; "
+        "set GROSSLAT_ORACLE_REFERENCE=1",
+    ),
+}
+
 
 def pytest_collection_modifyitems(config, items):
-    if os.environ.get("GROSSLAT_EXTENDED_CM") == "1":
-        return
-    skip = pytest.mark.skip(
-        reason="extended CM rows (d in {43, 67, 163}); set GROSSLAT_EXTENDED_CM=1 "
-        "or use `grosslat verify --extended-cm`"
-    )
-    for item in items:
-        if "extended_cm" in item.keywords:
-            item.add_marker(skip)
+    for marker, (flag, reason) in OPT_IN.items():
+        if os.environ.get(flag) == "1":
+            continue
+        skip = pytest.mark.skip(reason=reason)
+        for item in items:
+            if marker in item.keywords:
+                item.add_marker(skip)

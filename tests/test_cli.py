@@ -164,3 +164,37 @@ def test_oracle_p37(capsys):
 def test_oracle_rejects_composite(capsys):
     code, _, _ = run(capsys, "oracle", "--p", "15")
     assert code == 2
+
+
+def test_verify_runs_oracle_rules_above_500():
+    from grosslat.verify import ORACLE_CAP, verify_prime
+
+    assert ORACLE_CAP == 2000
+    rules = verify_prime(503).rules
+    for rule in ("oracle-type-count", "oracle-spine-count"):
+        assert rules[rule] == {"ok": True, "detail": ""}
+
+
+def test_verify_skips_oracle_rules_above_cap():
+    from grosslat.verify import verify_prime
+
+    rules = verify_prime(11, oracle_cap=7).rules
+    assert rules["oracle-type-count"]["skipped"] == "p > oracle cap 7"
+    assert rules["oracle-spine-count"]["skipped"] == "p > oracle cap 7"
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import grosslat
+
+    src = str(Path(grosslat.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, grosslat.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,7 +1,15 @@
+import random
+
 import pytest
 
+from grosslat import oracle
 from grosslat.exact import primes_between
-from grosslat.oracle import deuring_polynomial, spine_count, supersingular_j_set
+from grosslat.oracle import (
+    OracleError,
+    deuring_polynomial,
+    spine_count,
+    supersingular_j_set,
+)
 
 
 def test_deuring_polynomial_small():
@@ -68,3 +76,145 @@ def test_spine_count_matches_lattice_side_at_31():
 
     lattice_spine = sum(1 for t in enumerate_types(31) if t.minima[2] >= 31)
     assert spine_count(31) == lattice_spine == 3
+
+
+def test_spine_and_orbit_counts_match_lattice_side_at_2003():
+    from grosslat.classify import field_of_definition
+    from grosslat.orders import enumerate_types
+
+    types = enumerate_types(2003)
+    ss = supersingular_j_set(2003)
+    assert ss.count == 2003 // 12 + 2
+    assert ss.orbit_count == len(types)
+    assert ss.spine_count == sum(
+        1 for t in types if field_of_definition(2003, t.minima[2])
+    )
+
+
+def test_roots_are_roots_of_the_hasse_polynomial():
+    p = 103
+    sigma = oracle._smallest_nonresidue(p)
+    coeffs = deuring_polynomial(p)
+    roots = oracle._hasse_roots(p, sigma)
+    assert len(set(roots)) == len(roots) == (p - 1) // 2
+
+    def mul(a, b):
+        return ((a[0] * b[0] + sigma * a[1] * b[1]) % p,
+                (a[0] * b[1] + a[1] * b[0]) % p)
+
+    for lam in roots:
+        acc = (0, 0)
+        for c in reversed(coeffs):
+            acc = mul(acc, lam)
+            acc = ((acc[0] + c) % p, acc[1])
+        assert acc == (0, 0)
+
+
+def _random_poly(rng, p, degree):
+    return [rng.randrange(p) for _ in range(degree)] + [1]
+
+
+def test_modulus_reduction_matches_long_division():
+    p = 1009
+    rng = random.Random(7)
+    for n in (1, oracle._PLAIN_DEGREE - 1, oracle._PLAIN_DEGREE, 40, 97):
+        f = _random_poly(rng, p, n)
+        ring = oracle._Modulus(f, p)
+        a = [rng.randrange(p) for _ in range(n)]
+        b = [rng.randrange(p) for _ in range(n)]
+        want = oracle._divmod(oracle._mul_plain(a, b), f, p)[1]
+        assert oracle._trim(ring.mul(a, b)) == want
+        want = [1]
+        for _ in range(37):
+            want = oracle._divmod(oracle._mul_plain(want, a), f, p)[1]
+        assert oracle._trim(ring.pow(a, 37)) == want
+        long = [rng.randrange(p) for _ in range(5 * n + 3)]
+        assert oracle._trim(ring.reduce(long)) == oracle._divmod(long, f, p)[1]
+
+
+def _euclid(a, b, p):
+    a, b = oracle._trim(list(a)), oracle._trim(list(b))
+    while b:
+        a, b = b, oracle._divmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def test_lehmer_gcd_matches_euclid():
+    rng = random.Random(11)
+    for trial in range(40):
+        p = rng.choice([3, 13, 1009, 10007])
+        g = _random_poly(rng, p, rng.randrange(0, 40))
+        u = _random_poly(rng, p, rng.randrange(0, 300))
+        v = _random_poly(rng, p, rng.randrange(0, 300)) if trial % 4 else [0] * 7 + [1]
+        a = [c % p for c in oracle._mul_plain(g, u)]
+        b = [c % p for c in oracle._mul_plain(g, v)]
+        assert oracle._gcd(a, b, p) == _euclid(a, b, p)
+
+
+def test_trace_split_of_two_quadratics():
+    p, sigma = 13, 2
+    q1, q2 = [2, 0, 1], [3, 1, 1]  # x^2 + 2 and x^2 + x + 3, irreducible mod 13
+    g = [c % p for c in oracle._mul_plain(q1, q2)]
+    ring = oracle._Modulus(g, p)
+    xp = ring.pow([0, 1], p)
+    assert oracle._trace_split(g, xp, ring, sigma) in (q1, q2)
+    # equal traces (both 0): no split from the traces
+    g = [c % p for c in oracle._mul_plain(q1, [5, 0, 1])]
+    ring = oracle._Modulus(g, p)
+    assert oracle._trace_split(g, ring.pow([0, 1], p), ring, sigma) is None
+
+
+def test_wide_slots_pack_and_unpack():
+    p = 2 ** 45 - 55  # slot bound beyond 8 bytes: the int.to_bytes path
+    a, b = [3, 5, 2 ** 40], [p - 1, 7, 11]
+    w = oracle._slot_width(3 * (p - 1) ** 2 + 1)
+    assert w > 8
+    assert list(oracle._unpack(oracle._pack(a, w), 3, w)) == a
+    prod = oracle._pack(a, w) * oracle._pack(b, w)
+    assert list(oracle._unpack(prod, 5, w)) == oracle._mul_plain(a, b)
+
+
+def test_error_eichler_count_mismatch(monkeypatch):
+    monkeypatch.setattr(oracle, "_eichler_count", lambda p: 99)
+    with pytest.raises(OracleError, match="Eichler"):
+        supersingular_j_set(37)
+
+
+def test_error_odd_off_spine_count(monkeypatch):
+    monkeypatch.setattr(oracle, "_j_invariant", lambda *args: (1, 1))
+    monkeypatch.setattr(oracle, "_eichler_count", lambda p: 1)
+    with pytest.raises(OracleError, match="odd"):
+        supersingular_j_set(37)
+
+
+def test_error_quadratic_without_root():
+    # (x - 1)(x - 2) splits over F_13, so disc / sigma is a non-residue
+    with pytest.raises(OracleError, match="no root"):
+        oracle._quadratic_roots([2, 13 - 3, 1], 13, 2, False)
+    # x^2 - 2 has no root in F_13
+    with pytest.raises(OracleError, match="no root"):
+        oracle._quadratic_roots([13 - 2, 0, 1], 13, 2, True)
+    with pytest.raises(OracleError, match="degree-1 factor"):
+        oracle._quadratic_roots([5, 1], 13, 2, False)
+
+
+def test_error_nonzero_division_remainder():
+    with pytest.raises(OracleError, match="remainder"):
+        oracle._divexact([1, 0, 1], [1, 1], 13)
+
+
+def test_error_factor_that_does_not_split():
+    # x^3 - 2 is irreducible over F_13 (2 is not a cube), so no linear split
+    with pytest.raises(OracleError, match="does not split"):
+        oracle._equal_degree_factors([11, 0, 0, 1], None, 13, 2, random.Random(0))
+
+
+def test_error_no_nonresidue(monkeypatch):
+    monkeypatch.setattr(oracle, "legendre", lambda a, q: 1)
+    with pytest.raises(OracleError, match="non-residue"):
+        supersingular_j_set(37)
+
+
+def test_oracle_error_is_a_value_error():
+    assert issubclass(OracleError, ValueError)
