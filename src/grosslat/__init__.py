@@ -8,7 +8,7 @@ supersingularity oracle.
 """
 
 from .classify import Classification, classify_type, embedded_discriminants
-from .cm import closed_form_gram, cm_row, cm_rows, recompute_ne
+from .cm import CmError, closed_form_gram, cm_row, cm_rows, recompute_ne
 from .gramgross import GramCandidate, gram_gross, quadratic_residue_precheck
 from .lattice import (
     GrossLattice,
@@ -39,6 +39,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Classification",
+    "CmError",
     "GramCandidate",
     "GrossLattice",
     "MinimaTriple",

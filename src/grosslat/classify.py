@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .lattice import GrossLattice, short_vectors
+from .lattice import GrossLattice, LatticeError, short_vectors
 
 EMBED_SQRT = "Z[sqrt(-p)]"
 EMBED_HALF = "Z[(1+sqrt(-p))/2]"
@@ -38,7 +38,8 @@ def special_j(lattice: GrossLattice) -> str:
     has0 = 3 in norms
     has1728 = 4 in norms
     if has0 and has1728:
-        assert lattice.algebra.p in (2, 3), "norms 3 and 4 coexist only for p | 1728"
+        if lattice.algebra.p not in (2, 3):
+            raise LatticeError("norms 3 and 4 coexist only for p | 1728")
         return "both"
     if has0:
         return "j0"

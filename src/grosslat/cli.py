@@ -21,7 +21,6 @@ from .cm import (
     closed_form_gram,
     cm_row,
     cm_rows,
-    locate_embedding_type,
     recompute_ne,
     supersingular_primes,
 )
@@ -190,11 +189,10 @@ def cmd_cm(args) -> int:
             )
             return 2
         n_e, detail = recompute_ne(row, p_max)
-        for p, minima, _good in detail:
-            rec = locate_embedding_type(p, row.d)
+        for p, rec, _good in detail:
             closed = _closed_form_or_none(row.j_label, p)
             matches = "" if closed is None else str(rec.gram == closed)
-            w.writerow([row.j_label, p, minima[0], minima[1], minima[2], matches])
+            w.writerow([row.j_label, p, *rec.minima, matches])
         summary[row.j_label] = {"recomputed": n_e, "table": row.n_e}
         if n_e != row.n_e:
             all_ok = False

@@ -17,6 +17,10 @@ from .lattice import short_vectors
 from .orders import enumerate_types
 
 
+class CmError(ValueError):
+    pass
+
+
 @dataclass(frozen=True)
 class CmRow:
     j_label: str
@@ -140,9 +144,10 @@ def locate_embedding_type(p: int, d: int):
     """The unique type whose Gross lattice has a primitive norm-d vector."""
     types = enumerate_types(p)
     matches = [t for t in types if has_primitive_vector_of_norm(t.lattice.gram, d)]
-    assert len(matches) == 1, (
-        f"{len(matches)} types embed discriminant -{d} at p = {p}; expected 1"
-    )
+    if len(matches) != 1:
+        raise CmError(
+            f"{len(matches)} types embed discriminant -{d} at p = {p}; expected 1"
+        )
     return matches[0]
 
 
@@ -152,7 +157,8 @@ def recompute_ne(row: CmRow, p_max: int):
     Sweeps row-supersingular primes in [5, p_max] (the characteristic-2 and
     -3 reductions are outside the sweep, matching the tables), locates the
     unique type embedding -d primitively, and returns the least swept prime
-    N with D1 = d from N on, together with the per-prime detail.
+    N with D1 = d from N on, together with the per-prime detail: one
+    (p, located TypeRecord, D1 == d) entry per swept prime.
     """
     d = row.d
     if 4 * p_max < (d + 1) ** 2:
@@ -162,7 +168,7 @@ def recompute_ne(row: CmRow, p_max: int):
     for p in supersingular_primes(row, 5, p_max):
         rec = locate_embedding_type(p, d)
         good = rec.minima[0] == d
-        detail.append((p, rec.minima, good))
+        detail.append((p, rec, good))
         if not good:
             last_bad = p
     n_e = None
@@ -170,10 +176,12 @@ def recompute_ne(row: CmRow, p_max: int):
         if p > last_bad:
             n_e = p
             break
-    assert n_e is not None, "no good prime in sweep range"
+    if n_e is None:
+        raise CmError("no good prime in sweep range")
     # N_E never exceeds the least prime q with q > (d+1)^2/4
     q = (d + 1) ** 2 // 4 + 1
     while not is_prime(q):
         q += 1
-    assert n_e <= q, "recomputed N_E exceeds its theoretical bound"
+    if n_e > q:
+        raise CmError(f"recomputed N_E = {n_e} exceeds its bound {q}")
     return n_e, detail

@@ -7,7 +7,6 @@ Everything here is exact; no floats anywhere.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt
 
 
@@ -63,8 +62,8 @@ def hnf(rows):
                 if q:
                     m[i] = [x - q * y for x, y in zip(m[i], m[r])]
             r += 1
-    for i in range(r, len(m)):
-        assert not any(m[i]), "HNF elimination left a nonzero trailing row"
+    if any(any(row) for row in m[r:]):
+        raise ValueError("HNF elimination left a nonzero trailing row")
     return tuple(tuple(row) for row in m[:r])
 
 
@@ -91,58 +90,6 @@ def det(mat) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def solve_in_lattice(basis, denom: int, target):
-    """Integer coordinates of `target` in the lattice (1/denom)*rowspan(basis).
-
-    `target` is a vector of Fractions (or ints).  Returns a tuple of ints, or
-    None when the vector is not a lattice member.  Raises on a dimension
-    mismatch.  The basis rows must be linearly independent.
-    """
-    nrows = len(basis)
-    ncols = len(basis[0])
-    if len(target) != ncols:
-        raise ValueError("dimension mismatch")
-    # Solve x * basis = denom * target exactly over the rationals, then
-    # demand integrality.
-    cols = [[Fraction(basis[i][j]) for i in range(nrows)] for j in range(ncols)]
-    rhs = [Fraction(t) * denom for t in target]
-    # Gaussian elimination on the (ncols x nrows) system A x = rhs.
-    a = [cols[j][:] + [rhs[j]] for j in range(ncols)]
-    piv_rows = []
-    row = 0
-    for col in range(nrows):
-        piv = None
-        for i in range(row, ncols):
-            if a[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        pv = a[row][col]
-        a[row] = [x / pv for x in a[row]]
-        for i in range(ncols):
-            if i != row and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[row])]
-        piv_rows.append(col)
-        row += 1
-        if row == ncols:
-            break
-    # Inconsistent rows mean the target is outside the rational span.
-    for i in range(row, ncols):
-        if a[i][nrows]:
-            return None
-    if len(piv_rows) != nrows:
-        raise ValueError("basis rows are linearly dependent")
-    sol = [Fraction(0)] * nrows
-    for i, col in enumerate(piv_rows):
-        sol[col] = a[i][nrows]
-    if any(s.denominator != 1 for s in sol):
-        return None
-    return tuple(int(s) for s in sol)
 
 
 def hnf_solve(hnf_rows, target):

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .exact import ceil_div, is_prime
+from .lattice import det3
 
 
 class PreconditionError(ValueError):
@@ -124,10 +125,7 @@ def candidate_invariant_violations(cand: GramCandidate, p: int):
     """GramCandidate invariant check; returns violated rule names."""
     (d1, x, y), (_, d2, z), (_, _, d3) = cand.gram
     bad = []
-    det = (
-        d1 * (d2 * d3 - z * z) - x * (x * d3 - z * y) + y * (x * z - d2 * y)
-    )
-    if det != 4 * p * p:
+    if det3(cand.gram) != 4 * p * p:
         bad.append("det-4p2")
     if d1 * d2 - x * x != 4 * p:
         bad.append("minor12-4p")

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .exact import hnf
-from .quat import QuaternionElement
+from .quat import QuaternionElement, inner4
 
 
 class LatticeError(ValueError):
@@ -68,37 +68,30 @@ def gross_lattice(order) -> GrossLattice:
     for u in mat:
         grow = []
         for v in mat:
-            num = -a * u[0] * v[0] - b * u[1] * v[1] + a * b * u[2] * v[2]
+            num = inner4((0,) + u, (0,) + v, a, b)
             if num % d2:
                 raise LatticeError("non-integer Gram entry: input is not an order")
             grow.append(num // d2)
         gram.append(tuple(grow))
     gram = tuple(gram)
-    d = _det3(gram)
+    d = det3(gram)
     if d != 4 * p * p:
         raise LatticeError(f"det(gram) = {d}, expected 4p^2 = {4 * p * p}")
     return GrossLattice(order.algebra, mat, den, gram)
 
 
-def _det3(g) -> int:
+def det3(rows) -> int:
+    """Determinant of a 3x3 integer matrix, closed form."""
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
     return (
-        g[0][0] * (g[1][1] * g[2][2] - g[1][2] * g[2][1])
-        - g[0][1] * (g[1][0] * g[2][2] - g[1][2] * g[2][0])
-        + g[0][2] * (g[1][0] * g[2][1] - g[1][1] * g[2][0])
+        a0 * (b1 * c2 - b2 * c1)
+        - a1 * (b0 * c2 - b2 * c0)
+        + a2 * (b0 * c1 - b1 * c0)
     )
 
 
-def gram_norm(gram, v) -> int:
-    t = 0
-    for i in range(3):
-        vi = v[i]
-        if vi:
-            row = gram[i]
-            t += vi * (row[0] * v[0] + row[1] * v[1] + row[2] * v[2])
-    return t
-
-
 def gram_inner(gram, u, v) -> int:
+    """u gram v^T; the norm of v is gram_inner(gram, v, v)."""
     t = 0
     for i in range(3):
         ui = u[i]
@@ -113,7 +106,7 @@ def _check_positive_definite(gram):
         raise LatticeError("gram is not positive definite")
     if gram[0][0] * gram[1][1] - gram[0][1] ** 2 <= 0:
         raise LatticeError("gram is not positive definite")
-    if _det3(gram) <= 0:
+    if det3(gram) <= 0:
         raise LatticeError("gram is not positive definite")
 
 
@@ -198,7 +191,7 @@ def greedy_reduce(gram):
         if not changed:
             break
     else:
-        raise AssertionError("greedy reduction did not converge")
+        raise LatticeError("greedy reduction did not converge")
     return tuple(tuple(r) for r in u), tuple(tuple(r) for r in g)
 
 
@@ -257,7 +250,7 @@ def _enumerate_reduced(g, bound: int):
                 if z2 == 0 and (z1 < 0 or (z1 == 0 and z0 <= 0)):
                     continue  # one representative per +/- pair, zero excluded
                 v = (z0, z1, z2)
-                n = gram_norm(g, v)
+                n = gram_inner(g, v, v)
                 if 0 < n <= bound:
                     out.append((n, v))
     return out
@@ -281,7 +274,11 @@ def short_vectors(gram, bound: int):
     _check_positive_definite(gram)
     if bound <= 0:
         return []
-    u, g = greedy_reduce(gram)
+    return _lift_sorted(*greedy_reduce(gram), bound)
+
+
+def _lift_sorted(u, g, bound):
+    """short_vectors from the greedy output (u, g) of the Gram matrix."""
     out = []
     for n, z in _enumerate_reduced(g, bound):
         v = tuple(
@@ -296,7 +293,8 @@ def short_vectors(gram, bound: int):
 
 class MinimaTriple(tuple):
     def __new__(cls, d1, d2, d3):
-        assert d1 <= d2 <= d3
+        if not d1 <= d2 <= d3:
+            raise LatticeError(f"minima ({d1}, {d2}, {d3}) are not sorted")
         return super().__new__(cls, (d1, d2, d3))
 
     @property
@@ -320,18 +318,14 @@ def _independent2(v, w) -> bool:
     )
 
 
-def _det3v(a, b, c) -> int:
-    return (
-        a[0] * (b[1] * c[2] - b[2] * c[1])
-        - a[1] * (b[0] * c[2] - b[2] * c[0])
-        + a[2] * (b[0] * c[1] - b[1] * c[0])
-    )
+def greedy_minima(vecs):
+    """(d1, d2, d3, v1, v2) from a (norm, coords)-sorted vector list.
 
-
-def _greedy_minima_from(vecs):
-    """(d1, d2, d3, v1, v2) from a (norm, coords)-sorted vector list."""
-    v1 = vecs[0][1]
-    d1 = vecs[0][0]
+    v1 is the first vector, v2 the first one independent of it, and d3 the
+    norm of the first vector outside their plane; None when the list has
+    rank below 3.
+    """
+    d1, v1 = vecs[0]
     v2 = d2 = None
     for n, v in vecs:
         if _independent2(v1, v):
@@ -340,20 +334,27 @@ def _greedy_minima_from(vecs):
     if v2 is None:
         return None
     for n, v in vecs:
-        if _det3v(v1, v2, v) != 0:
+        if det3((v1, v2, v)) != 0:
             return d1, d2, n, v1, v2
     return None
 
 
-def minima_triple(gram) -> MinimaTriple:
-    """Successive minima of a positive definite ternary Gram matrix."""
+def _minima_pass(gram):
+    """One reduction and one enumeration behind both minima and basis.
+
+    Returns the short_vectors list up to the greedy third minimum, which
+    spans rank 3 since it holds the greedy basis, and its greedy_minima.
+    """
     _check_positive_definite(gram)
     u, g = greedy_reduce(gram)
-    bound = g[2][2]
-    vecs = sorted(_enumerate_reduced(g, bound))
-    got = _greedy_minima_from(vecs)
-    assert got is not None, "enumeration bound missed rank 3"
-    return MinimaTriple(got[0], got[1], got[2])
+    vecs = _lift_sorted(u, g, g[2][2])
+    return vecs, greedy_minima(vecs)
+
+
+def minima_triple(gram) -> MinimaTriple:
+    """Successive minima of a positive definite ternary Gram matrix."""
+    d1, d2, d3, _, _ = _minima_pass(gram)[1]
+    return MinimaTriple(d1, d2, d3)
 
 
 @dataclass(frozen=True)
@@ -367,15 +368,6 @@ class MinimalBasis:
         return tuple(self.lattice.vector_element(c) for c in self.coords)
 
 
-def _sorted_candidates(gram, bound, tie_break):
-    vecs = short_vectors(gram, bound)
-    if tie_break == "asc":
-        return vecs
-    if tie_break == "desc":
-        return sorted(vecs, key=lambda t: (t[0], tuple(-x for x in t[1])))
-    raise ValueError(f"unknown tie_break {tie_break!r}")
-
-
 def minimal_basis(lattice: GrossLattice, tie_break: str = "asc") -> MinimalBasis:
     """Normalized successive minimal basis of a Gross lattice.
 
@@ -385,49 +377,40 @@ def minimal_basis(lattice: GrossLattice, tie_break: str = "asc") -> MinimalBasis
     (1,3) inner products are nonnegative.  `tie_break` orders equal-norm
     candidates lexicographically ascending or descending.
     """
+    if tie_break not in ("asc", "desc"):
+        raise ValueError(f"unknown tie_break {tie_break!r}")
     gram0 = lattice.gram
-    basis = _minimal_basis_rows(gram0, tie_break)
-    g = tuple(
-        tuple(gram_inner(gram0, u, v) for v in basis) for u in basis
-    )
-    minima = MinimaTriple(g[0][0], g[1][1], g[2][2])
-    return MinimalBasis(lattice, basis, g, minima)
-
-
-def _minimal_basis_rows(gram0, tie_break):
-    _check_positive_definite(gram0)
-    _, gred = greedy_reduce(gram0)
-    bound = gred[2][2]
-    while True:
-        vecs = _sorted_candidates(gram0, bound, tie_break)
-        got = _greedy_minima_from(vecs)
-        if got is not None:
-            break
-        bound *= 2  # safety net; the greedy bound already has rank 3
-    d1, d2, d3 = got[0], got[1], got[2]
+    vecs, (d1, d2, d3, _, _) = _minima_pass(gram0)
+    if tie_break == "desc":
+        vecs.sort(key=lambda t: (t[0], tuple(-x for x in t[1])))
     d1_pool = [v for n, v in vecs if n == d1]
     d2_pool = [v for n, v in vecs if n == d2]
     d3_pool = [v for n, v in vecs if n == d3]
-    chosen = None
-    for b1 in d1_pool:
-        for b2 in d2_pool:
-            if not _independent2(b1, b2):
-                continue
-            for b3 in d3_pool:
-                if abs(_det3v(b1, b2, b3)) == 1:
-                    chosen = (b1, b2, b3)
-                    break
-            if chosen:
-                break
-        if chosen:
-            break
-    assert chosen is not None, "no index-1 completion among minima-attaining vectors"
+    chosen = next(
+        (
+            (b1, b2, b3)
+            for b1 in d1_pool
+            for b2 in d2_pool
+            if _independent2(b1, b2)
+            for b3 in d3_pool
+            if abs(det3((b1, b2, b3))) == 1
+        ),
+        None,
+    )
+    if chosen is None:
+        raise LatticeError("no index-1 completion among minima-attaining vectors")
     b1, b2, b3 = chosen
     if gram_inner(gram0, b1, b2) < 0:
         b2 = tuple(-x for x in b2)
     if gram_inner(gram0, b1, b3) < 0:
         b3 = tuple(-x for x in b3)
-    return (b1, b2, b3)
+    basis = (b1, b2, b3)
+    g = tuple(tuple(gram_inner(gram0, u, v) for v in basis) for u in basis)
+    minima = MinimaTriple(d1, d2, d3)
+    norms = (g[0][0], g[1][1], g[2][2])
+    if norms != minima:
+        raise LatticeError(f"basis norms {norms} differ from the minima {minima}")
+    return MinimalBasis(lattice, basis, g, minima)
 
 
 def rank2_det(gram, i1: int, i2: int) -> int:

@@ -16,15 +16,16 @@ from itertools import product
 from math import gcd, isqrt
 
 from .exact import det, factorize, hnf, hnf_solve, is_perfect_square, is_prime, legendre
-from .lattice import GrossLattice, gross_lattice, minima_triple, minimal_basis
-from .quat import QuaternionAlgebra, QuaternionElement, conj4, mul4, nrd4
+from .lattice import GrossLattice, gross_lattice, minimal_basis
+from .quat import QuaternionAlgebra, QuaternionElement, conj4, inner4, mul4, nrd4
 
 
 class OrderError(ValueError):
     pass
 
 
-def _canonical(rows, den: int):
+def canonical_lattice(rows, den: int):
+    """HNF rows and denominator of (1/den)*rowspan(rows), in lowest terms."""
     mat = hnf(rows)
     g = den
     for row in mat:
@@ -51,7 +52,7 @@ class QuaternionOrder:
 
     @classmethod
     def from_generators(cls, algebra, rows, den):
-        mat, den = _canonical(rows, den)
+        mat, den = canonical_lattice(rows, den)
         if len(mat) != 4:
             raise OrderError("generators do not span a rank-4 lattice")
         return cls(algebra, mat, den)
@@ -105,13 +106,7 @@ def reduced_discriminant(order: QuaternionOrder) -> int:
     """Positive square root of |det(trd(e_i e_j))| over the Z-basis."""
     a, b = order.algebra.a, order.algebra.b
     rows = order.mat
-    s = [
-        [
-            u[0] * v[0] + a * u[1] * v[1] + b * u[2] * v[2] - a * b * u[3] * v[3]
-            for v in rows
-        ]
-        for u in rows
-    ]
+    s = [[inner4(u, conj4(v), a, b) for v in rows] for u in rows]
     tdet = Fraction(16 * det(s), order.den ** 8)
     if tdet.denominator != 1:
         raise OrderError("trace pairing determinant is not an integer")
@@ -256,12 +251,13 @@ def left_ideals_of_norm(order: QuaternionOrder, ell: int):
             sum(c * rows[i][t] for i, c in enumerate(coeffs)) for t in range(4)
         )
         n = nrd4(alpha, a, b)
-        assert n % d2 == 0, "order basis element with non-integral norm"
+        if n % d2:
+            raise OrderError("order basis element with non-integral norm")
         if (n // d2) % ell:
             continue
         gens = [mul4(row, alpha, a, b) for row in rows]
         gens.extend(tuple(ell * den * x for x in row) for row in rows)
-        mat, iden = _canonical(gens, d2)
+        mat, iden = canonical_lattice(gens, d2)
         if len(mat) != 4:
             continue
         index = Fraction(_hnf_diag_det(mat) * den ** 4, odet * iden ** 4)
@@ -269,9 +265,10 @@ def left_ideals_of_norm(order: QuaternionOrder, ell: int):
             continue
         seen[(mat, iden)] = QuaternionIdeal(order, mat, iden, ell)
     ideals = [seen[k] for k in sorted(seen)]
-    assert len(ideals) == ell + 1, (
-        f"expected {ell + 1} ideals of norm {ell}, found {len(ideals)}"
-    )
+    if len(ideals) != ell + 1:
+        raise OrderError(
+            f"expected {ell + 1} ideals of norm {ell}, found {len(ideals)}"
+        )
     return ideals
 
 
@@ -321,12 +318,10 @@ def enumerate_types(p: int, ell: int = 2):
     while queue:
         order = queue.pop(0)
         lat = gross_lattice(order)
-        triple = minima_triple(lat.gram)
-        if triple in seen:
+        mb = minimal_basis(lat)
+        if mb.minima in seen:
             continue
-        seen.add(triple)
-        mb = minimal_basis(lat, "asc")
-        assert tuple(mb.minima) == tuple(triple), "greedy/enumerated minima disagree"
+        seen.add(mb.minima)
         records.append(
             TypeRecord(order, lat, tuple(mb.minima), mb.gram, mb.coords)
         )

@@ -1,8 +1,10 @@
 """Arithmetic in a definite rational quaternion algebra (a, b | Q).
 
 Basis 1, i, j, k with i^2 = a, j^2 = b, ij = k = -ji, both a and b negative.
-Elements carry exact rational coordinates.  The basis multiplication table is
-precomputed per algebra so the sign conventions live in exactly one place.
+The sign conventions live in exactly one place: the coordinate polynomials
+mul4, conj4, nrd4 and inner4.  They take integer 4-vectors in the hot paths
+of `orders` and `lattice`, and QuaternionElement applies the same functions
+to its exact rational (Fraction) coordinates.
 """
 
 from __future__ import annotations
@@ -15,22 +17,8 @@ class AlgebraMismatch(ValueError):
     pass
 
 
-def _basis_table(a: int, b: int):
-    # table[u][v] = coordinates of e_u * e_v over (1, i, j, k)
-    one = (1, 0, 0, 0)
-    i = (0, 1, 0, 0)
-    j = (0, 0, 1, 0)
-    k = (0, 0, 0, 1)
-    return (
-        (one, i, j, k),
-        (i, (a, 0, 0, 0), k, (0, 0, a, 0)),
-        (j, (0, 0, 0, -1), (b, 0, 0, 0), (0, -b, 0, 0)),
-        (k, (0, 0, -a, 0), (0, b, 0, 0), (-a * b, 0, 0, 0)),
-    )
-
-
 def mul4(u, v, a: int, b: int):
-    """Product of integer coordinate 4-vectors over (1, i, j, k)."""
+    """Product of coordinate 4-vectors over (1, i, j, k)."""
     u0, u1, u2, u3 = u
     v0, v1, v2, v3 = v
     return (
@@ -46,12 +34,13 @@ def conj4(u):
 
 
 def nrd4(u, a: int, b: int) -> int:
+    """Reduced norm u * conj(u) of a coordinate 4-vector."""
     u0, u1, u2, u3 = u
     return u0 * u0 - a * u1 * u1 - b * u2 * u2 + a * b * u3 * u3
 
 
 def inner4(u, v, a: int, b: int) -> int:
-    """Numerator of (u, v) = trd(u * conj(v)) / 2 for integer vectors."""
+    """(u, v) = trd(u * conj(v)) / 2; its numerator for integer vectors."""
     return u[0] * v[0] - a * u[1] * v[1] - b * u[2] * v[2] + a * b * u[3] * v[3]
 
 
@@ -64,7 +53,6 @@ class QuaternionAlgebra:
     def __post_init__(self):
         if self.a >= 0 or self.b >= 0:
             raise ValueError("need a < 0 and b < 0 for a definite algebra")
-        object.__setattr__(self, "_table", _basis_table(self.a, self.b))
 
     def element(self, c0, c1=0, c2=0, c3=0) -> "QuaternionElement":
         return QuaternionElement(
@@ -108,22 +96,8 @@ class QuaternionElement:
     def __mul__(self, other):
         if isinstance(other, QuaternionElement):
             self._same(other)
-            table = self.algebra._table
-            out = [Fraction(0)] * 4
-            for u in range(4):
-                cu = self.coords[u]
-                if not cu:
-                    continue
-                for v in range(4):
-                    cv = other.coords[v]
-                    if not cv:
-                        continue
-                    tv = table[u][v]
-                    f = cu * cv
-                    for w in range(4):
-                        if tv[w]:
-                            out[w] += f * tv[w]
-            return QuaternionElement(self.algebra, tuple(out))
+            alg = self.algebra
+            return QuaternionElement(alg, mul4(self.coords, other.coords, alg.a, alg.b))
         return QuaternionElement(
             self.algebra, tuple(x * Fraction(other) for x in self.coords)
         )
@@ -131,25 +105,17 @@ class QuaternionElement:
     __rmul__ = __mul__
 
     def conj(self):
-        c = self.coords
-        return QuaternionElement(self.algebra, (c[0], -c[1], -c[2], -c[3]))
+        return QuaternionElement(self.algebra, conj4(self.coords))
 
     def trd(self) -> Fraction:
         return 2 * self.coords[0]
 
     def nrd(self) -> Fraction:
-        a, b = self.algebra.a, self.algebra.b
-        c0, c1, c2, c3 = self.coords
-        return c0 * c0 - a * c1 * c1 - b * c2 * c2 + a * b * c3 * c3
+        return nrd4(self.coords, self.algebra.a, self.algebra.b)
 
     def inner(self, other) -> Fraction:
         self._same(other)
-        a, b = self.algebra.a, self.algebra.b
-        u, v = self.coords, other.coords
-        return u[0] * v[0] - a * u[1] * v[1] - b * u[2] * v[2] + a * b * u[3] * v[3]
-
-    def is_integral(self) -> bool:
-        return self.trd().denominator == 1 and self.nrd().denominator == 1
+        return inner4(self.coords, other.coords, self.algebra.a, self.algebra.b)
 
     def __str__(self):
         return " + ".join(
@@ -159,6 +125,3 @@ class QuaternionElement:
     def __repr__(self):
         return f"<{self} in {self.algebra!r}>"
 
-
-def inner(x: QuaternionElement, y: QuaternionElement) -> Fraction:
-    return x.inner(y)

@@ -14,10 +14,10 @@ from .cm import D1_20_LABEL, closed_form_gram, cm_rows, recompute_ne
 from .exact import ceil_div, primes_between
 from .gramgross import candidate_invariant_violations, gram_gross
 from .lattice import (
-    _det3,
-    _greedy_minima_from,
     attaining_rank2_sublattices,
     basis_pair_rank2_sublattices,
+    det3,
+    greedy_minima,
     minimal_basis,
     orthogonalization,
     rank2_det,
@@ -69,7 +69,7 @@ def verify_prime(p: int, oracle_cap: int = ORACLE_CAP) -> PrimeReport:
         c = cl.classify_type(p, rec.lattice, rec.minima, g)
         classifications.append(c)
 
-        rep.check("det-4p2", _det3(g) == 4 * p * p, f"type {rec.minima}")
+        rep.check("det-4p2", det3(g) == 4 * p * p, f"type {rec.minima}")
         vecs = short_vectors(rec.lattice.gram, 2 * p)
         rep.check(
             "norms-mod4",
@@ -146,7 +146,7 @@ def verify_prime(p: int, oracle_cap: int = ORACLE_CAP) -> PrimeReport:
                 len(pairs) == 2,
                 f"type {rec.minima}: {len(pairs)} basis-pair sublattices",
             )
-        bf = _greedy_minima_from(short_vectors(rec.lattice.gram, d3))
+        bf = greedy_minima(short_vectors(rec.lattice.gram, d3))
         rep.check(
             "brute-minima",
             bf is not None and (bf[0], bf[1], bf[2]) == tuple(rec.minima),

@@ -20,7 +20,7 @@ from grosslat.cm import (
 from grosslat.exact import primes_between
 from grosslat.gramgross import candidate_invariant_violations, gram_gross
 from grosslat.lattice import (
-    _det3,
+    det3,
     attaining_rank2_sublattices,
     basis_pair_rank2_sublattices,
     minimal_basis,
@@ -98,7 +98,7 @@ def test_criterion_3_invariant_suite():
             g = rec.gram
             x, y, z = g[0][1], g[0][2], g[1][2]
             checks = [
-                _det3(g) == 4 * p * p,
+                det3(g) == 4 * p * p,
                 all(n % 4 in (0, 3) for n, _ in short_vectors(rec.lattice.gram, 2 * p)),
                 all(
                     rank2_det(g, i, j) > 0 and rank2_det(g, i, j) % (4 * p) == 0
@@ -201,7 +201,7 @@ def test_criterion_7_nonspine_family():
     for p in (113, 137, 157, 173, 193):
         want = closed_form_gram(D1_20_LABEL, p)
         grams = [t.gram for t in types_of(p) if t.minima[2] < p]
-        if want not in grams or _det3(want) != 4 * p * p:
+        if want not in grams or det3(want) != 4 * p * p:
             bad.append(p)
     pinned = (
         closed_form_gram(D1_20_LABEL, 113)

@@ -1,5 +1,7 @@
 from math import gcd
 
+import pytest
+
 from grosslat.classify import (
     EMBED_BOTH,
     EMBED_HALF,
@@ -13,8 +15,9 @@ from grosslat.classify import (
     structural_flags,
     validate_bounds,
 )
-from grosslat.lattice import gram_norm
+from grosslat.lattice import GrossLattice, LatticeError, gram_inner
 from grosslat.orders import enumerate_types
+from grosslat.quat import QuaternionAlgebra
 
 
 def lattice_of(p, index=0):
@@ -36,6 +39,15 @@ def test_special_j():
     assert special_j(lattice_of(13)) == "none"
 
 
+def test_special_j_rejects_norms_3_and_4_away_from_1728():
+    eye = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    lat = GrossLattice(
+        QuaternionAlgebra(-1, -7, 7), eye, 1, ((3, 0, 0), (0, 4, 0), (0, 0, 5))
+    )
+    with pytest.raises(LatticeError):
+        special_j(lat)
+
+
 def test_frobenius_embedding():
     assert frobenius_embedding(11, (4, 11, 12), True) == EMBED_BOTH
     assert frobenius_embedding(31, (7, 19, 36), True) == EMBED_SQRT
@@ -53,7 +65,7 @@ def brute_embedded(gram, bound):
             for c in range(-bound, bound + 1):
                 if (a, b, c) == (0, 0, 0):
                     continue
-                n = gram_norm(gram, (a, b, c))
+                n = gram_inner(gram, (a, b, c), (a, b, c))
                 if n <= bound and gcd(gcd(a, b), c) == 1:
                     out.add(n)
     return sorted(out)

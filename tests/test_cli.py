@@ -145,6 +145,31 @@ def test_cm_row_csv(capsys):
     assert "N_E[0] recomputed 5, table 5" in err
 
 
+def test_cm_locates_each_prime_once(capsys, monkeypatch):
+    import hashlib
+
+    import grosslat.cli as cli
+    import grosslat.cm as cm
+
+    calls = []
+    real = cm.locate_embedding_type
+
+    def counting(p, d):
+        calls.append(p)
+        return real(p, d)
+
+    monkeypatch.setattr(cm, "locate_embedding_type", counting)
+    # also counts a direct call from cmd_cm, should one come back
+    monkeypatch.setattr(cli, "locate_embedding_type", counting, raising=False)
+    code, out, _ = run(capsys, "cm", "--row", "-15^3", "--pmax", "300")
+    assert code == 0
+    assert calls == cm.supersingular_primes(cm.cm_row("-15^3"), 5, 300)
+    # SHA-256 of the CSV as written when cmd_cm located each type again
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7dff60fd411efceb49d0e4ccf57bca29705990e37b611e24d49a208d7dc6f701"
+    )
+
+
 def test_cm_unknown_row(capsys):
     code, _, err = run(capsys, "cm", "--row", "-14^3")
     assert code == 2

@@ -1,7 +1,11 @@
+from types import SimpleNamespace
+
 import pytest
 
+import grosslat.cm as cm
 from grosslat.cm import (
     D1_20_LABEL,
+    CmError,
     closed_form_gram,
     cm_row,
     cm_rows,
@@ -10,7 +14,7 @@ from grosslat.cm import (
     supersingular_primes,
 )
 from grosslat.exact import is_prime
-from grosslat.lattice import _det3
+from grosslat.lattice import det3
 
 
 def test_thirteen_rows_with_consistent_order_data():
@@ -64,13 +68,13 @@ def test_closed_form_determinants_are_4p2():
 
     for p in primes_between(5, 250):
         if p % 3 == 2:
-            assert _det3(closed_form_gram("0", p)) == 4 * p * p
+            assert det3(closed_form_gram("0", p)) == 4 * p * p
         if p % 4 == 3 and p > 3:
-            assert _det3(closed_form_gram("1728", p)) == 4 * p * p
+            assert det3(closed_form_gram("1728", p)) == 4 * p * p
         if p >= 13 and p % 7 in (3, 5, 6):
-            assert _det3(closed_form_gram("-15^3", p)) == 4 * p * p
+            assert det3(closed_form_gram("-15^3", p)) == 4 * p * p
         if p >= 113 and p % 20 in (13, 17):
-            assert _det3(closed_form_gram(D1_20_LABEL, p)) == 4 * p * p
+            assert det3(closed_form_gram(D1_20_LABEL, p)) == 4 * p * p
 
 
 def test_supersingular_primes_helper():
@@ -91,6 +95,50 @@ def test_recompute_ne_examples():
 def test_recompute_ne_requires_enough_range():
     with pytest.raises(ValueError):
         recompute_ne(cm_row("-96^3"), 50)
+
+
+def test_recompute_ne_detail_carries_the_located_type():
+    n_e, detail = recompute_ne(cm_row("-15^3"), 60)
+    assert n_e == 13
+    assert [p for p, _, _ in detail] == [5, 13, 17, 19, 31, 41, 47, 59]
+    for p, rec, good in detail:
+        assert rec is locate_embedding_type(p, 7)
+        assert good == (rec.minima[0] == 7)
+
+
+def test_locate_embedding_type_rejects_two_matches(monkeypatch):
+    types = cm.enumerate_types(31)
+    (match,) = [t for t in types if t.minima[0] == 7]
+    monkeypatch.setattr(cm, "enumerate_types", lambda p: (match, match))
+    with pytest.raises(CmError, match="2 types embed"):
+        locate_embedding_type(31, 7)
+
+
+def test_locate_embedding_type_rejects_no_match():
+    with pytest.raises(CmError, match="0 types embed"):
+        locate_embedding_type(13, 43)
+
+
+def fake_located(first_good):
+    """locate_embedding_type stand-in: D1 = d from `first_good` on."""
+
+    def locate(p, d):
+        return SimpleNamespace(minima=(d if p >= first_good else 3, 0, 0))
+
+    return locate
+
+
+def test_recompute_ne_without_good_prime(monkeypatch):
+    monkeypatch.setattr(cm, "locate_embedding_type", fake_located(10 ** 9))
+    with pytest.raises(CmError, match="no good prime"):
+        recompute_ne(cm_row("-15^3"), 60)
+
+
+def test_recompute_ne_beyond_bound(monkeypatch):
+    # for d = 7 the bound is 17, the least prime above (d + 1)^2 / 4
+    monkeypatch.setattr(cm, "locate_embedding_type", fake_located(31))
+    with pytest.raises(CmError, match="exceeds its bound 17"):
+        recompute_ne(cm_row("-15^3"), 60)
 
 
 def test_gramgross_single_matrix_for_cm_rows():

@@ -1,9 +1,5 @@
 import random
 
-from fractions import Fraction
-
-import pytest
-
 from grosslat.exact import (
     det,
     factorize,
@@ -12,7 +8,6 @@ from grosslat.exact import (
     is_prime,
     legendre,
     primes_between,
-    solve_in_lattice,
 )
 
 
@@ -79,21 +74,6 @@ def test_det_unimodular_invariance():
         assert det(m2) == d
         m2[i], m2[j] = m2[j], m2[i]
         assert det(m2) == -d
-
-
-def test_solve_in_lattice_basics():
-    basis = ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (1, 1, 1, 1))
-    denom = 2
-    first = tuple(Fraction(x, denom) for x in basis[0])
-    assert solve_in_lattice(basis, denom, first) == (1, 0, 0, 0)
-    assert solve_in_lattice(basis, denom, (0, 0, 0, 0)) == (0, 0, 0, 0)
-    half_primitive = tuple(Fraction(x, 2 * denom) for x in basis[3])
-    assert solve_in_lattice(basis, denom, half_primitive) is None
-
-
-def test_solve_in_lattice_dimension_mismatch():
-    with pytest.raises(ValueError):
-        solve_in_lattice(((1, 0), (0, 1)), 1, (1, 0, 0))
 
 
 def test_primes_and_factorization():

@@ -4,11 +4,16 @@ from fractions import Fraction
 
 import pytest
 
+import grosslat.lattice as lattice
 from grosslat.lattice import (
+    GrossLattice,
     LatticeError,
+    MinimaTriple,
     attaining_rank2_sublattices,
     basis_pair_rank2_sublattices,
-    gram_norm,
+    det3,
+    gram_inner,
+    greedy_minima,
     greedy_reduce,
     gross_lattice,
     minima_triple,
@@ -38,7 +43,7 @@ def brute_short_vectors(gram, bound):
                 first = next(x for x in v if x)
                 if first < 0:
                     continue
-                n = gram_norm(gram, v)
+                n = gram_inner(gram, v, v)
                 if n <= bound:
                     out.append((n, v))
     return sorted(out)
@@ -50,9 +55,7 @@ def test_gross_lattice_known_values():
     mb = minimal_basis(lat)
     assert mb.gram == ((4, 0, 2), (0, 11, 0), (2, 0, 12))
     o5 = standard_maximal_order(5)
-    from grosslat.lattice import _det3
-
-    assert _det3(gross_lattice(o5).gram) == 100
+    assert det3(gross_lattice(o5).gram) == 100
 
 
 def test_gross_map_kills_scalars():
@@ -184,10 +187,8 @@ def test_greedy_reduction_is_unimodular_and_attains_minima():
             for i in range(3)
         )
         u, g = greedy_reduce(gram)
-        from grosslat.lattice import _det3, _det3v
-
-        assert abs(_det3v(*u)) == 1
-        assert _det3(g) == _det3(gram)
+        assert abs(det3(u)) == 1
+        assert det3(g) == det3(gram)
         assert tuple(sorted((g[0][0], g[1][1], g[2][2]))) == tuple(
             minima_triple(gram)
         )
@@ -199,15 +200,113 @@ def test_minima_match_short_vector_greedy():
             lat = rec.lattice
             mb = minimal_basis(lat)
             vecs = short_vectors(lat.gram, mb.minima.d3)
-            from grosslat.lattice import _greedy_minima_from
-
-            got = _greedy_minima_from(vecs)
+            got = greedy_minima(vecs)
             assert (got[0], got[1], got[2]) == tuple(mb.minima)
 
 
 def test_minimal_basis_coords_are_index_one():
-    from grosslat.lattice import _det3v
-
     for p in (11, 13, 37):
         for rec in enumerate_types(p):
-            assert abs(_det3v(*rec.basis)) == 1
+            assert abs(det3(rec.basis)) == 1
+
+
+EYE = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def test_minima_triple_must_be_sorted():
+    with pytest.raises(LatticeError):
+        MinimaTriple(5, 3, 4)
+
+
+def test_greedy_reduce_reports_non_convergence(monkeypatch):
+    # with swaps disabled the shortest row never reaches the front
+    monkeypatch.setattr(lattice, "_apply_swap", lambda g, u, i, j: None)
+    with pytest.raises(LatticeError, match="did not converge"):
+        greedy_reduce(((5, 0, 0), (0, 6, 0), (0, 0, 3)))
+
+
+def diagonal_lattice(d1, d2, d3):
+    return GrossLattice(None, EYE, 1, ((d1, 0, 0), (0, d2, 0), (0, 0, d3)))
+
+
+def test_minimal_basis_needs_an_index_one_completion(monkeypatch):
+    # the claimed minima vectors span an index-2 sublattice only
+    vecs = [(3, (0, 0, 1)), (3, (0, 1, 0)), (3, (2, 0, 0))]
+    fake = (vecs, (3, 3, 3, None, None))
+    monkeypatch.setattr(lattice, "_minima_pass", lambda gram: fake)
+    with pytest.raises(LatticeError, match="index-1"):
+        minimal_basis(diagonal_lattice(3, 3, 3))
+
+
+def test_minimal_basis_norms_must_equal_the_minima(monkeypatch):
+    # (0, 0, 1) is listed with norm 4 but has norm 5
+    vecs = [(3, (1, 0, 0)), (4, (0, 0, 1)), (4, (0, 1, 0))]
+    fake = (vecs, (3, 4, 4, None, None))
+    monkeypatch.setattr(lattice, "_minima_pass", lambda gram: fake)
+    with pytest.raises(LatticeError, match="differ from the minima"):
+        minimal_basis(diagonal_lattice(3, 4, 5))
+
+
+# -- basis-change invariance (seeded random unimodular transforms) ------------
+
+def random_unimodular(rng, steps=10):
+    u = [list(row) for row in EYE]
+    for _ in range(steps):
+        i, j = rng.sample(range(3), 2)
+        op = rng.randrange(3)
+        if op == 0:
+            q = rng.choice((-2, -1, 1, 2))
+            u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+        elif op == 1:
+            u[i], u[j] = u[j], u[i]
+        else:
+            u[i] = [-x for x in u[i]]
+    assert abs(det3(u)) == 1
+    return u
+
+
+def matmul(x, y):
+    return tuple(
+        tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*y)) for row in x
+    )
+
+
+def change_basis(u, gram):
+    """Gram matrix U gram U^T of the basis with rows U."""
+    return matmul(matmul(u, gram), tuple(zip(*u)))
+
+
+@pytest.mark.parametrize("p", [11, 101, 1009])
+def test_minima_and_minimal_basis_survive_basis_change(p):
+    rng = random.Random(p)
+    for rec in enumerate_types(p):
+        lat = rec.lattice
+        for _ in range(2):
+            u = random_unimodular(rng)
+            moved = GrossLattice(
+                lat.algebra, matmul(u, lat.mat), lat.den, change_basis(u, lat.gram)
+            )
+            assert minima_triple(moved.gram) == rec.minima
+            mb = minimal_basis(moved)
+            assert mb.minima == rec.minima
+            assert (mb.gram[0][0], mb.gram[1][1], mb.gram[2][2]) == mb.minima
+            assert [e.nrd() for e in mb.basis_elements()] == list(mb.minima)
+            if rec.minima[2] >= p:   # spine, where the normalized Gram is unique
+                assert mb.gram == rec.gram
+
+
+def test_minima_survive_basis_change_on_random_grams():
+    rng = random.Random(29)
+    for _ in range(60):
+        m = [[rng.randrange(-4, 5) for _ in range(3)] for _ in range(3)]
+        if det3(m) == 0:
+            continue
+        gram = change_basis(m, EYE)
+        minima = minima_triple(gram)
+        u = random_unimodular(rng)
+        assert minima_triple(change_basis(u, gram)) == minima
+        for g in (gram, change_basis(u, gram)):
+            mb = minimal_basis(GrossLattice(None, EYE, 1, g))
+            assert mb.minima == minima
+            assert (mb.gram[0][0], mb.gram[1][1], mb.gram[2][2]) == minima
+            assert abs(det3(mb.coords)) == 1

@@ -139,6 +139,26 @@ def test_left_ideals_reject_ell_equal_p():
         left_ideals_of_norm(standard_maximal_order(11), 11)
 
 
+def test_left_ideals_reject_non_integral_norm():
+    # i/2 lies in this lattice but has reduced norm 1/4: not an order
+    lat = order_from(
+        -1, -11, 11, ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)), 2
+    )
+    with pytest.raises(OrderError, match="non-integral norm"):
+        left_ideals_of_norm(lat, 3)
+
+
+def test_left_ideals_count_is_checked():
+    # Z + 3(Zi + Zj + Zk) is an order, but 3 divides its discriminant, so
+    # it has no left ideal of norm 3 of index 9
+    o = order_from(
+        -1, -11, 11, ((1, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0), (0, 0, 0, 3)), 1
+    )
+    assert o.is_ring()
+    with pytest.raises(OrderError, match="expected 4 ideals of norm 3"):
+        left_ideals_of_norm(o, 3)
+
+
 def test_right_order_of_two_sided_principal():
     o = standard_maximal_order(11)
     rows = tuple(tuple(2 * x for x in row) for row in o.mat)
@@ -151,7 +171,7 @@ def test_right_order_of_two_sided_principal():
 
 def test_right_order_of_principal_ideal_is_conjugate():
     # O*alpha has right order conjugate to O: identical minima triple
-    from grosslat.orders import _canonical
+    from grosslat.orders import canonical_lattice
     from grosslat.quat import mul4, nrd4
     from grosslat.orders import QuaternionIdeal
 
@@ -160,7 +180,7 @@ def test_right_order_of_principal_ideal_is_conjugate():
     alpha = tuple(x + y for x, y in zip(o.mat[1], o.mat[2]))
     n = nrd4(alpha, a, b) // (o.den ** 2)
     rows = [mul4(row, alpha, a, b) for row in o.mat]
-    mat, den = _canonical(rows, o.den ** 2)
+    mat, den = canonical_lattice(rows, o.den ** 2)
     ideal = QuaternionIdeal(o, mat, den, n)
     ro = right_order(ideal)
     assert reduced_discriminant(ro) == 11

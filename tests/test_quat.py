@@ -8,7 +8,9 @@ from grosslat.quat import (
     AlgebraMismatch,
     QuaternionAlgebra,
     QuaternionElement,
+    inner4,
     mul4,
+    nrd4,
 )
 
 
@@ -56,18 +58,54 @@ def test_inner_examples():
     assert (2 * i).inner(i - k) == 2
 
 
+def basis_table(a, b):
+    """Structure constants: table[u][v] = e_u * e_v over (1, i, j, k).
+
+    Written out from i^2 = a, j^2 = b, ij = k = -ji, independently of the
+    coordinate polynomials in grosslat.quat.
+    """
+    one = (1, 0, 0, 0)
+    i = (0, 1, 0, 0)
+    j = (0, 0, 1, 0)
+    k = (0, 0, 0, 1)
+    return (
+        (one, i, j, k),
+        (i, (a, 0, 0, 0), k, (0, 0, a, 0)),
+        (j, (0, 0, 0, -1), (b, 0, 0, 0), (0, -b, 0, 0)),
+        (k, (0, 0, -a, 0), (0, b, 0, 0), (-a * b, 0, 0, 0)),
+    )
+
+
+def table_product(u, v, a, b):
+    table = basis_table(a, b)
+    out = [0, 0, 0, 0]
+    for s in range(4):
+        for t in range(4):
+            for w in range(4):
+                out[w] += u[s] * v[t] * table[s][t][w]
+    return tuple(out)
+
+
 def test_mul4_matches_table():
-    # the structure-constant table is the single tested site for signs
-    A = alg(-2, -7, 7)
+    # the structure-constant table is the independent reference for signs
     rng = random.Random(3)
-    for _ in range(100):
-        u = tuple(rng.randrange(-5, 6) for _ in range(4))
-        v = tuple(rng.randrange(-5, 6) for _ in range(4))
-        x = QuaternionElement(A, tuple(Fraction(c) for c in u))
-        y = QuaternionElement(A, tuple(Fraction(c) for c in v))
-        assert (x * y).coords == tuple(
-            Fraction(c) for c in mul4(u, v, A.a, A.b)
-        )
+    for a, b, p in ((-2, -7, 7), (-1, -11, 11), (-3, -13, 13)):
+        A = QuaternionAlgebra(a, b, p)
+        for _ in range(100):
+            u = tuple(rng.randrange(-5, 6) for _ in range(4))
+            v = tuple(rng.randrange(-5, 6) for _ in range(4))
+            conj_u = (u[0], -u[1], -u[2], -u[3])
+            conj_v = (v[0], -v[1], -v[2], -v[3])
+            assert mul4(u, v, a, b) == table_product(u, v, a, b)
+            assert nrd4(u, a, b) == table_product(u, conj_u, a, b)[0]
+            assert inner4(u, v, a, b) == table_product(u, conj_v, a, b)[0]
+            x = QuaternionElement(A, tuple(Fraction(c, 2) for c in u))
+            y = QuaternionElement(A, tuple(Fraction(c, 3) for c in v))
+            assert (x * y).coords == tuple(
+                Fraction(c, 6) for c in table_product(u, v, a, b)
+            )
+            assert 4 * x.nrd() == table_product(u, conj_u, a, b)[0]
+            assert 6 * x.inner(y) == table_product(u, conj_v, a, b)[0]
 
 
 def test_norm_multiplicative_and_conj_antihom():
