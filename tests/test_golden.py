@@ -1,0 +1,30 @@
+"""Byte-for-byte CLI output against recorded golden files.
+
+The files under tests/golden/ hold the stdout of each command below; any
+change to the exact arithmetic behind them shows up as a byte difference.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from grosslat.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "types_p11.json": ["types", "--p", "11"],
+    "types_p101.json": ["types", "--p", "101"],
+    "types_p1009.json": ["types", "--p", "1009"],
+    "types_p1009.csv": ["types", "--p", "1009", "--csv"],
+    "gramgross_p31_d7.json": ["gramgross", "--p", "31", "--d1", "7"],
+    "oracle_p37.json": ["oracle", "--p", "37"],
+    "verify_2_100.json": ["verify", "--pmin", "2", "--pmax", "100", "--json"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name, capsys):
+    assert main(CASES[name]) == 0
+    want = (GOLDEN / name).read_bytes()
+    assert capsys.readouterr().out.encode() == want
