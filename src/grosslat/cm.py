@@ -10,10 +10,9 @@ primitively is located per prime and its D1 compared with d.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
+from .classify import embedded_discriminants
 from .exact import is_prime, primes_between
-from .lattice import short_vectors
 from .orders import enumerate_types
 
 
@@ -129,13 +128,6 @@ def closed_form_gram(label: str, p: int):
     raise KeyError(f"no closed form for label {label!r}")
 
 
-def has_primitive_vector_of_norm(gram, d: int) -> bool:
-    for n, v in short_vectors(gram, d):
-        if n == d and gcd(gcd(v[0], v[1]), v[2]) == 1:
-            return True
-    return False
-
-
 def supersingular_primes(row: CmRow, lo: int, hi: int):
     return [p for p in primes_between(lo, hi) if row.is_supersingular_prime(p)]
 
@@ -143,7 +135,7 @@ def supersingular_primes(row: CmRow, lo: int, hi: int):
 def locate_embedding_type(p: int, d: int):
     """The unique type whose Gross lattice has a primitive norm-d vector."""
     types = enumerate_types(p)
-    matches = [t for t in types if has_primitive_vector_of_norm(t.lattice.gram, d)]
+    matches = [t for t in types if d in embedded_discriminants(t.lattice, d)]
     if len(matches) != 1:
         raise CmError(
             f"{len(matches)} types embed discriminant -{d} at p = {p}; expected 1"

@@ -7,7 +7,7 @@ Everything here is exact; no floats anywhere.
 
 from __future__ import annotations
 
-from math import isqrt
+from math import gcd, isqrt
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -65,6 +65,19 @@ def hnf(rows):
     if any(any(row) for row in m[r:]):
         raise ValueError("HNF elimination left a nonzero trailing row")
     return tuple(tuple(row) for row in m[:r])
+
+
+def canonical_lattice(rows, den: int):
+    """HNF rows and denominator of (1/den)*rowspan(rows), in lowest terms."""
+    mat = hnf(rows)
+    g = den
+    for row in mat:
+        for x in row:
+            g = gcd(g, x)
+    if g > 1:
+        mat = tuple(tuple(x // g for x in row) for row in mat)
+        den //= g
+    return mat, den
 
 
 def det(mat) -> int:

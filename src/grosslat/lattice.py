@@ -3,7 +3,10 @@
 A Gross lattice is stored as a rank-3 integer basis over a common positive
 denominator; basis rows are coordinates over the pure quaternions (i, j, k).
 All minima machinery works on the integer Gram matrix alone, so it applies to
-any positive definite ternary form.
+any positive definite ternary form, and in Python ints only: short vectors
+come from a Fincke-Pohst enumeration whose every range is exact by an
+integer square root.  Fractions appear only in the quaternion element
+accessors and in the Gram-Schmidt data of `orthogonalization`.
 
 Vector norms follow the squared-norm convention throughout: the "norm" of v
 is v G v^T.
@@ -13,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
-from .exact import hnf
+from .exact import canonical_lattice, hnf
 from .quat import QuaternionElement, inner4
 
 
@@ -53,16 +56,9 @@ def gross_lattice(order) -> GrossLattice:
     """Apply x -> 2x - trd(x) to an order basis and HNF the rank-3 image."""
     a, b, p = order.algebra.a, order.algebra.b, order.algebra.p
     rows = [(2 * r[1], 2 * r[2], 2 * r[3]) for r in order.mat]
-    mat = hnf(rows)
+    mat, den = canonical_lattice(rows, order.den)
     if len(mat) != 3:
         raise LatticeError("trace-zero image does not have rank 3")
-    den = order.den
-    g = den
-    for row in mat:
-        for x in row:
-            g = gcd(g, x)
-    mat = tuple(tuple(x // g for x in row) for row in mat)
-    den //= g
     d2 = den * den
     gram = []
     for u in mat:
@@ -195,64 +191,44 @@ def greedy_reduce(gram):
     return tuple(tuple(r) for r in u), tuple(tuple(r) for r in g)
 
 
-# -- exact short vector enumeration ------------------------------------------
+# -- exact short vector enumeration (integers only) ---------------------------
 
-def _floor_c_plus_sqrt(c: Fraction, t: Fraction) -> int:
-    """floor(c + sqrt(t)) for t >= 0, exactly."""
-    cn, cd = c.numerator, c.denominator
-    tn, td = t.numerator, t.denominator
-    # c + sqrt(tn/td) = (cn*td + cd*sqrt(tn*td)) / (cd*td)
-    a = cn * td
-    bden = cd * td
-    m = cd * cd * tn * td
-    k = (a + isqrt(m)) // bden
-    while True:
-        d = (k + 1) * bden - a
-        if d <= 0 or d * d <= m:
-            k += 1
-        else:
-            break
-    while True:
-        d = k * bden - a
-        if d > 0 and d * d > m:
-            k -= 1
-        else:
-            break
-    return k
+def _interval(a: int, b: int, c: int):
+    """The integers t with a t^2 + 2 b t + c <= 0, for a > 0, as a range.
+
+    The real solutions lie between (-b -/+ sqrt(d))/a with d = b^2 - a c,
+    and floor((x + sqrt(d))/a) = floor((x + isqrt(d))/a) for an integer x.
+    """
+    d = b * b - a * c
+    if d < 0:
+        return range(0)
+    s = isqrt(d)
+    return range(-((b + s) // a), (s - b) // a + 1)
 
 
 def _enumerate_reduced(g, bound: int):
     """All (norm, z) with 0 < z G z^T <= bound, one per +/- pair.
 
-    Exact Fincke-Pohst over the LDL decomposition of g; z coordinates refer
-    to the rows of the (reduced) basis behind g.
+    Fincke-Pohst in Python ints: each level bounds its coordinate by the
+    form minimised over the coordinates below it, which, scaled by the
+    leading principal minors, is an integer quadratic in that coordinate,
+    so `_interval` gives every range exactly.  z coordinates refer to the
+    rows of the (reduced) basis behind g.
     """
-    d0 = Fraction(g[0][0])
-    mu10 = Fraction(g[0][1], g[0][0])
-    d1 = Fraction(g[1][1]) - mu10 * mu10 * d0
-    mu20 = Fraction(g[0][2], g[0][0])
-    mu21 = (Fraction(g[1][2]) - mu20 * mu10 * d0) / d1
-    d2 = Fraction(g[2][2]) - mu20 * mu20 * d0 - mu21 * mu21 * d1
+    (g00, g01, g02), (_, g11, g12), (_, _, g22) = g
+    m2 = g00 * g11 - g01 * g01
+    m1 = g00 * g12 - g01 * g02
+    m0 = g00 * g22 - g02 * g02
     out = []
-    bf = Fraction(bound)
-    z2_hi = _floor_c_plus_sqrt(Fraction(0), bf / d2)
-    for z2 in range(0, z2_hi + 1):
-        r2 = bf - d2 * z2 * z2
-        c1 = -mu21 * z2
-        lo1 = -_floor_c_plus_sqrt(-c1, r2 / d1)
-        hi1 = _floor_c_plus_sqrt(c1, r2 / d1)
-        for z1 in range(lo1, hi1 + 1):
-            r1 = r2 - d1 * (z1 - c1) ** 2
-            c0 = -mu10 * z1 - mu20 * z2
-            lo0 = -_floor_c_plus_sqrt(-c0, r1 / d0)
-            hi0 = _floor_c_plus_sqrt(c0, r1 / d0)
-            for z0 in range(lo0, hi0 + 1):
+    # z2 >= 0: the stop of the symmetric range
+    for z2 in range(_interval(det3(g), 0, -bound * m2).stop):
+        for z1 in _interval(m2, z2 * m1, z2 * z2 * m0 - g00 * bound):
+            b = g01 * z1 + g02 * z2
+            q = (g11 * z1 + 2 * g12 * z2) * z1 + g22 * z2 * z2
+            for z0 in _interval(g00, b, q - bound):
                 if z2 == 0 and (z1 < 0 or (z1 == 0 and z0 <= 0)):
                     continue  # one representative per +/- pair, zero excluded
-                v = (z0, z1, z2)
-                n = gram_inner(g, v, v)
-                if 0 < n <= bound:
-                    out.append((n, v))
+                out.append(((g00 * z0 + 2 * b) * z0 + q, (z0, z1, z2)))
     return out
 
 
@@ -426,42 +402,31 @@ def attaining_rank2_sublattices(lattice: GrossLattice):
     Coordinates are taken w.r.t. the lattice basis, so two pairs span the
     same sublattice exactly when their HNFs agree.  Sorted for determinism.
     """
-    mb = minimal_basis(lattice)
-    d1, d2 = mb.minima.d1, mb.minima.d2
-    vecs = short_vectors(lattice.gram, d2)
+    vecs, (d1, d2, _, _, _) = _minima_pass(lattice.gram)
     firsts = [v for n, v in vecs if n == d1]
     seconds = [v for n, v in vecs if n == d2]
-    seen = set()
-    for v in firsts:
-        for w in seconds:
-            if not _independent2(v, w):
-                continue
-            seen.add(hnf([v, w]))
-    return sorted(seen)
+    return sorted(
+        {hnf([v, w]) for v in firsts for w in seconds if _independent2(v, w)}
+    )
 
 
-def minimal_rank2_sublattice(lattice: GrossLattice):
-    """HNF basis of the canonical rank-2 sublattice attaining (D1, D2)."""
-    mb = minimal_basis(lattice)
-    return hnf([mb.coords[0], mb.coords[1]])
-
-
-def basis_pair_rank2_sublattices(mb: MinimalBasis):
+def basis_pair_rank2_sublattices(gram, coords):
     """Distinct HNFs of <b_i, b_j> over basis pairs attaining (D1, D2).
 
-    For a j = 0 type the second and third basis vectors share the norm D2,
-    so two distinct sublattices appear; for other spine types this is the
-    single sublattice of minimal_rank2_sublattice.
+    `gram` and `coords` are a minimal basis's Gram matrix and rows, so the
+    Gram diagonal holds the minima.  For a j = 0 type the second and third
+    basis vectors share the norm D2, so two distinct sublattices appear;
+    for other spine types there is the single sublattice <b_1, b_2>.
     """
-    d1, d2 = mb.minima.d1, mb.minima.d2
-    seen = set()
-    for i in range(3):
-        for j in range(3):
-            if i == j:
-                continue
-            if mb.gram[i][i] == d1 and mb.gram[j][j] == d2:
-                seen.add(hnf([mb.coords[i], mb.coords[j]]))
-    return sorted(seen)
+    d1, d2 = gram[0][0], gram[1][1]
+    return sorted(
+        {
+            hnf([coords[i], coords[j]])
+            for i in range(3)
+            for j in range(3)
+            if i != j and gram[i][i] == d1 and gram[j][j] == d2
+        }
+    )
 
 
 @dataclass(frozen=True)

@@ -15,26 +15,21 @@ from functools import lru_cache
 from itertools import product
 from math import gcd, isqrt
 
-from .exact import det, factorize, hnf, hnf_solve, is_perfect_square, is_prime, legendre
+from .exact import (
+    canonical_lattice,
+    det,
+    factorize,
+    hnf_solve,
+    is_perfect_square,
+    is_prime,
+    legendre,
+)
 from .lattice import GrossLattice, gross_lattice, minimal_basis
 from .quat import QuaternionAlgebra, QuaternionElement, conj4, inner4, mul4, nrd4
 
 
 class OrderError(ValueError):
     pass
-
-
-def canonical_lattice(rows, den: int):
-    """HNF rows and denominator of (1/den)*rowspan(rows), in lowest terms."""
-    mat = hnf(rows)
-    g = den
-    for row in mat:
-        for x in row:
-            g = gcd(g, x)
-    if g > 1:
-        mat = tuple(tuple(x // g for x in row) for row in mat)
-        den //= g
-    return mat, den
 
 
 def _hnf_diag_det(mat) -> int:
@@ -107,10 +102,10 @@ def reduced_discriminant(order: QuaternionOrder) -> int:
     a, b = order.algebra.a, order.algebra.b
     rows = order.mat
     s = [[inner4(u, conj4(v), a, b) for v in rows] for u in rows]
-    tdet = Fraction(16 * det(s), order.den ** 8)
-    if tdet.denominator != 1:
+    tdet, rem = divmod(16 * det(s), order.den ** 8)
+    if rem:
         raise OrderError("trace pairing determinant is not an integer")
-    val = abs(int(tdet))
+    val = abs(tdet)
     if not is_perfect_square(val):
         raise OrderError("trace pairing determinant is not a perfect square")
     return isqrt(val)
@@ -260,8 +255,8 @@ def left_ideals_of_norm(order: QuaternionOrder, ell: int):
         mat, iden = canonical_lattice(gens, d2)
         if len(mat) != 4:
             continue
-        index = Fraction(_hnf_diag_det(mat) * den ** 4, odet * iden ** 4)
-        if index != ell * ell:
+        # index [O : I] = ell^2, cross-multiplied
+        if _hnf_diag_det(mat) * den ** 4 != ell * ell * odet * iden ** 4:
             continue
         seen[(mat, iden)] = QuaternionIdeal(order, mat, iden, ell)
     ideals = [seen[k] for k in sorted(seen)]

@@ -139,8 +139,7 @@ def verify_prime(p: int, oracle_cap: int = ORACLE_CAP) -> PrimeReport:
             )
         elif c.special_j in ("j0", "both") and p != 2:
             # j = 0: the minimal basis carries exactly two such sublattices
-            mb = minimal_basis(rec.lattice, "asc")
-            pairs = basis_pair_rank2_sublattices(mb)
+            pairs = basis_pair_rank2_sublattices(g, rec.basis)
             rep.check(
                 "rank2-sublattice-two-for-j0",
                 len(pairs) == 2,

@@ -139,7 +139,7 @@ def test_criterion_4_gram_uniqueness():
                     bad.append((p, rec.minima, "rank2-unique"))
             elif p != 2:
                 mb = minimal_basis(rec.lattice, "asc")
-                if len(basis_pair_rank2_sublattices(mb)) != 2:
+                if len(basis_pair_rank2_sublattices(mb.gram, mb.coords)) != 2:
                     bad.append((p, rec.minima, "rank2-two-j0"))
     report("criterion-4 gram-uniqueness (p <= 200, p != 3)", not bad,
            f"{bad[:4]}" if bad else "")

@@ -1,6 +1,7 @@
 import random
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -18,11 +19,11 @@ from grosslat.lattice import (
     gross_lattice,
     minima_triple,
     minimal_basis,
-    minimal_rank2_sublattice,
     orthogonalization,
     rank2_det,
     short_vectors,
 )
+from grosslat.exact import hnf
 from grosslat.orders import enumerate_types, standard_maximal_order
 
 
@@ -118,6 +119,100 @@ def test_short_vectors_against_box_oracle():
     for p, idx in ((11, 0), (11, 1), (13, 0), (7, 0)):
         g = lattice_of(p, idx).gram
         assert short_vectors(g, 2 * p) == brute_short_vectors(g, 2 * p)
+    for p in (2, 3, 5, 7, 11, 13):
+        for rec in enumerate_types(p, 3 if p == 2 else 2):
+            g = rec.lattice.gram
+            d1, _, d3 = rec.minima
+            for bound in (d1 - 1, d1, d3):
+                assert short_vectors(g, bound) == brute_short_vectors(g, bound)
+
+
+# -- the integer enumerator against the Fraction LDL reference --------------
+
+def test_interval_matches_a_brute_scan():
+    for a in range(1, 7):
+        for b in range(-9, 10):
+            for c in range(-40, 41):
+                want = [t for t in range(-60, 61) if a * t * t + 2 * b * t + c <= 0]
+                assert list(lattice._interval(a, b, c)) == want, (a, b, c)
+
+
+def reference_floor_c_plus_sqrt(c, t):
+    """floor(c + sqrt(t)) for Fractions c and t >= 0, exactly."""
+    cn, cd = c.numerator, c.denominator
+    tn, td = t.numerator, t.denominator
+    # c + sqrt(tn/td) = (cn*td + cd*sqrt(tn*td)) / (cd*td)
+    a = cn * td
+    bden = cd * td
+    m = cd * cd * tn * td
+    k = (a + isqrt(m)) // bden
+    while True:
+        d = (k + 1) * bden - a
+        if d <= 0 or d * d <= m:
+            k += 1
+        else:
+            break
+    while True:
+        d = k * bden - a
+        if d > 0 and d * d > m:
+            k -= 1
+        else:
+            break
+    return k
+
+
+def reference_enumerate(g, bound):
+    """Fincke-Pohst over the Fraction LDL decomposition of g (slow path)."""
+    fl = reference_floor_c_plus_sqrt
+    d0 = Fraction(g[0][0])
+    mu10 = Fraction(g[0][1], g[0][0])
+    d1 = Fraction(g[1][1]) - mu10 * mu10 * d0
+    mu20 = Fraction(g[0][2], g[0][0])
+    mu21 = (Fraction(g[1][2]) - mu20 * mu10 * d0) / d1
+    d2 = Fraction(g[2][2]) - mu20 * mu20 * d0 - mu21 * mu21 * d1
+    out = []
+    bf = Fraction(bound)
+    for z2 in range(0, fl(Fraction(0), bf / d2) + 1):
+        r2 = bf - d2 * z2 * z2
+        c1 = -mu21 * z2
+        for z1 in range(-fl(-c1, r2 / d1), fl(c1, r2 / d1) + 1):
+            r1 = r2 - d1 * (z1 - c1) ** 2
+            c0 = -mu10 * z1 - mu20 * z2
+            for z0 in range(-fl(-c0, r1 / d0), fl(c0, r1 / d0) + 1):
+                if z2 == 0 and (z1 < 0 or (z1 == 0 and z0 <= 0)):
+                    continue
+                v = (z0, z1, z2)
+                n = gram_inner(g, v, v)
+                if 0 < n <= bound:
+                    out.append((n, v))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 11, 101, 1009])
+def test_enumerator_matches_the_fraction_reference(p):
+    for rec in enumerate_types(p, 3 if p == 2 else 2):
+        _, g = greedy_reduce(rec.lattice.gram)
+        d1, _, d3 = rec.minima
+        for bound in (0, d1 - 1, d1, d3, 2 * p):
+            assert lattice._enumerate_reduced(g, bound) == reference_enumerate(
+                g, bound
+            ), (rec.minima, bound)
+
+
+def test_enumerator_matches_the_fraction_reference_on_random_grams():
+    # unreduced Grams too: both enumerators are exact on any positive form
+    rng = random.Random(31)
+    for _ in range(200):
+        m = [[rng.randrange(-5, 6) for _ in range(3)] for _ in range(3)]
+        if det3(m) == 0:
+            continue
+        gram = tuple(
+            tuple(sum(x * y for x, y in zip(r, s)) for s in m) for r in m
+        )
+        bound = rng.randrange(0, 3 * max(gram[i][i] for i in range(3)))
+        assert lattice._enumerate_reduced(gram, bound) == reference_enumerate(
+            gram, bound
+        ), (gram, bound)
 
 
 def test_minimal_basis_known_grams():
@@ -149,7 +244,8 @@ def test_rank2_sublattices():
     lat11 = lattice_of(11, 1)
     subs = attaining_rank2_sublattices(lat11)
     assert len(subs) == 1
-    assert subs[0] == minimal_rank2_sublattice(lat11)
+    mb11 = minimal_basis(lat11)
+    assert subs[0] == hnf([mb11.coords[0], mb11.coords[1]])
     # spine, j generic (p = 13): unique, det 52
     lat13 = lattice_of(13)
     assert len(attaining_rank2_sublattices(lat13)) == 1
@@ -158,9 +254,9 @@ def test_rank2_sublattices():
     # and the exhaustive pair sweep finds one more (norm-D2 vector
     # beta2 + beta3 - beta1)
     lat5 = lattice_of(5)
-    pairs = basis_pair_rank2_sublattices(minimal_basis(lat5))
-    assert len(pairs) == 2
     mb5 = minimal_basis(lat5)
+    pairs = basis_pair_rank2_sublattices(mb5.gram, mb5.coords)
+    assert len(pairs) == 2
     assert rank2_det(mb5.gram, 0, 1) == rank2_det(mb5.gram, 0, 2) == 20
     assert len(attaining_rank2_sublattices(lat5)) == 3
 

@@ -171,7 +171,7 @@ def test_right_order_of_two_sided_principal():
 
 def test_right_order_of_principal_ideal_is_conjugate():
     # O*alpha has right order conjugate to O: identical minima triple
-    from grosslat.orders import canonical_lattice
+    from grosslat.exact import canonical_lattice
     from grosslat.quat import mul4, nrd4
     from grosslat.orders import QuaternionIdeal
 
