@@ -2,8 +2,11 @@
 
 Field of definition of j, the special j-invariants 0 and 1728, the Frobenius
 order embedding for p = 3 mod 4, optimally embedded discriminants, and the
-theorem-stated bound checks.  All comparisons are exact integer arithmetic;
-fractional bounds are cross-multiplied.
+theorem-stated bound checks.  Every per-type vector fact is read from one
+`short_vectors` list of the type's Gram matrix, made once by the caller:
+only norms and primitivity are read, and both are the same in any basis.
+All comparisons are exact integer arithmetic; fractional bounds are
+cross-multiplied.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .lattice import GrossLattice, LatticeError, short_vectors
+from .lattice import LatticeError
 
 EMBED_SQRT = "Z[sqrt(-p)]"
 EMBED_HALF = "Z[(1+sqrt(-p))/2]"
@@ -33,12 +36,16 @@ def field_of_definition(p: int, d3: int) -> bool:
     return d3 >= p
 
 
-def special_j(lattice: GrossLattice) -> str:
-    norms = {n for n, _ in short_vectors(lattice.gram, 4)}
+def special_j(p: int, vecs) -> str:
+    """j = 0 from a norm-3 vector, j = 1728 from a norm-4 one.
+
+    `vecs` is a `short_vectors` list reaching at least norm 4.
+    """
+    norms = {n for n, _ in vecs}
     has0 = 3 in norms
     has1728 = 4 in norms
     if has0 and has1728:
-        if lattice.algebra.p not in (2, 3):
+        if p not in (2, 3):
             raise LatticeError("norms 3 and 4 coexist only for p | 1728")
         return "both"
     if has0:
@@ -62,16 +69,17 @@ def frobenius_embedding(p: int, minima, spine: bool) -> str:
     return EMBED_SQRT
 
 
-def embedded_discriminants(lattice: GrossLattice, bound: int):
+def embedded_discriminants(vecs, bound: int):
     """All d <= bound with a primitive lattice vector of norm d.
 
-    These are exactly the absolute discriminants of imaginary quadratic
-    orders embedding optimally into the maximal order.  Empty below 3 since
-    Gross vector norms are 0 or 3 mod 4.
+    `vecs` is a `short_vectors` list reaching at least `bound`.  These are
+    exactly the absolute discriminants of imaginary quadratic orders
+    embedding optimally into the maximal order.  Empty below 3 since Gross
+    vector norms are 0 or 3 mod 4.
     """
     out = set()
-    for n, v in short_vectors(lattice.gram, bound):
-        if gcd(gcd(v[0], v[1]), v[2]) == 1:
+    for n, v in vecs:
+        if n <= bound and gcd(gcd(v[0], v[1]), v[2]) == 1:
             out.add(n)
     return sorted(out)
 
@@ -112,9 +120,13 @@ def validate_bounds(p: int, minima, spine: bool):
     return bad
 
 
-def classify_type(p: int, lattice: GrossLattice, minima, gram) -> Classification:
+def classify_type(p: int, vecs, minima, gram) -> Classification:
+    """Classification of a type from its minima, Gram and vector list.
+
+    `vecs` is a `short_vectors` list of `gram` reaching at least norm 4.
+    """
     spine = field_of_definition(p, minima[2])
-    sj = special_j(lattice)
+    sj = special_j(p, vecs)
     emb = frobenius_embedding(p, minima, spine)
     orth, wr = structural_flags(gram, minima)
     return Classification(spine, sj, emb, orth, wr)

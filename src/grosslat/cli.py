@@ -15,17 +15,10 @@ import json
 import sys
 
 from . import classify as cl
-from .cm import (
-    D1_20_LABEL,
-    EXTENDED_DS,
-    closed_form_gram,
-    cm_row,
-    cm_rows,
-    recompute_ne,
-    supersingular_primes,
-)
+from .cm import EXTENDED_DS, closed_form_gram, cm_row, cm_rows, recompute_ne
 from .exact import is_prime
 from .gramgross import PreconditionError, gram_gross
+from .lattice import short_vectors
 from .oracle import supersingular_j_set
 from .orders import enumerate_types
 from .verify import ORACLE_CAP, run_verify
@@ -49,7 +42,9 @@ def _type_payload(p: int, ell: int, disc_bound: int):
     types = enumerate_types(p, ell)
     out = []
     for idx, rec in enumerate(types):
-        c = cl.classify_type(p, rec.lattice, rec.minima, rec.gram)
+        # special_j reads norms 3 and 4 from the same list
+        vecs = short_vectors(rec.gram, max(disc_bound, 4))
+        c = cl.classify_type(p, vecs, rec.minima, rec.gram)
         out.append(
             {
                 "index": idx,
@@ -62,7 +57,7 @@ def _type_payload(p: int, ell: int, disc_bound: int):
                 "well_rounded": c.well_rounded,
                 "embedded_discriminants": [
                     _jint(d)
-                    for d in cl.embedded_discriminants(rec.lattice, disc_bound)
+                    for d in cl.embedded_discriminants(vecs, disc_bound)
                 ],
             }
         )

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .classify import embedded_discriminants
 from .exact import is_prime, primes_between
+from .lattice import short_vectors
 from .orders import enumerate_types
 
 
@@ -135,7 +136,9 @@ def supersingular_primes(row: CmRow, lo: int, hi: int):
 def locate_embedding_type(p: int, d: int):
     """The unique type whose Gross lattice has a primitive norm-d vector."""
     types = enumerate_types(p)
-    matches = [t for t in types if d in embedded_discriminants(t.lattice, d)]
+    matches = [
+        t for t in types if d in embedded_discriminants(short_vectors(t.gram, d), d)
+    ]
     if len(matches) != 1:
         raise CmError(
             f"{len(matches)} types embed discriminant -{d} at p = {p}; expected 1"

@@ -8,6 +8,11 @@ come from a Fincke-Pohst enumeration whose every range is exact by an
 integer square root.  Fractions appear only in the quaternion element
 accessors and in the Gram-Schmidt data of `orthogonalization`.
 
+A caller asking several questions of one type enumerates once: one
+`short_vectors` list of the type's minimal-basis Gram (already reduced)
+serves `greedy_minima`, `attaining_rank2_sublattices` and the norm and
+primitivity reads in `classify`.
+
 Vector norms follow the squared-norm convention throughout: the "norm" of v
 is v G v^T.
 """
@@ -396,13 +401,16 @@ def rank2_det(gram, i1: int, i2: int) -> int:
     return gram[i1][i1] * gram[i2][i2] - gram[i1][i2] ** 2
 
 
-def attaining_rank2_sublattices(lattice: GrossLattice):
+def attaining_rank2_sublattices(vecs):
     """Distinct HNFs of <v, w> over all pairs attaining the first two minima.
 
-    Coordinates are taken w.r.t. the lattice basis, so two pairs span the
-    same sublattice exactly when their HNFs agree.  Sorted for determinism.
+    `vecs` is a `short_vectors` list reaching at least the third minimum,
+    so `greedy_minima` reads (D1, D2) from it.  Two pairs span the same
+    sublattice exactly when their HNFs agree; a unimodular change of the
+    basis behind `vecs` changes the HNFs but not their number.  Sorted for
+    determinism.
     """
-    vecs, (d1, d2, _, _, _) = _minima_pass(lattice.gram)
+    d1, d2, _, _, _ = greedy_minima(vecs)
     firsts = [v for n, v in vecs if n == d1]
     seconds = [v for n, v in vecs if n == d2]
     return sorted(

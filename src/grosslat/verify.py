@@ -66,11 +66,13 @@ def verify_prime(p: int, oracle_cap: int = ORACLE_CAP) -> PrimeReport:
     for rec in types:
         d1, d2, d3 = rec.minima
         g = rec.gram
-        c = cl.classify_type(p, rec.lattice, rec.minima, g)
+        # the one enumeration behind every vector fact of this type; it
+        # reaches D3 (at most 2p by the theorem bounds) and norm 8
+        vecs = short_vectors(g, max(2 * p, 8))
+        c = cl.classify_type(p, vecs, rec.minima, g)
         classifications.append(c)
 
         rep.check("det-4p2", det3(g) == 4 * p * p, f"type {rec.minima}")
-        vecs = short_vectors(rec.lattice.gram, 2 * p)
         rep.check(
             "norms-mod4",
             all(n % 4 in (0, 3) for n, _ in vecs),
@@ -131,7 +133,7 @@ def verify_prime(p: int, oracle_cap: int = ORACLE_CAP) -> PrimeReport:
             )
         if c.spine and c.special_j in ("j1728", "none"):
             # Prop-backed uniqueness: any attaining pair spans one sublattice
-            subs = attaining_rank2_sublattices(rec.lattice)
+            subs = attaining_rank2_sublattices(vecs)
             rep.check(
                 "rank2-sublattice-unique",
                 len(subs) == 1,
@@ -145,13 +147,13 @@ def verify_prime(p: int, oracle_cap: int = ORACLE_CAP) -> PrimeReport:
                 len(pairs) == 2,
                 f"type {rec.minima}: {len(pairs)} basis-pair sublattices",
             )
-        bf = greedy_minima(short_vectors(rec.lattice.gram, d3))
+        bf = greedy_minima(vecs)
         rep.check(
             "brute-minima",
             bf is not None and (bf[0], bf[1], bf[2]) == tuple(rec.minima),
             f"type {rec.minima}",
         )
-        embedded = cl.embedded_discriminants(rec.lattice, 8)
+        embedded = cl.embedded_discriminants(vecs, 8)
         if any(d in embedded for d in (4, 7, 8)):
             rep.check("loop-implies-spine", c.spine, f"type {rec.minima}")
         if c.spine:

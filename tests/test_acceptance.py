@@ -45,7 +45,8 @@ def types_of(p):
 def classified(p):
     out = []
     for rec in types_of(p):
-        out.append((rec, cl.classify_type(p, rec.lattice, rec.minima, rec.gram)))
+        vecs = short_vectors(rec.lattice.gram, 4)
+        out.append((rec, cl.classify_type(p, vecs, rec.minima, rec.gram)))
     return out
 
 
@@ -135,7 +136,8 @@ def test_criterion_4_gram_uniqueness():
                 if desc.gram != rec.gram:
                     bad.append((p, rec.minima, "tiebreak"))
             if c.special_j in ("j1728", "none"):
-                if len(attaining_rank2_sublattices(rec.lattice)) != 1:
+                vecs = short_vectors(rec.lattice.gram, rec.minima[2])
+                if len(attaining_rank2_sublattices(vecs)) != 1:
                     bad.append((p, rec.minima, "rank2-unique"))
             elif p != 2:
                 mb = minimal_basis(rec.lattice, "asc")

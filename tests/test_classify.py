@@ -15,13 +15,23 @@ from grosslat.classify import (
     structural_flags,
     validate_bounds,
 )
-from grosslat.lattice import GrossLattice, LatticeError, gram_inner
+from grosslat.exact import hnf
+from grosslat.lattice import (
+    LatticeError,
+    attaining_rank2_sublattices,
+    gram_inner,
+    short_vectors,
+)
 from grosslat.orders import enumerate_types
-from grosslat.quat import QuaternionAlgebra
+from test_lattice import brute_short_vectors
 
 
 def lattice_of(p, index=0):
     return enumerate_types(p, 3 if p == 2 else 2)[index].lattice
+
+
+def vecs_of(p, index=0, bound=4):
+    return short_vectors(lattice_of(p, index).gram, bound)
 
 
 def test_field_of_definition():
@@ -31,21 +41,19 @@ def test_field_of_definition():
 
 
 def test_special_j():
-    assert special_j(lattice_of(5)) == "j0"
-    assert special_j(lattice_of(11, 1)) == "j1728"
-    assert special_j(lattice_of(11, 0)) == "j0"
-    assert special_j(lattice_of(2)) == "both"
-    assert special_j(lattice_of(3)) == "both"
-    assert special_j(lattice_of(13)) == "none"
+    assert special_j(5, vecs_of(5)) == "j0"
+    assert special_j(11, vecs_of(11, 1)) == "j1728"
+    assert special_j(11, vecs_of(11, 0)) == "j0"
+    assert special_j(2, vecs_of(2)) == "both"
+    assert special_j(3, vecs_of(3)) == "both"
+    assert special_j(13, vecs_of(13)) == "none"
 
 
 def test_special_j_rejects_norms_3_and_4_away_from_1728():
-    eye = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    lat = GrossLattice(
-        QuaternionAlgebra(-1, -7, 7), eye, 1, ((3, 0, 0), (0, 4, 0), (0, 0, 5))
-    )
+    vecs = short_vectors(((3, 0, 0), (0, 4, 0), (0, 0, 5)), 5)
+    assert [n for n, _ in vecs] == [3, 4, 5]
     with pytest.raises(LatticeError):
-        special_j(lat)
+        special_j(7, vecs)
 
 
 def test_frobenius_embedding():
@@ -73,13 +81,17 @@ def brute_embedded(gram, bound):
 
 def test_embedded_discriminants_frozen_from_box_oracle():
     lat = lattice_of(11, 1)
-    assert embedded_discriminants(lat, 12) == [4, 11, 12]
-    assert embedded_discriminants(lat, 12) == brute_embedded(lat.gram, 12)
+    assert embedded_discriminants(vecs_of(11, 1, 12), 12) == [4, 11, 12]
+    assert embedded_discriminants(vecs_of(11, 1, 12), 12) == brute_embedded(
+        lat.gram, 12
+    )
     lat5 = lattice_of(5)
-    assert embedded_discriminants(lat5, 7) == [3, 7]
-    assert embedded_discriminants(lat5, 7) == brute_embedded(lat5.gram, 7)
+    assert embedded_discriminants(vecs_of(5, 0, 7), 7) == [3, 7]
+    assert embedded_discriminants(vecs_of(5, 0, 7), 7) == brute_embedded(
+        lat5.gram, 7
+    )
     # norms 1 and 2 cannot occur in a Gross lattice
-    assert embedded_discriminants(lat5, 2) == []
+    assert embedded_discriminants(vecs_of(5, 0, 2), 2) == []
 
 
 def test_validate_bounds_examples():
@@ -108,9 +120,9 @@ def test_structural_flags():
 
 def test_classify_type_p11():
     recs = enumerate_types(11)
-    c0 = classify_type(11, recs[0].lattice, recs[0].minima, recs[0].gram)
+    c0 = classify_type(11, vecs_of(11, 0), recs[0].minima, recs[0].gram)
     assert (c0.spine, c0.special_j, c0.embedding) == (True, "j0", EMBED_SQRT)
-    c1 = classify_type(11, recs[1].lattice, recs[1].minima, recs[1].gram)
+    c1 = classify_type(11, vecs_of(11, 1), recs[1].minima, recs[1].gram)
     assert (c1.spine, c1.special_j, c1.embedding) == (True, "j1728", EMBED_BOTH)
     assert not c1.orthogonal and not c1.well_rounded
 
@@ -119,7 +131,46 @@ def test_loop_discriminants_imply_spine():
     # 4, 7 or 8 among the embedded discriminants forces j in F_p
     for p in (11, 13, 37, 113):
         for rec in enumerate_types(p):
-            c = classify_type(p, rec.lattice, rec.minima, rec.gram)
-            emb = embedded_discriminants(rec.lattice, 8)
+            vecs = short_vectors(rec.lattice.gram, 8)
+            c = classify_type(p, vecs, rec.minima, rec.gram)
+            emb = embedded_discriminants(vecs, 8)
             if any(d in emb for d in (4, 7, 8)):
                 assert c.spine
+
+
+def rank2_sublattice_count(gram, d1, d2):
+    """Reference: distinct HNFs of <v, w> over pairs of norms (d1, d2)."""
+    vecs = short_vectors(gram, d2)
+    firsts = [v for n, v in vecs if n == d1]
+    seconds = [v for n, v in vecs if n == d2]
+    return len(
+        {
+            hnf([v, w])
+            for v in firsts
+            for w in seconds
+            if any(v[i] * w[j] != v[j] * w[i] for i, j in ((0, 1), (0, 2), (1, 2)))
+        }
+    )
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 11, 101, 1009])
+def test_one_list_on_the_minimal_gram_matches_per_call_enumeration(p):
+    # verify reads every vector fact of a type from one list on rec.gram;
+    # norms, primitivity and sublattice counts do not see the change of
+    # basis, so one enumeration of rec.lattice.gram per question agrees
+    for rec in enumerate_types(p, 3 if p == 2 else 2):
+        d1, d2, d3 = rec.minima
+        bound = max(2 * p, 8)
+        vecs = short_vectors(rec.gram, bound)
+        old = rec.lattice.gram
+        assert special_j(p, vecs) == special_j(p, short_vectors(old, 4))
+        for b in (8, 2 * p):
+            assert embedded_discriminants(vecs, b) == embedded_discriminants(
+                short_vectors(old, b), b
+            )
+        subs = attaining_rank2_sublattices(vecs)
+        assert len(subs) == rank2_sublattice_count(old, d1, d2)
+        if p <= 13:
+            assert vecs == brute_short_vectors(rec.gram, bound)
+            for b in (8, 2 * p):
+                assert embedded_discriminants(vecs, b) == brute_embedded(old, b)

@@ -242,13 +242,13 @@ def test_rank2_det_examples():
 def test_rank2_sublattices():
     # spine, j = 1728: unique across every attaining pair
     lat11 = lattice_of(11, 1)
-    subs = attaining_rank2_sublattices(lat11)
+    subs = attaining_rank2_sublattices(short_vectors(lat11.gram, 12))
     assert len(subs) == 1
     mb11 = minimal_basis(lat11)
     assert subs[0] == hnf([mb11.coords[0], mb11.coords[1]])
     # spine, j generic (p = 13): unique, det 52
     lat13 = lattice_of(13)
-    assert len(attaining_rank2_sublattices(lat13)) == 1
+    assert len(attaining_rank2_sublattices(short_vectors(lat13.gram, 15))) == 1
     assert rank2_det(minimal_basis(lat13).gram, 0, 1) == 52
     # j = 0: the minimal basis carries two distinct det-20 sublattices,
     # and the exhaustive pair sweep finds one more (norm-D2 vector
@@ -258,7 +258,7 @@ def test_rank2_sublattices():
     pairs = basis_pair_rank2_sublattices(mb5.gram, mb5.coords)
     assert len(pairs) == 2
     assert rank2_det(mb5.gram, 0, 1) == rank2_det(mb5.gram, 0, 2) == 20
-    assert len(attaining_rank2_sublattices(lat5)) == 3
+    assert len(attaining_rank2_sublattices(short_vectors(lat5.gram, 7))) == 3
 
 
 def test_orthogonalization_examples():
