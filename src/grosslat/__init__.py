@@ -15,6 +15,7 @@ from .lattice import (
     MinimalBasis,
     MinimaTriple,
     gross_lattice,
+    kneser_neighbours,
     minimal_basis,
     minima_triple,
     orthogonalization,
@@ -59,6 +60,7 @@ __all__ = [
     "enumerate_types",
     "gram_gross",
     "gross_lattice",
+    "kneser_neighbours",
     "left_ideals_of_norm",
     "minima_triple",
     "minimal_basis",

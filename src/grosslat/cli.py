@@ -241,7 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("types", help="enumerate and classify the types of B_p")
     t.add_argument("--p", type=int, required=True)
-    t.add_argument("--ell", type=int, default=0, help="neighbor prime (default 2)")
+    t.add_argument("--ell", type=int, default=0,
+                   help="neighbor prime (default 2; 3 when p = 2)")
     t.add_argument("--disc-bound", type=int, default=0,
                    help="embedded discriminant bound (default 2p)")
     t.add_argument("--csv", action="store_true")

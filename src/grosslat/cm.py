@@ -134,8 +134,13 @@ def supersingular_primes(row: CmRow, lo: int, hi: int):
 
 
 def locate_embedding_type(p: int, d: int):
-    """The unique type whose Gross lattice has a primitive norm-d vector."""
-    types = enumerate_types(p)
+    """The unique type whose Gross lattice has a primitive norm-d vector.
+
+    The types come from the ell = 3 Gram walk (ell = 2 at p = 3), which
+    needs no quaternion arithmetic; the located record is the same either
+    way.
+    """
+    types = enumerate_types(p, 2 if p == 3 else 3)
     matches = [
         t for t in types if d in embedded_discriminants(short_vectors(t.gram, d), d)
     ]

@@ -8,6 +8,11 @@ come from a Fincke-Pohst enumeration whose every range is exact by an
 integer square root.  Fractions appear only in the quaternion element
 accessors and in the Gram-Schmidt data of `orthogonalization`.
 
+`kneser_neighbours` gives the Grams of the ell-neighbours of a ternary
+lattice for an odd prime ell prime to its determinant; on Gross lattices
+these are the Gross lattices of the ell-neighbouring maximal orders, so type
+enumeration at odd ell walks Grams with no quaternion arithmetic.
+
 A caller asking several questions of one type enumerates once: one
 `short_vectors` list of the type's minimal-basis Gram (already reduced)
 serves `greedy_minima`, `attaining_rank2_sublattices` and the norm and
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .exact import canonical_lattice, hnf
+from .exact import canonical_lattice, hnf, is_prime
 from .quat import QuaternionElement, inner4
 
 
@@ -340,17 +345,13 @@ def minima_triple(gram) -> MinimaTriple:
 
 @dataclass(frozen=True)
 class MinimalBasis:
-    lattice: GrossLattice
-    coords: tuple     # 3 rows, coordinates w.r.t. lattice.mat
+    coords: tuple     # 3 rows, coordinates w.r.t. the basis behind the Gram
     gram: tuple
     minima: MinimaTriple
 
-    def basis_elements(self):
-        return tuple(self.lattice.vector_element(c) for c in self.coords)
 
-
-def minimal_basis(lattice: GrossLattice, tie_break: str = "asc") -> MinimalBasis:
-    """Normalized successive minimal basis of a Gross lattice.
+def minimal_basis(gram, tie_break: str = "asc") -> MinimalBasis:
+    """Normalized successive minimal basis of a positive definite ternary Gram.
 
     Greedy selection over the sorted short-vector list: shortest vector,
     shortest independent vector, then the shortest rank-3 completion with
@@ -360,8 +361,7 @@ def minimal_basis(lattice: GrossLattice, tie_break: str = "asc") -> MinimalBasis
     """
     if tie_break not in ("asc", "desc"):
         raise ValueError(f"unknown tie_break {tie_break!r}")
-    gram0 = lattice.gram
-    vecs, (d1, d2, d3, _, _) = _minima_pass(gram0)
+    vecs, (d1, d2, d3, _, _) = _minima_pass(gram)
     if tie_break == "desc":
         vecs.sort(key=lambda t: (t[0], tuple(-x for x in t[1])))
     d1_pool = [v for n, v in vecs if n == d1]
@@ -381,17 +381,85 @@ def minimal_basis(lattice: GrossLattice, tie_break: str = "asc") -> MinimalBasis
     if chosen is None:
         raise LatticeError("no index-1 completion among minima-attaining vectors")
     b1, b2, b3 = chosen
-    if gram_inner(gram0, b1, b2) < 0:
+    if gram_inner(gram, b1, b2) < 0:
         b2 = tuple(-x for x in b2)
-    if gram_inner(gram0, b1, b3) < 0:
+    if gram_inner(gram, b1, b3) < 0:
         b3 = tuple(-x for x in b3)
     basis = (b1, b2, b3)
-    g = tuple(tuple(gram_inner(gram0, u, v) for v in basis) for u in basis)
+    g = tuple(tuple(gram_inner(gram, u, v) for v in basis) for u in basis)
     minima = MinimaTriple(d1, d2, d3)
     norms = (g[0][0], g[1][1], g[2][2])
     if norms != minima:
         raise LatticeError(f"basis norms {norms} differ from the minima {minima}")
-    return MinimalBasis(lattice, basis, g, minima)
+    return MinimalBasis(basis, g, minima)
+
+
+# -- Kneser ell-neighbours (odd ell prime to the determinant) -----------------
+
+def _isotropic_lines(gram, ell: int):
+    """One vector per line of F_ell^3 on which the form vanishes mod ell."""
+    points = [(1, a, b) for a in range(ell) for b in range(ell)]
+    points += [(0, 1, b) for b in range(ell)]
+    points.append((0, 0, 1))
+    return [v for v in points if gram_inner(gram, v, v) % ell == 0]
+
+
+def kneser_neighbours(gram, ell: int):
+    """Grams of the ell-neighbours of the lattice L with Gram `gram`.
+
+    For an odd prime ell not dividing det(gram), each of the ell + 1
+    isotropic lines v of L/ell L, lifted so that Q(v) = 0 mod ell^2, gives
+    the neighbour L' = {x in L : B(x, v) = 0 mod ell} + Z v/ell.  Scaled by
+    ell, L' is spanned by the rows ell^2 e_i, ell (e_i - (b_i/b_t) e_t) and
+    v, where b = v gram and b_t is a unit mod ell; their HNF M gives the
+    Gram M gram M^T / ell^2 of L'.  One Gram per line, in line order; the
+    Gram and determinant of each neighbour are checked.
+    """
+    if ell % 2 == 0 or not is_prime(ell):
+        raise LatticeError(f"ell = {ell} is not an odd prime")
+    d = det3(gram)
+    if d % ell == 0:
+        raise LatticeError(f"ell = {ell} divides det(gram) = {d}")
+    lines = _isotropic_lines(gram, ell)
+    if len(lines) != ell + 1:
+        raise LatticeError(
+            f"expected {ell + 1} isotropic lines mod {ell}, found {len(lines)}"
+        )
+    ell2 = ell * ell
+    half = pow(2, -1, ell)
+    out = []
+    for v in lines:
+        b = [sum(v[i] * gram[i][j] for i in range(3)) for j in range(3)]
+        t = next(j for j in range(3) if b[j] % ell)
+        inv = pow(b[t], -1, ell)
+        # Q(v + ell c e_t) = Q(v) + 2 ell c b_t = 0 mod ell^2
+        v = list(v)
+        v[t] -= ell * (gram_inner(gram, v, v) // ell * inv * half % ell)
+        rows = [v]
+        for i in range(3):
+            row = [0, 0, 0]
+            row[i] = ell2
+            rows.append(row)
+            if i != t:
+                row = [0, 0, 0]
+                row[i] = ell
+                row[t] = -ell * (b[i] * inv % ell)
+                rows.append(row)
+        m = hnf(rows)
+        nb = []
+        for u in m:
+            row = []
+            for w in m:
+                q, rem = divmod(gram_inner(gram, u, w), ell2)
+                if rem:
+                    raise LatticeError("non-integer Gram entry in an ell-neighbour")
+                row.append(q)
+            nb.append(tuple(row))
+        nb = tuple(nb)
+        if det3(nb) != d:
+            raise LatticeError(f"ell-neighbour has det {det3(nb)}, expected {d}")
+        out.append(nb)
+    return out
 
 
 def rank2_det(gram, i1: int, i2: int) -> int:

@@ -2,13 +2,19 @@
 
 Orders and ideals are rank-4 row lattices over (1, i, j, k), stored as an HNF
 integer matrix plus a common positive denominator.  Type enumeration walks
-the ell-neighbor graph (right orders of left ideals of reduced norm ell) and
-deduplicates by the successive minima triple of the Gross lattice, which is a
-complete isomorphism invariant.
+the ell-neighbour graph and deduplicates by the successive minima triple of
+the Gross lattice, which is a complete isomorphism invariant.  The Gross
+lattice of O is the Gross-Lucianovic ternary form of O, so the ell-neighbours
+of maximal orders are the Kneser ell-neighbours of their Gross lattices
+(Birch 1991; Greenberg-Voight 2014).  For odd ell the walk therefore runs on
+Gross Grams alone (`lattice.kneser_neighbours`) and an order only seeds it;
+ell = 2 divides the determinant 4p^2, so that walk still takes right orders
+of left ideals of reduced norm 2, each validated as a maximal order.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -24,7 +30,7 @@ from .exact import (
     is_prime,
     legendre,
 )
-from .lattice import GrossLattice, gross_lattice, minimal_basis
+from .lattice import gross_lattice, kneser_neighbours, minimal_basis
 from .quat import QuaternionAlgebra, QuaternionElement, conj4, inner4, mul4, nrd4
 
 
@@ -287,40 +293,47 @@ def right_order(ideal: QuaternionIdeal) -> QuaternionOrder:
 
 @dataclass(frozen=True)
 class TypeRecord:
-    order: QuaternionOrder
-    lattice: GrossLattice
+    walk_gram: tuple   # Gross Gram the walk reached the type with
     minima: tuple
-    gram: tuple
-    basis: tuple   # minimal basis rows, coordinates w.r.t. lattice.mat
+    gram: tuple        # normalized minimal-basis Gram
+    basis: tuple       # minimal basis rows, coordinates w.r.t. walk_gram
 
 
 @lru_cache(maxsize=256)
 def enumerate_types(p: int, ell: int = 2):
     """All isomorphism types of maximal orders in B_p, sorted by minima.
 
-    Breadth-first search over ell-neighbors starting from the standard
-    maximal order; a node whose Gross minima triple was already seen is
-    discarded (the triple characterizes the type).  Results are cached and
-    must be treated as read-only.
+    Breadth-first search over ell-neighbours seeded by the Gross Gram of the
+    standard maximal order; a node whose Gross minima triple was already
+    seen is discarded (the triple characterizes the type).  For odd ell the
+    nodes are Grams and the neighbours are their Kneser ell-neighbours; for
+    ell = 2, which divides the determinant, the nodes carry their order and
+    the neighbours are right orders of its left ideals of norm 2.  Results
+    are cached and must be treated as read-only.
     """
     if not is_prime(p):
         raise OrderError(f"{p} is not prime")
-    if ell == p:
-        raise OrderError("ell must differ from p")
-    queue = [standard_maximal_order(p)]
+    if not is_prime(ell) or ell == p:
+        raise OrderError("ell must be a prime different from p")
+    seed = standard_maximal_order(p)
+    queue = deque([(gross_lattice(seed).gram, seed)])
     seen = set()
     records = []
     while queue:
-        order = queue.pop(0)
-        lat = gross_lattice(order)
-        mb = minimal_basis(lat)
+        walk_gram, order = queue.popleft()
+        mb = minimal_basis(walk_gram)
         if mb.minima in seen:
             continue
         seen.add(mb.minima)
         records.append(
-            TypeRecord(order, lat, tuple(mb.minima), mb.gram, mb.coords)
+            TypeRecord(walk_gram, tuple(mb.minima), mb.gram, mb.coords)
         )
-        for ideal in left_ideals_of_norm(order, ell):
-            queue.append(right_order(ideal))
+        if ell == 2:
+            for ideal in left_ideals_of_norm(order, ell):
+                nb = right_order(ideal)
+                queue.append((gross_lattice(nb).gram, nb))
+        else:
+            # from the reduced Gram, so entries do not grow along the walk
+            queue.extend((g, None) for g in kneser_neighbours(mb.gram, ell))
     records.sort(key=lambda r: r.minima)
     return tuple(records)

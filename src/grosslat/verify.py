@@ -125,7 +125,7 @@ def verify_prime(p: int, oracle_cap: int = ORACLE_CAP) -> PrimeReport:
                 f"type {rec.minima}",
             )
         if c.spine and p != 3:
-            alt = minimal_basis(rec.lattice, "desc")
+            alt = minimal_basis(rec.walk_gram, "desc")
             rep.check(
                 "tiebreak-unique",
                 alt.gram == g,

@@ -14,6 +14,11 @@ OPT_IN = {
         "oracle against the numpy sweep for every prime <= 500; "
         "set GROSSLAT_ORACLE_REFERENCE=1",
     ),
+    "walk_reference": (
+        "GROSSLAT_WALK_REFERENCE",
+        "Gram walk against the order walk at ell = 3 for every prime "
+        "<= 2000; set GROSSLAT_WALK_REFERENCE=1",
+    ),
 }
 
 

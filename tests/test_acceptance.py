@@ -45,7 +45,7 @@ def types_of(p):
 def classified(p):
     out = []
     for rec in types_of(p):
-        vecs = short_vectors(rec.lattice.gram, 4)
+        vecs = short_vectors(rec.walk_gram, 4)
         out.append((rec, cl.classify_type(p, vecs, rec.minima, rec.gram)))
     return out
 
@@ -100,7 +100,7 @@ def test_criterion_3_invariant_suite():
             x, y, z = g[0][1], g[0][2], g[1][2]
             checks = [
                 det3(g) == 4 * p * p,
-                all(n % 4 in (0, 3) for n, _ in short_vectors(rec.lattice.gram, 2 * p)),
+                all(n % 4 in (0, 3) for n, _ in short_vectors(rec.walk_gram, 2 * p)),
                 all(
                     rank2_det(g, i, j) > 0 and rank2_det(g, i, j) % (4 * p) == 0
                     for i, j in ((0, 1), (0, 2), (1, 2))
@@ -132,15 +132,15 @@ def test_criterion_4_gram_uniqueness():
             if not c.spine:
                 continue
             if p != 3:
-                desc = minimal_basis(rec.lattice, "desc")
+                desc = minimal_basis(rec.walk_gram, "desc")
                 if desc.gram != rec.gram:
                     bad.append((p, rec.minima, "tiebreak"))
             if c.special_j in ("j1728", "none"):
-                vecs = short_vectors(rec.lattice.gram, rec.minima[2])
+                vecs = short_vectors(rec.walk_gram, rec.minima[2])
                 if len(attaining_rank2_sublattices(vecs)) != 1:
                     bad.append((p, rec.minima, "rank2-unique"))
             elif p != 2:
-                mb = minimal_basis(rec.lattice, "asc")
+                mb = minimal_basis(rec.walk_gram, "asc")
                 if len(basis_pair_rank2_sublattices(mb.gram, mb.coords)) != 2:
                     bad.append((p, rec.minima, "rank2-two-j0"))
     report("criterion-4 gram-uniqueness (p <= 200, p != 3)", not bad,

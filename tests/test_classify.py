@@ -26,12 +26,12 @@ from grosslat.orders import enumerate_types
 from test_lattice import brute_short_vectors
 
 
-def lattice_of(p, index=0):
-    return enumerate_types(p, 3 if p == 2 else 2)[index].lattice
+def gram_of(p, index=0):
+    return enumerate_types(p, 3 if p == 2 else 2)[index].walk_gram
 
 
 def vecs_of(p, index=0, bound=4):
-    return short_vectors(lattice_of(p, index).gram, bound)
+    return short_vectors(gram_of(p, index), bound)
 
 
 def test_field_of_definition():
@@ -80,15 +80,13 @@ def brute_embedded(gram, bound):
 
 
 def test_embedded_discriminants_frozen_from_box_oracle():
-    lat = lattice_of(11, 1)
     assert embedded_discriminants(vecs_of(11, 1, 12), 12) == [4, 11, 12]
     assert embedded_discriminants(vecs_of(11, 1, 12), 12) == brute_embedded(
-        lat.gram, 12
+        gram_of(11, 1), 12
     )
-    lat5 = lattice_of(5)
     assert embedded_discriminants(vecs_of(5, 0, 7), 7) == [3, 7]
     assert embedded_discriminants(vecs_of(5, 0, 7), 7) == brute_embedded(
-        lat5.gram, 7
+        gram_of(5), 7
     )
     # norms 1 and 2 cannot occur in a Gross lattice
     assert embedded_discriminants(vecs_of(5, 0, 2), 2) == []
@@ -131,7 +129,7 @@ def test_loop_discriminants_imply_spine():
     # 4, 7 or 8 among the embedded discriminants forces j in F_p
     for p in (11, 13, 37, 113):
         for rec in enumerate_types(p):
-            vecs = short_vectors(rec.lattice.gram, 8)
+            vecs = short_vectors(rec.walk_gram, 8)
             c = classify_type(p, vecs, rec.minima, rec.gram)
             emb = embedded_discriminants(vecs, 8)
             if any(d in emb for d in (4, 7, 8)):
@@ -157,12 +155,12 @@ def rank2_sublattice_count(gram, d1, d2):
 def test_one_list_on_the_minimal_gram_matches_per_call_enumeration(p):
     # verify reads every vector fact of a type from one list on rec.gram;
     # norms, primitivity and sublattice counts do not see the change of
-    # basis, so one enumeration of rec.lattice.gram per question agrees
+    # basis, so one enumeration of rec.walk_gram per question agrees
     for rec in enumerate_types(p, 3 if p == 2 else 2):
         d1, d2, d3 = rec.minima
         bound = max(2 * p, 8)
         vecs = short_vectors(rec.gram, bound)
-        old = rec.lattice.gram
+        old = rec.walk_gram
         assert special_j(p, vecs) == special_j(p, short_vectors(old, 4))
         for b in (8, 2 * p):
             assert embedded_discriminants(vecs, b) == embedded_discriminants(

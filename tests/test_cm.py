@@ -109,7 +109,7 @@ def test_recompute_ne_detail_carries_the_located_type():
 def test_locate_embedding_type_rejects_two_matches(monkeypatch):
     types = cm.enumerate_types(31)
     (match,) = [t for t in types if t.minima[0] == 7]
-    monkeypatch.setattr(cm, "enumerate_types", lambda p: (match, match))
+    monkeypatch.setattr(cm, "enumerate_types", lambda p, ell: (match, match))
     with pytest.raises(CmError, match="2 types embed"):
         locate_embedding_type(31, 7)
 

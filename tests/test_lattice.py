@@ -17,6 +17,7 @@ from grosslat.lattice import (
     greedy_minima,
     greedy_reduce,
     gross_lattice,
+    kneser_neighbours,
     minima_triple,
     minimal_basis,
     orthogonalization,
@@ -25,10 +26,11 @@ from grosslat.lattice import (
 )
 from grosslat.exact import hnf
 from grosslat.orders import enumerate_types, standard_maximal_order
+from test_walk_reference import basis_elements, order_walk
 
 
-def lattice_of(p, index=0, ell=None):
-    return enumerate_types(p, ell or (3 if p == 2 else 2))[index].lattice
+def gram_of(p, index=0):
+    return enumerate_types(p, 3 if p == 2 else 2)[index].walk_gram
 
 
 def brute_short_vectors(gram, bound):
@@ -53,7 +55,7 @@ def brute_short_vectors(gram, bound):
 def test_gross_lattice_known_values():
     o11 = standard_maximal_order(11)
     lat = gross_lattice(o11)
-    mb = minimal_basis(lat)
+    mb = minimal_basis(lat.gram)
     assert mb.gram == ((4, 0, 2), (0, 11, 0), (2, 0, 12))
     o5 = standard_maximal_order(5)
     assert det3(gross_lattice(o5).gram) == 100
@@ -82,20 +84,19 @@ def test_gross_lattice_rejects_non_order():
 
 
 def test_short_vectors_j1728_at_11():
-    lat = lattice_of(11, 1)
-    vecs = short_vectors(lat.gram, 11)
+    vecs = short_vectors(gram_of(11, 1), 11)
     assert [n for n, _ in vecs] == [4, 11]  # only +-beta1 and +-j survive
 
 
 def test_short_vectors_bound_two_empty():
     for p, idx in ((11, 0), (11, 1), (13, 0)):
-        assert short_vectors(lattice_of(p, idx).gram, 2) == []
+        assert short_vectors(gram_of(p, idx), 2) == []
 
 
 def test_short_vectors_p2_norm3():
-    vecs = short_vectors(lattice_of(2).gram, 3)
+    vecs = short_vectors(gram_of(2), 3)
     assert len(vecs) == 4 and all(n == 3 for n, _ in vecs)
-    triple = minima_triple(lattice_of(2).gram)
+    triple = minima_triple(gram_of(2))
     assert tuple(triple) == (3, 3, 3)
 
 
@@ -117,11 +118,11 @@ def test_short_vectors_against_box_oracle():
         bound = rng.randrange(4, 25)
         assert short_vectors(gram, bound) == brute_short_vectors(gram, bound)
     for p, idx in ((11, 0), (11, 1), (13, 0), (7, 0)):
-        g = lattice_of(p, idx).gram
+        g = gram_of(p, idx)
         assert short_vectors(g, 2 * p) == brute_short_vectors(g, 2 * p)
     for p in (2, 3, 5, 7, 11, 13):
         for rec in enumerate_types(p, 3 if p == 2 else 2):
-            g = rec.lattice.gram
+            g = rec.walk_gram
             d1, _, d3 = rec.minima
             for bound in (d1 - 1, d1, d3):
                 assert short_vectors(g, bound) == brute_short_vectors(g, bound)
@@ -191,7 +192,7 @@ def reference_enumerate(g, bound):
 @pytest.mark.parametrize("p", [2, 3, 5, 11, 101, 1009])
 def test_enumerator_matches_the_fraction_reference(p):
     for rec in enumerate_types(p, 3 if p == 2 else 2):
-        _, g = greedy_reduce(rec.lattice.gram)
+        _, g = greedy_reduce(rec.walk_gram)
         d1, _, d3 = rec.minima
         for bound in (0, d1 - 1, d1, d3, 2 * p):
             assert lattice._enumerate_reduced(g, bound) == reference_enumerate(
@@ -216,24 +217,23 @@ def test_enumerator_matches_the_fraction_reference_on_random_grams():
 
 
 def test_minimal_basis_known_grams():
-    assert minimal_basis(lattice_of(7)).gram == ((4, 0, 2), (0, 7, 0), (2, 0, 8))
-    assert minimal_basis(lattice_of(5)).gram == ((3, 1, 1), (1, 7, -3), (1, -3, 7))
-    assert minimal_basis(lattice_of(13)).gram == ((7, 2, 1), (2, 8, 4), (1, 4, 15))
+    assert minimal_basis(gram_of(7)).gram == ((4, 0, 2), (0, 7, 0), (2, 0, 8))
+    assert minimal_basis(gram_of(5)).gram == ((3, 1, 1), (1, 7, -3), (1, -3, 7))
+    assert minimal_basis(gram_of(13)).gram == ((7, 2, 1), (2, 8, 4), (1, 4, 15))
 
 
 def test_minimal_basis_elements_have_stated_norms():
-    lat = lattice_of(13)
-    mb = minimal_basis(lat)
-    for elem, d in zip(mb.basis_elements(), mb.minima):
+    _, lat, mb = order_walk(13, 2)[0]
+    for elem, d in zip(basis_elements(lat, mb.coords), mb.minima):
         assert elem.nrd() == d
         assert elem.trd() == 0
 
 
 def test_rank2_det_examples():
-    g1728 = minimal_basis(lattice_of(11, 1)).gram
+    g1728 = minimal_basis(gram_of(11, 1)).gram
     assert rank2_det(g1728, 0, 1) == 44
     assert rank2_det(g1728, 1, 2) == 132
-    g0 = minimal_basis(lattice_of(5)).gram
+    g0 = minimal_basis(gram_of(5)).gram
     assert rank2_det(g0, 0, 1) == 20
     with pytest.raises(ValueError):
         rank2_det(g1728, 1, 1)
@@ -241,30 +241,30 @@ def test_rank2_det_examples():
 
 def test_rank2_sublattices():
     # spine, j = 1728: unique across every attaining pair
-    lat11 = lattice_of(11, 1)
-    subs = attaining_rank2_sublattices(short_vectors(lat11.gram, 12))
+    g11 = gram_of(11, 1)
+    subs = attaining_rank2_sublattices(short_vectors(g11, 12))
     assert len(subs) == 1
-    mb11 = minimal_basis(lat11)
+    mb11 = minimal_basis(g11)
     assert subs[0] == hnf([mb11.coords[0], mb11.coords[1]])
     # spine, j generic (p = 13): unique, det 52
-    lat13 = lattice_of(13)
-    assert len(attaining_rank2_sublattices(short_vectors(lat13.gram, 15))) == 1
-    assert rank2_det(minimal_basis(lat13).gram, 0, 1) == 52
+    g13 = gram_of(13)
+    assert len(attaining_rank2_sublattices(short_vectors(g13, 15))) == 1
+    assert rank2_det(minimal_basis(g13).gram, 0, 1) == 52
     # j = 0: the minimal basis carries two distinct det-20 sublattices,
     # and the exhaustive pair sweep finds one more (norm-D2 vector
     # beta2 + beta3 - beta1)
-    lat5 = lattice_of(5)
-    mb5 = minimal_basis(lat5)
+    g5 = gram_of(5)
+    mb5 = minimal_basis(g5)
     pairs = basis_pair_rank2_sublattices(mb5.gram, mb5.coords)
     assert len(pairs) == 2
     assert rank2_det(mb5.gram, 0, 1) == rank2_det(mb5.gram, 0, 2) == 20
-    assert len(attaining_rank2_sublattices(short_vectors(lat5.gram, 7))) == 3
+    assert len(attaining_rank2_sublattices(short_vectors(g5, 7))) == 3
 
 
 def test_orthogonalization_examples():
-    o = orthogonalization(minimal_basis(lattice_of(11, 1)).gram)
+    o = orthogonalization(minimal_basis(gram_of(11, 1)).gram)
     assert (o.mu21, o.mu31, o.delta) == (0, Fraction(1, 2), 0)
-    o5 = orthogonalization(minimal_basis(lattice_of(5)).gram)
+    o5 = orthogonalization(minimal_basis(gram_of(5)).gram)
     assert o5.mu21 == Fraction(1, 3)
     assert o5.delta == Fraction(-3, 7)
     diag = orthogonalization(((3, 0, 0), (0, 4, 0), (0, 0, 5)))
@@ -293,9 +293,8 @@ def test_greedy_reduction_is_unimodular_and_attains_minima():
 def test_minima_match_short_vector_greedy():
     for p in (2, 3, 5, 7, 11, 13, 31, 37, 43):
         for rec in enumerate_types(p, 3 if p == 2 else 2):
-            lat = rec.lattice
-            mb = minimal_basis(lat)
-            vecs = short_vectors(lat.gram, mb.minima.d3)
+            mb = minimal_basis(rec.walk_gram)
+            vecs = short_vectors(rec.walk_gram, mb.minima.d3)
             got = greedy_minima(vecs)
             assert (got[0], got[1], got[2]) == tuple(mb.minima)
 
@@ -321,8 +320,8 @@ def test_greedy_reduce_reports_non_convergence(monkeypatch):
         greedy_reduce(((5, 0, 0), (0, 6, 0), (0, 0, 3)))
 
 
-def diagonal_lattice(d1, d2, d3):
-    return GrossLattice(None, EYE, 1, ((d1, 0, 0), (0, d2, 0), (0, 0, d3)))
+def diagonal(d1, d2, d3):
+    return ((d1, 0, 0), (0, d2, 0), (0, 0, d3))
 
 
 def test_minimal_basis_needs_an_index_one_completion(monkeypatch):
@@ -331,7 +330,7 @@ def test_minimal_basis_needs_an_index_one_completion(monkeypatch):
     fake = (vecs, (3, 3, 3, None, None))
     monkeypatch.setattr(lattice, "_minima_pass", lambda gram: fake)
     with pytest.raises(LatticeError, match="index-1"):
-        minimal_basis(diagonal_lattice(3, 3, 3))
+        minimal_basis(diagonal(3, 3, 3))
 
 
 def test_minimal_basis_norms_must_equal_the_minima(monkeypatch):
@@ -340,7 +339,7 @@ def test_minimal_basis_norms_must_equal_the_minima(monkeypatch):
     fake = (vecs, (3, 4, 4, None, None))
     monkeypatch.setattr(lattice, "_minima_pass", lambda gram: fake)
     with pytest.raises(LatticeError, match="differ from the minima"):
-        minimal_basis(diagonal_lattice(3, 4, 5))
+        minimal_basis(diagonal(3, 4, 5))
 
 
 # -- basis-change invariance (seeded random unimodular transforms) ------------
@@ -374,21 +373,25 @@ def change_basis(u, gram):
 
 @pytest.mark.parametrize("p", [11, 101, 1009])
 def test_minima_and_minimal_basis_survive_basis_change(p):
+    # every type: the normalized Gram, the printed bytes, does not depend
+    # on the basis the walk hands to minimal_basis
     rng = random.Random(p)
-    for rec in enumerate_types(p):
-        lat = rec.lattice
+    types = enumerate_types(p)
+    walked = order_walk(p, 2)
+    assert [rec.minima for rec in types] == [mb.minima for _, _, mb in walked]
+    for rec, (_, lat, _) in zip(types, walked):
         for _ in range(2):
             u = random_unimodular(rng)
             moved = GrossLattice(
                 lat.algebra, matmul(u, lat.mat), lat.den, change_basis(u, lat.gram)
             )
             assert minima_triple(moved.gram) == rec.minima
-            mb = minimal_basis(moved)
+            mb = minimal_basis(moved.gram)
             assert mb.minima == rec.minima
             assert (mb.gram[0][0], mb.gram[1][1], mb.gram[2][2]) == mb.minima
-            assert [e.nrd() for e in mb.basis_elements()] == list(mb.minima)
-            if rec.minima[2] >= p:   # spine, where the normalized Gram is unique
-                assert mb.gram == rec.gram
+            elements = basis_elements(moved, mb.coords)
+            assert [e.nrd() for e in elements] == list(mb.minima)
+            assert mb.gram == rec.gram
 
 
 def test_minima_survive_basis_change_on_random_grams():
@@ -402,7 +405,69 @@ def test_minima_survive_basis_change_on_random_grams():
         u = random_unimodular(rng)
         assert minima_triple(change_basis(u, gram)) == minima
         for g in (gram, change_basis(u, gram)):
-            mb = minimal_basis(GrossLattice(None, EYE, 1, g))
+            mb = minimal_basis(g)
             assert mb.minima == minima
             assert (mb.gram[0][0], mb.gram[1][1], mb.gram[2][2]) == minima
             assert abs(det3(mb.coords)) == 1
+
+
+# -- Kneser ell-neighbours ----------------------------------------------------
+
+def test_kneser_neighbours_of_random_forms_are_integral_of_equal_det():
+    # any positive form, not only Gross lattices: ell + 1 integral neighbours
+    rng = random.Random(41)
+    checked = 0
+    while checked < 30:
+        m = [[rng.randrange(-4, 5) for _ in range(3)] for _ in range(3)]
+        gram = change_basis(m, EYE)
+        ell = rng.choice((3, 5, 7))
+        d = det3(gram)
+        if d == 0 or d % ell == 0:
+            continue
+        nbs = kneser_neighbours(gram, ell)
+        assert len(nbs) == ell + 1
+        for nb in nbs:
+            assert det3(nb) == d and nb == tuple(zip(*nb))
+            minima_triple(nb)   # positive definite
+        checked += 1
+
+
+def test_kneser_neighbours_stay_in_the_genus_of_a_gross_lattice():
+    types = {rec.minima for rec in enumerate_types(101)}
+    for ell in (3, 5):
+        nbs = kneser_neighbours(gram_of(101), ell)
+        assert len(nbs) == ell + 1
+        assert {minima_triple(g) for g in nbs} <= types
+
+
+def test_kneser_neighbours_need_an_odd_prime():
+    for ell in (2, 9):
+        with pytest.raises(LatticeError, match="not an odd prime"):
+            kneser_neighbours(gram_of(11), ell)
+
+
+def test_kneser_neighbours_reject_ell_dividing_the_determinant():
+    with pytest.raises(LatticeError, match="divides det"):
+        kneser_neighbours(diagonal(1, 1, 3), 3)
+
+
+def test_kneser_neighbours_check_the_line_count(monkeypatch):
+    real = lattice._isotropic_lines
+    monkeypatch.setattr(lattice, "_isotropic_lines", lambda g, ell: real(g, ell)[1:])
+    with pytest.raises(LatticeError, match="expected 4 isotropic lines mod 3, found 3"):
+        kneser_neighbours(gram_of(11), 3)
+
+
+def test_kneser_neighbours_check_integral_grams(monkeypatch):
+    # the unscaled basis: entries of gram / 9, not all integers
+    monkeypatch.setattr(lattice, "hnf", lambda rows: EYE)
+    with pytest.raises(LatticeError, match="non-integer Gram entry"):
+        kneser_neighbours(gram_of(11), 3)
+
+
+def test_kneser_neighbours_check_the_determinant(monkeypatch):
+    # M / 3 = diag(1, 1, 3) spans an integral sublattice of index 3
+    monkeypatch.setattr(lattice, "hnf", lambda rows: diagonal(3, 3, 9))
+    with pytest.raises(LatticeError, match="ell-neighbour has det 4356, expected 484"):
+        kneser_neighbours(gram_of(11), 3)
+

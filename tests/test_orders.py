@@ -4,6 +4,7 @@ from math import isqrt
 
 import pytest
 
+import grosslat.orders as orders
 from grosslat.lattice import gross_lattice, minima_triple
 from grosslat.oracle import supersingular_j_set
 from grosslat.orders import (
@@ -203,7 +204,18 @@ def test_enumerate_types_ell_independent(p):
     ]
 
 
-def test_enumerated_orders_satisfy_order_axioms():
-    for rec in enumerate_types(37):
-        assert rec.order.is_ring()
-        assert reduced_discriminant(rec.order) == 37
+def test_enumerated_orders_satisfy_order_axioms(monkeypatch):
+    # every order the ell = 2 walk visits, duplicates included, is maximal
+    visited = [standard_maximal_order(37)]
+    real = orders.right_order
+
+    def recorded(ideal):
+        visited.append(real(ideal))
+        return visited[-1]
+
+    monkeypatch.setattr(orders, "right_order", recorded)
+    types = enumerate_types.__wrapped__(37, 2)
+    assert len(types) == 2 and len(visited) == 1 + 3 * len(types)
+    for order in visited:
+        assert order.is_ring()
+        assert reduced_discriminant(order) == 37

@@ -20,9 +20,9 @@ def test_verify_reads_minimal_bases_from_the_type_records(p, monkeypatch):
     calls = []
     real = lattice.minimal_basis
 
-    def counted(lat, tie_break="asc"):
+    def counted(gram, tie_break="asc"):
         calls.append(tie_break)
-        return real(lat, tie_break)
+        return real(gram, tie_break)
 
     monkeypatch.setattr(lattice, "minimal_basis", counted)
     monkeypatch.setattr(verify, "minimal_basis", counted)
@@ -62,10 +62,12 @@ def test_types_and_cm_enumerate_each_type_once(monkeypatch, capsys):
     assert cli.main(["types", "--p", "101"]) == 0
     capsys.readouterr()
     assert grams == [rec.gram for rec in types]
+    # cm locates on the ell = 3 Gram walk; 101 = 3 mod 7 is inert in
+    # Q(sqrt(-7))
+    types3 = enumerate_types(101, 3)
     grams.clear()
-    # 101 = 3 mod 7 is inert in Q(sqrt(-7))
     cm.locate_embedding_type(101, 7)
-    assert grams == [rec.gram for rec in types]
+    assert grams == [rec.gram for rec in types3]
 
 
 def test_types_reads_special_j_below_a_small_disc_bound(capsys):
