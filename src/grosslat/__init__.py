@@ -15,6 +15,7 @@ from .lattice import (
     MinimalBasis,
     MinimaTriple,
     gross_lattice,
+    half_form,
     kneser_neighbours,
     minimal_basis,
     minima_triple,
@@ -23,17 +24,14 @@ from .lattice import (
 )
 from .oracle import OracleError, deuring_polynomial, spine_count, supersingular_j_set
 from .orders import (
-    QuaternionIdeal,
     QuaternionOrder,
     TypeRecord,
     enumerate_types,
-    left_ideals_of_norm,
     reduced_discriminant,
-    right_order,
     saturate_to_maximal,
     standard_maximal_order,
 )
-from .quat import QuaternionAlgebra, QuaternionElement
+from .quat import QuaternionAlgebra
 from .verify import run_verify
 
 __version__ = "0.1.0"
@@ -47,8 +45,6 @@ __all__ = [
     "MinimalBasis",
     "OracleError",
     "QuaternionAlgebra",
-    "QuaternionElement",
-    "QuaternionIdeal",
     "QuaternionOrder",
     "TypeRecord",
     "classify_type",
@@ -60,15 +56,14 @@ __all__ = [
     "enumerate_types",
     "gram_gross",
     "gross_lattice",
+    "half_form",
     "kneser_neighbours",
-    "left_ideals_of_norm",
     "minima_triple",
     "minimal_basis",
     "orthogonalization",
     "quadratic_residue_precheck",
     "recompute_ne",
     "reduced_discriminant",
-    "right_order",
     "run_verify",
     "saturate_to_maximal",
     "short_vectors",

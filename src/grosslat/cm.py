@@ -136,11 +136,11 @@ def supersingular_primes(row: CmRow, lo: int, hi: int):
 def locate_embedding_type(p: int, d: int):
     """The unique type whose Gross lattice has a primitive norm-d vector.
 
-    The types come from the ell = 3 Gram walk (ell = 2 at p = 3), which
-    needs no quaternion arithmetic; the located record is the same either
-    way.
+    The types come from the Gram walk at the default ell of `types` and
+    `verify` (2, or 3 at p = 2), so a prime those also visit is enumerated
+    once; the located record does not depend on ell.
     """
-    types = enumerate_types(p, 2 if p == 3 else 3)
+    types = enumerate_types(p, 3 if p == 2 else 2)
     matches = [
         t for t in types if d in embedded_discriminants(short_vectors(t.gram, d), d)
     ]

@@ -5,13 +5,15 @@ denominator; basis rows are coordinates over the pure quaternions (i, j, k).
 All minima machinery works on the integer Gram matrix alone, so it applies to
 any positive definite ternary form, and in Python ints only: short vectors
 come from a Fincke-Pohst enumeration whose every range is exact by an
-integer square root.  Fractions appear only in the quaternion element
-accessors and in the Gram-Schmidt data of `orthogonalization`.
+integer square root.  Fractions appear only in the Gram-Schmidt data of
+`orthogonalization`.
 
-`kneser_neighbours` gives the Grams of the ell-neighbours of a ternary
-lattice for an odd prime ell prime to its determinant; on Gross lattices
-these are the Gross lattices of the ell-neighbouring maximal orders, so type
-enumeration at odd ell walks Grams with no quaternion arithmetic.
+`kneser_neighbours` gives the even Grams of the ell-neighbours of an even
+ternary form for any prime ell prime to its half-discriminant.  On the
+Gross-Lucianovic half form of a Gross lattice (`half_form`, half-discriminant
+p) their adjugates are the Gross Grams of the ell-neighbouring maximal
+orders, so type enumeration walks Grams with no quaternion arithmetic at
+every ell, ell = 2 included.
 
 A caller asking several questions of one type enumerates once: one
 `short_vectors` list of the type's minimal-basis Gram (already reduced)
@@ -29,7 +31,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .exact import canonical_lattice, hnf, is_prime
-from .quat import QuaternionElement, inner4
+from .quat import inner4
 
 
 class LatticeError(ValueError):
@@ -42,24 +44,6 @@ class GrossLattice:
     mat: tuple        # 3x3 integer rows, coordinates over (i, j, k), HNF
     den: int
     gram: tuple       # 3x3 integer Gram matrix of mat/den
-
-    def basis_elements(self):
-        return tuple(
-            QuaternionElement(
-                self.algebra,
-                (Fraction(0),) + tuple(Fraction(c, self.den) for c in row),
-            )
-            for row in self.mat
-        )
-
-    def vector_element(self, coords):
-        row = [0, 0, 0]
-        for c, b in zip(coords, self.mat):
-            for t in range(3):
-                row[t] += c * b[t]
-        return QuaternionElement(
-            self.algebra, (Fraction(0),) + tuple(Fraction(c, self.den) for c in row)
-        )
 
 
 def gross_lattice(order) -> GrossLattice:
@@ -394,48 +378,97 @@ def minimal_basis(gram, tie_break: str = "asc") -> MinimalBasis:
     return MinimalBasis(basis, g, minima)
 
 
-# -- Kneser ell-neighbours (odd ell prime to the determinant) -----------------
+# -- Kneser ell-neighbours of an even ternary form ----------------------------
 
-def _isotropic_lines(gram, ell: int):
-    """One vector per line of F_ell^3 on which the form vanishes mod ell."""
+def adj3(rows):
+    """Adjugate (transposed cofactor matrix) of a 3x3 integer matrix."""
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
+    return (
+        (b1 * c2 - b2 * c1, a2 * c1 - a1 * c2, a1 * b2 - a2 * b1),
+        (b2 * c0 - b0 * c2, a0 * c2 - a2 * c0, a2 * b0 - a0 * b2),
+        (b0 * c1 - b1 * c0, a1 * c0 - a0 * c1, a0 * b1 - a1 * b0),
+    )
+
+
+def half_form(gram, p: int):
+    """Even Gram adj(gram) / 2p of the Gross-Lucianovic form of a Gross lattice.
+
+    For a Gross Gram (det 4p^2), M = adj(gram) / 2p is integral with an even
+    diagonal and det 2p, so q(x) = x M x^T / 2 has half-discriminant p, and
+    adj(M) = gram.  Raises LatticeError when any of the three fails.
+    """
+    m = []
+    for row in adj3(gram):
+        out = []
+        for x in row:
+            q, rem = divmod(x, 2 * p)
+            if rem:
+                raise LatticeError(f"adj(gram) is not divisible by 2p = {2 * p}")
+            out.append(q)
+        m.append(tuple(out))
+    m = tuple(m)
+    if any(m[i][i] % 2 for i in range(3)):
+        raise LatticeError("adj(gram) / 2p has an odd diagonal entry")
+    if det3(m) != 2 * p:
+        raise LatticeError(f"adj(gram) / 2p has det {det3(m)}, expected {2 * p}")
+    return m
+
+
+def _isotropic_lines(m, ell: int):
+    """One vector per line of F_ell^3 on which q = x m x^T / 2 vanishes mod ell."""
     points = [(1, a, b) for a in range(ell) for b in range(ell)]
     points += [(0, 1, b) for b in range(ell)]
     points.append((0, 0, 1))
-    return [v for v in points if gram_inner(gram, v, v) % ell == 0]
+    return [v for v in points if gram_inner(m, v, v) % (2 * ell) == 0]
 
 
-def kneser_neighbours(gram, ell: int):
-    """Grams of the ell-neighbours of the lattice L with Gram `gram`.
+def _lift(m, v, ell: int, t: int, inv: int):
+    """v + ell c e_t with q = 0 mod ell^2, for b_t = (v m)_t with inverse inv.
 
-    For an odd prime ell not dividing det(gram), each of the ell + 1
-    isotropic lines v of L/ell L, lifted so that Q(v) = 0 mod ell^2, gives
+    q(v + ell c e_t) = q(v) + ell c b_t + ell^2 c^2 q(e_t), so
+    c = -(q(v)/ell) / b_t mod ell; this holds for ell = 2 as well.
+    """
+    v = list(v)
+    v[t] -= ell * (gram_inner(m, v, v) // 2 // ell * inv % ell)
+    return v
+
+
+def kneser_neighbours(m, ell: int):
+    """Even Grams of the ell-neighbours of the lattice L with even Gram `m`.
+
+    `m` is the Gram of the bilinear form B(x, y) = x m y^T of the integral
+    form q(x) = B(x, x) / 2, so its diagonal is even.  For a prime ell not
+    dividing det(m)/2, q is nonsingular mod ell, and each of its ell + 1
+    isotropic lines v of L/ell L, lifted so that q(v) = 0 mod ell^2, gives
     the neighbour L' = {x in L : B(x, v) = 0 mod ell} + Z v/ell.  Scaled by
     ell, L' is spanned by the rows ell^2 e_i, ell (e_i - (b_i/b_t) e_t) and
-    v, where b = v gram and b_t is a unit mod ell; their HNF M gives the
-    Gram M gram M^T / ell^2 of L'.  One Gram per line, in line order; the
-    Gram and determinant of each neighbour are checked.
+    v, where b = v m and b_t is a unit mod ell; their HNF H gives the Gram
+    H m H^T / ell^2 of L'.  One Gram per line, in line order; each
+    neighbour is checked to be integral and even, with det(m).
+
+    Duals of ell-neighbours are ell-neighbours, so on the half form of a
+    Gross lattice (`half_form`) the adjugates of the neighbours are the
+    Gross Grams of the ell-neighbouring maximal orders, for ell = 2 too.
     """
-    if ell % 2 == 0 or not is_prime(ell):
-        raise LatticeError(f"ell = {ell} is not an odd prime")
-    d = det3(gram)
-    if d % ell == 0:
-        raise LatticeError(f"ell = {ell} divides det(gram) = {d}")
-    lines = _isotropic_lines(gram, ell)
+    if not is_prime(ell):
+        raise LatticeError(f"ell = {ell} is not a prime")
+    if any(m[i][i] % 2 for i in range(3)):
+        raise LatticeError("m has an odd diagonal entry: not an even Gram")
+    d = det3(m)
+    if d // 2 % ell == 0:
+        raise LatticeError(f"ell = {ell} divides det(m)/2 = {d // 2}")
+    lines = _isotropic_lines(m, ell)
     if len(lines) != ell + 1:
         raise LatticeError(
             f"expected {ell + 1} isotropic lines mod {ell}, found {len(lines)}"
         )
     ell2 = ell * ell
-    half = pow(2, -1, ell)
     out = []
     for v in lines:
-        b = [sum(v[i] * gram[i][j] for i in range(3)) for j in range(3)]
+        b = [sum(v[i] * m[i][j] for i in range(3)) for j in range(3)]
         t = next(j for j in range(3) if b[j] % ell)
         inv = pow(b[t], -1, ell)
-        # Q(v + ell c e_t) = Q(v) + 2 ell c b_t = 0 mod ell^2
-        v = list(v)
-        v[t] -= ell * (gram_inner(gram, v, v) // ell * inv * half % ell)
-        rows = [v]
+        rows = [_lift(m, v, ell, t, inv)]
         for i in range(3):
             row = [0, 0, 0]
             row[i] = ell2
@@ -445,17 +478,19 @@ def kneser_neighbours(gram, ell: int):
                 row[i] = ell
                 row[t] = -ell * (b[i] * inv % ell)
                 rows.append(row)
-        m = hnf(rows)
+        h = hnf(rows)
         nb = []
-        for u in m:
+        for u in h:
             row = []
-            for w in m:
-                q, rem = divmod(gram_inner(gram, u, w), ell2)
+            for w in h:
+                q, rem = divmod(gram_inner(m, u, w), ell2)
                 if rem:
                     raise LatticeError("non-integer Gram entry in an ell-neighbour")
                 row.append(q)
             nb.append(tuple(row))
         nb = tuple(nb)
+        if any(nb[i][i] % 2 for i in range(3)):
+            raise LatticeError("ell-neighbour has an odd diagonal entry")
         if det3(nb) != d:
             raise LatticeError(f"ell-neighbour has det {det3(nb)}, expected {d}")
         out.append(nb)

@@ -1,22 +1,23 @@
 """Maximal orders of B_p and their isomorphism types.
 
-Orders and ideals are rank-4 row lattices over (1, i, j, k), stored as an HNF
-integer matrix plus a common positive denominator.  Type enumeration walks
-the ell-neighbour graph and deduplicates by the successive minima triple of
-the Gross lattice, which is a complete isomorphism invariant.  The Gross
+Orders are rank-4 row lattices over (1, i, j, k), stored as an HNF integer
+matrix plus a common positive denominator; this module builds the one order
+type enumeration needs, the standard maximal order of B_p.  The Gross
 lattice of O is the Gross-Lucianovic ternary form of O, so the ell-neighbours
 of maximal orders are the Kneser ell-neighbours of their Gross lattices
-(Birch 1991; Greenberg-Voight 2014).  For odd ell the walk therefore runs on
-Gross Grams alone (`lattice.kneser_neighbours`) and an order only seeds it;
-ell = 2 divides the determinant 4p^2, so that walk still takes right orders
-of left ideals of reduced norm 2, each validated as a maximal order.
+(Birch 1991; Greenberg-Voight 2014).  Type enumeration therefore walks Gross
+Grams alone, through the ell-neighbours of their half forms
+(`lattice.half_form`, `lattice.kneser_neighbours`), and deduplicates by the
+successive minima triple, a complete isomorphism invariant.  By
+Gross-Lucianovic every positive form of half-discriminant p is the form of a
+maximal order of B_p, so the checks on each neighbour Gram stand in for
+validating a maximal order.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd, isqrt
@@ -30,19 +31,12 @@ from .exact import (
     is_prime,
     legendre,
 )
-from .lattice import gross_lattice, kneser_neighbours, minimal_basis
-from .quat import QuaternionAlgebra, QuaternionElement, conj4, inner4, mul4, nrd4
+from .lattice import adj3, gross_lattice, half_form, kneser_neighbours, minimal_basis
+from .quat import QuaternionAlgebra, conj4, inner4, mul4, nrd4
 
 
 class OrderError(ValueError):
     pass
-
-
-def _hnf_diag_det(mat) -> int:
-    d = 1
-    for i, row in enumerate(mat):
-        d *= row[i]
-    return d
 
 
 @dataclass(frozen=True)
@@ -58,18 +52,6 @@ class QuaternionOrder:
             raise OrderError("generators do not span a rank-4 lattice")
         return cls(algebra, mat, den)
 
-    @classmethod
-    def from_elements(cls, algebra, elements):
-        den = 1
-        for e in elements:
-            for c in e.coords:
-                den = den * c.denominator // gcd(den, c.denominator)
-        rows = [
-            [int(c * den) for c in e.coords]
-            for e in elements
-        ]
-        return cls.from_generators(algebra, rows, den)
-
     def contains_vec(self, vec, vden: int) -> bool:
         scaled = []
         for x in vec:
@@ -78,14 +60,6 @@ class QuaternionOrder:
                 return False
             scaled.append(num // vden)
         return hnf_solve(self.mat, scaled) is not None
-
-    def basis_elements(self):
-        return tuple(
-            QuaternionElement(
-                self.algebra, tuple(Fraction(c, self.den) for c in row)
-            )
-            for row in self.mat
-        )
 
     def is_ring(self) -> bool:
         """1 in the lattice, basis integral, closed under multiplication."""
@@ -223,75 +197,6 @@ def saturate_to_maximal(order: QuaternionOrder) -> QuaternionOrder:
 
 
 @dataclass(frozen=True)
-class QuaternionIdeal:
-    left_order: QuaternionOrder
-    mat: tuple
-    den: int
-    norm: int
-
-
-def left_ideals_of_norm(order: QuaternionOrder, ell: int):
-    """The ell+1 left ideals I = O*alpha + O*ell of reduced norm ell.
-
-    alpha sweeps representatives of O/ellO with nrd(alpha) = 0 mod ell and
-    alpha not in ellO; results are deduplicated by HNF and index-checked.
-    """
-    p = order.algebra.p
-    if not is_prime(ell) or ell == p:
-        raise OrderError("ell must be a prime different from p")
-    a, b = order.algebra.a, order.algebra.b
-    rows = order.mat
-    den = order.den
-    d2 = den * den
-    odet = _hnf_diag_det(order.mat)
-    seen = {}
-    for coeffs in product(range(ell), repeat=4):
-        if not any(coeffs):
-            continue
-        alpha = tuple(
-            sum(c * rows[i][t] for i, c in enumerate(coeffs)) for t in range(4)
-        )
-        n = nrd4(alpha, a, b)
-        if n % d2:
-            raise OrderError("order basis element with non-integral norm")
-        if (n // d2) % ell:
-            continue
-        gens = [mul4(row, alpha, a, b) for row in rows]
-        gens.extend(tuple(ell * den * x for x in row) for row in rows)
-        mat, iden = canonical_lattice(gens, d2)
-        if len(mat) != 4:
-            continue
-        # index [O : I] = ell^2, cross-multiplied
-        if _hnf_diag_det(mat) * den ** 4 != ell * ell * odet * iden ** 4:
-            continue
-        seen[(mat, iden)] = QuaternionIdeal(order, mat, iden, ell)
-    ideals = [seen[k] for k in sorted(seen)]
-    if len(ideals) != ell + 1:
-        raise OrderError(
-            f"expected {ell + 1} ideals of norm {ell}, found {len(ideals)}"
-        )
-    return ideals
-
-
-def right_order(ideal: QuaternionIdeal) -> QuaternionOrder:
-    """Right order (1/nrd I) * conj(I) * I, validated as maximal."""
-    alg = ideal.left_order.algebra
-    a, b = alg.a, alg.b
-    rows = ideal.mat
-    gens = [
-        mul4(conj4(u), v, a, b) for u in rows for v in rows
-    ]
-    order = QuaternionOrder.from_generators(
-        alg, gens, ideal.den * ideal.den * ideal.norm
-    )
-    if not order.is_ring():
-        raise OrderError("right order is not a ring: corrupt ideal")
-    if reduced_discriminant(order) != alg.p:
-        raise OrderError("right order is not maximal: corrupt ideal")
-    return order
-
-
-@dataclass(frozen=True)
 class TypeRecord:
     walk_gram: tuple   # Gross Gram the walk reached the type with
     minima: tuple
@@ -305,22 +210,20 @@ def enumerate_types(p: int, ell: int = 2):
 
     Breadth-first search over ell-neighbours seeded by the Gross Gram of the
     standard maximal order; a node whose Gross minima triple was already
-    seen is discarded (the triple characterizes the type).  For odd ell the
-    nodes are Grams and the neighbours are their Kneser ell-neighbours; for
-    ell = 2, which divides the determinant, the nodes carry their order and
-    the neighbours are right orders of its left ideals of norm 2.  Results
-    are cached and must be treated as read-only.
+    seen is discarded (the triple characterizes the type).  The nodes are
+    Gross Grams G, and the neighbours of G are the adjugates of the Kneser
+    ell-neighbours of its half form adj(G) / 2p.  Results are cached and
+    must be treated as read-only.
     """
     if not is_prime(p):
         raise OrderError(f"{p} is not prime")
     if not is_prime(ell) or ell == p:
         raise OrderError("ell must be a prime different from p")
-    seed = standard_maximal_order(p)
-    queue = deque([(gross_lattice(seed).gram, seed)])
+    queue = deque([gross_lattice(standard_maximal_order(p)).gram])
     seen = set()
     records = []
     while queue:
-        walk_gram, order = queue.popleft()
+        walk_gram = queue.popleft()
         mb = minimal_basis(walk_gram)
         if mb.minima in seen:
             continue
@@ -328,12 +231,9 @@ def enumerate_types(p: int, ell: int = 2):
         records.append(
             TypeRecord(walk_gram, tuple(mb.minima), mb.gram, mb.coords)
         )
-        if ell == 2:
-            for ideal in left_ideals_of_norm(order, ell):
-                nb = right_order(ideal)
-                queue.append((gross_lattice(nb).gram, nb))
-        else:
-            # from the reduced Gram, so entries do not grow along the walk
-            queue.extend((g, None) for g in kneser_neighbours(mb.gram, ell))
+        # from the reduced Gram, so entries do not grow along the walk
+        queue.extend(
+            adj3(m) for m in kneser_neighbours(half_form(mb.gram, p), ell)
+        )
     records.sort(key=lambda r: r.minima)
     return tuple(records)

@@ -10,6 +10,7 @@ from grosslat.lattice import (
     GrossLattice,
     LatticeError,
     MinimaTriple,
+    adj3,
     attaining_rank2_sublattices,
     basis_pair_rank2_sublattices,
     det3,
@@ -17,6 +18,7 @@ from grosslat.lattice import (
     greedy_minima,
     greedy_reduce,
     gross_lattice,
+    half_form,
     kneser_neighbours,
     minima_triple,
     minimal_basis,
@@ -26,6 +28,7 @@ from grosslat.lattice import (
 )
 from grosslat.exact import hnf
 from grosslat.orders import enumerate_types, standard_maximal_order
+from quat_elements import element, lattice_basis_elements, one
 from test_walk_reference import basis_elements, order_walk
 
 
@@ -64,10 +67,12 @@ def test_gross_lattice_known_values():
 def test_gross_map_kills_scalars():
     # 2x - trd(x) = 0 for x = 1, so the image of an order basis has rank 3
     o = standard_maximal_order(11)
-    one = o.algebra.one()
-    image = 2 * one - o.algebra.element(one.trd())
+    e = one(o.algebra)
+    image = 2 * e - element(o.algebra, e.trd())
     assert image.coords == (0, 0, 0, 0)
-    assert len(gross_lattice(o).mat) == 3
+    lat = gross_lattice(o)
+    assert len(lat.mat) == 3
+    assert all(b.trd() == 0 for b in lattice_basis_elements(lat))
 
 
 def test_gross_lattice_rejects_non_order():
@@ -411,63 +416,143 @@ def test_minima_survive_basis_change_on_random_grams():
             assert abs(det3(mb.coords)) == 1
 
 
-# -- Kneser ell-neighbours ----------------------------------------------------
+# -- half forms and Kneser ell-neighbours -------------------------------------
+
+def double(gram):
+    return tuple(tuple(2 * x for x in row) for row in gram)
+
+
+def test_adj3_is_the_adjugate():
+    rng = random.Random(43)
+    for _ in range(50):
+        m = tuple(tuple(rng.randrange(-9, 10) for _ in range(3)) for _ in range(3))
+        d = det3(m)
+        assert matmul(m, adj3(m)) == matmul(adj3(m), m) == tuple(
+            tuple(d * x for x in row) for row in EYE
+        )
+
+
+@pytest.mark.parametrize("p", [2, 11, 101, 1009])
+def test_half_form_inverts_to_the_gross_gram(p):
+    for rec in enumerate_types(p, 3 if p == 2 else 2):
+        for gram in (rec.walk_gram, rec.gram):
+            m = half_form(gram, p)
+            assert adj3(m) == gram
+            assert det3(m) == 2 * p and m == tuple(zip(*m))
+            assert all(m[i][i] % 2 == 0 for i in range(3))
+
+
+@pytest.mark.parametrize("p", [2, 11, 101, 1009])
+def test_neighbours_of_half_forms_are_even_of_det_2p(p):
+    for ell in (2, 3):
+        if ell == p:
+            continue
+        for rec in enumerate_types(p, 3 if p == 2 else 2):
+            nbs = kneser_neighbours(half_form(rec.gram, p), ell)
+            assert len(nbs) == ell + 1
+            for nb in nbs:
+                assert det3(nb) == 2 * p and nb == tuple(zip(*nb))
+                assert all(nb[i][i] % 2 == 0 for i in range(3))
+                assert det3(adj3(nb)) == 4 * p * p
+
+
+def test_half_form_rejects_an_adjugate_not_divisible_by_2p():
+    with pytest.raises(LatticeError, match="not divisible by 2p = 26"):
+        half_form(gram_of(11), 13)
+
+
+def test_half_form_rejects_an_odd_diagonal():
+    # adj(diag(2p, 2p, 1)) / 2p = diag(1, 1, 2p)
+    with pytest.raises(LatticeError, match="odd diagonal entry"):
+        half_form(diagonal(22, 22, 1), 11)
+
+
+def test_half_form_rejects_a_wrong_determinant():
+    # adj(2p I) / 2p = 2p I, with det 8p^3
+    with pytest.raises(LatticeError, match="has det 10648, expected 22"):
+        half_form(diagonal(22, 22, 22), 11)
+
 
 def test_kneser_neighbours_of_random_forms_are_integral_of_equal_det():
-    # any positive form, not only Gross lattices: ell + 1 integral neighbours
+    # any positive even form, not only Gross lattices: ell + 1 integral even
+    # neighbours; U A U^T for A = A2 + A1 has half-discriminant 3 det(U)^2,
+    # which is odd for odd det(U), so ell = 2 is covered too
+    base = ((2, 1, 0), (1, 2, 0), (0, 0, 2))
     rng = random.Random(41)
     checked = 0
-    while checked < 30:
+    while checked < 40:
         m = [[rng.randrange(-4, 5) for _ in range(3)] for _ in range(3)]
-        gram = change_basis(m, EYE)
-        ell = rng.choice((3, 5, 7))
+        gram = change_basis(m, base) if checked % 2 else double(change_basis(m, EYE))
+        ell = rng.choice((2, 3, 5, 7))
         d = det3(gram)
-        if d == 0 or d % ell == 0:
+        if d == 0 or d // 2 % ell == 0:
             continue
         nbs = kneser_neighbours(gram, ell)
         assert len(nbs) == ell + 1
         for nb in nbs:
             assert det3(nb) == d and nb == tuple(zip(*nb))
+            assert all(nb[i][i] % 2 == 0 for i in range(3))
             minima_triple(nb)   # positive definite
         checked += 1
 
 
 def test_kneser_neighbours_stay_in_the_genus_of_a_gross_lattice():
     types = {rec.minima for rec in enumerate_types(101)}
-    for ell in (3, 5):
-        nbs = kneser_neighbours(gram_of(101), ell)
+    for ell in (2, 3, 5):
+        nbs = kneser_neighbours(half_form(gram_of(101), 101), ell)
         assert len(nbs) == ell + 1
-        assert {minima_triple(g) for g in nbs} <= types
+        assert {minima_triple(adj3(g)) for g in nbs} <= types
 
 
 def test_kneser_neighbours_need_an_odd_prime():
+    # 2G has half-discriminant 16p^2, so ell = 2 divides it; 9 is composite
     for ell in (2, 9):
-        with pytest.raises(LatticeError, match="not an odd prime"):
-            kneser_neighbours(gram_of(11), ell)
+        with pytest.raises(LatticeError, match="not a prime|divides det"):
+            kneser_neighbours(double(gram_of(11)), ell)
+
+
+def test_kneser_neighbours_reject_a_composite_ell():
+    with pytest.raises(LatticeError, match="ell = 9 is not a prime"):
+        kneser_neighbours(half_form(gram_of(11), 11), 9)
 
 
 def test_kneser_neighbours_reject_ell_dividing_the_determinant():
     with pytest.raises(LatticeError, match="divides det"):
-        kneser_neighbours(diagonal(1, 1, 3), 3)
+        kneser_neighbours(diagonal(2, 2, 6), 3)
+    with pytest.raises(LatticeError, match="ell = 11 divides det"):
+        kneser_neighbours(half_form(gram_of(11), 11), 11)
+
+
+def test_kneser_neighbours_reject_an_odd_diagonal():
+    # a Gross Gram is the Gram of x G x^T, not of x G x^T / 2
+    with pytest.raises(LatticeError, match="m has an odd diagonal entry"):
+        kneser_neighbours(gram_of(11), 3)
 
 
 def test_kneser_neighbours_check_the_line_count(monkeypatch):
     real = lattice._isotropic_lines
     monkeypatch.setattr(lattice, "_isotropic_lines", lambda g, ell: real(g, ell)[1:])
     with pytest.raises(LatticeError, match="expected 4 isotropic lines mod 3, found 3"):
-        kneser_neighbours(gram_of(11), 3)
+        kneser_neighbours(half_form(gram_of(11), 11), 3)
 
 
 def test_kneser_neighbours_check_integral_grams(monkeypatch):
-    # the unscaled basis: entries of gram / 9, not all integers
+    # the unscaled basis: entries of m / 9, not all integers
     monkeypatch.setattr(lattice, "hnf", lambda rows: EYE)
     with pytest.raises(LatticeError, match="non-integer Gram entry"):
-        kneser_neighbours(gram_of(11), 3)
+        kneser_neighbours(half_form(gram_of(11), 11), 3)
+
+
+def test_kneser_neighbours_check_even_grams(monkeypatch):
+    # unlifted, the line (1, 1, 1) of the p = 11 half form has q = 2 mod 4,
+    # so v/2 has the odd norm q(v)/2 and every entry is still integral
+    monkeypatch.setattr(lattice, "_lift", lambda m, v, ell, t, inv: list(v))
+    with pytest.raises(LatticeError, match="ell-neighbour has an odd diagonal"):
+        kneser_neighbours(half_form(gram_of(11), 11), 2)
 
 
 def test_kneser_neighbours_check_the_determinant(monkeypatch):
-    # M / 3 = diag(1, 1, 3) spans an integral sublattice of index 3
+    # H / 3 = diag(1, 1, 3) spans an integral even sublattice of index 3
     monkeypatch.setattr(lattice, "hnf", lambda rows: diagonal(3, 3, 9))
-    with pytest.raises(LatticeError, match="ell-neighbour has det 4356, expected 484"):
-        kneser_neighbours(gram_of(11), 3)
-
+    with pytest.raises(LatticeError, match="ell-neighbour has det 198, expected 22"):
+        kneser_neighbours(half_form(gram_of(11), 11), 3)

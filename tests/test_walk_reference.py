@@ -1,36 +1,133 @@
 """Differential tests of the Gram walk against the order walk it replaced.
 
-For odd ell, `enumerate_types` walks Kneser ell-neighbours of Gross Grams
-and does no quaternion arithmetic.  `order_walk` is the walk it replaced:
-right orders of the left ideals of norm ell, each checked as a maximal
-order, keyed by the minima of its Gross lattice.  Both must give the same
-sorted (minima, normalized Gram) list.  Tier-1 compares them at every prime
-5 <= p <= 300 at ell = 3 and at a few primes at ell = 5 and 7; the gate over
-every prime up to 2000 at ell = 3 is opt-in:
+`enumerate_types` walks Gross Grams: the neighbours of G are the adjugates
+of the Kneser ell-neighbours of its half form adj(G) / 2p, and no
+quaternion arithmetic is done.  `order_walk` is the walk it replaced, kept
+here as the reference: right orders of the left ideals of norm ell, each
+checked as a maximal order, keyed by the minima of its Gross lattice.  Both
+must give the same sorted (minima, normalized Gram) list, and per type the
+same multiset of neighbour types.  Tier-1 compares the lists at every prime
+3 <= p <= 300 at ell = 2 and 5 <= p <= 300 at ell = 3, at a few primes at
+ell = 5 and 7, and the neighbour multisets at ell = 2 and 3 for every
+p <= 100; the gate over every prime up to 2000 at ell = 2 and 3 is opt-in:
 
     GROSSLAT_WALK_REFERENCE=1 pytest tests/test_walk_reference.py -m walk_reference
 """
 
 from collections import deque
+from dataclasses import dataclass
+from itertools import product
 
 import pytest
 
-from grosslat.exact import primes_between
-from grosslat.lattice import gross_lattice, minimal_basis
+from grosslat.exact import canonical_lattice, is_prime, primes_between
+from grosslat.lattice import (
+    adj3,
+    gross_lattice,
+    half_form,
+    kneser_neighbours,
+    minima_triple,
+    minimal_basis,
+)
 from grosslat.orders import (
+    OrderError,
+    QuaternionOrder,
     enumerate_types,
-    left_ideals_of_norm,
-    right_order,
+    reduced_discriminant,
     standard_maximal_order,
 )
+from grosslat.quat import conj4, mul4, nrd4
+from quat_elements import vector_element
 
 
-def order_walk(p, ell):
-    """(order, Gross lattice, minimal basis) per type, sorted by minima."""
+# -- the order walk: left ideals of norm ell and their right orders -----------
+
+def _hnf_diag_det(mat) -> int:
+    d = 1
+    for i, row in enumerate(mat):
+        d *= row[i]
+    return d
+
+
+@dataclass(frozen=True)
+class QuaternionIdeal:
+    left_order: QuaternionOrder
+    mat: tuple
+    den: int
+    norm: int
+
+
+def left_ideals_of_norm(order, ell):
+    """The ell+1 left ideals I = O*alpha + O*ell of reduced norm ell.
+
+    alpha sweeps representatives of O/ellO with nrd(alpha) = 0 mod ell and
+    alpha not in ellO; results are deduplicated by HNF and index-checked.
+    """
+    p = order.algebra.p
+    if not is_prime(ell) or ell == p:
+        raise OrderError("ell must be a prime different from p")
+    a, b = order.algebra.a, order.algebra.b
+    rows = order.mat
+    den = order.den
+    d2 = den * den
+    odet = _hnf_diag_det(order.mat)
+    seen = {}
+    for coeffs in product(range(ell), repeat=4):
+        if not any(coeffs):
+            continue
+        alpha = tuple(
+            sum(c * rows[i][t] for i, c in enumerate(coeffs)) for t in range(4)
+        )
+        n = nrd4(alpha, a, b)
+        if n % d2:
+            raise OrderError("order basis element with non-integral norm")
+        if (n // d2) % ell:
+            continue
+        gens = [mul4(row, alpha, a, b) for row in rows]
+        gens.extend(tuple(ell * den * x for x in row) for row in rows)
+        mat, iden = canonical_lattice(gens, d2)
+        if len(mat) != 4:
+            continue
+        # index [O : I] = ell^2, cross-multiplied
+        if _hnf_diag_det(mat) * den ** 4 != ell * ell * odet * iden ** 4:
+            continue
+        seen[(mat, iden)] = QuaternionIdeal(order, mat, iden, ell)
+    ideals = [seen[k] for k in sorted(seen)]
+    if len(ideals) != ell + 1:
+        raise OrderError(
+            f"expected {ell + 1} ideals of norm {ell}, found {len(ideals)}"
+        )
+    return ideals
+
+
+def right_order(ideal):
+    """Right order (1/nrd I) * conj(I) * I, validated as maximal."""
+    alg = ideal.left_order.algebra
+    a, b = alg.a, alg.b
+    rows = ideal.mat
+    gens = [mul4(conj4(u), v, a, b) for u in rows for v in rows]
+    order = QuaternionOrder.from_generators(
+        alg, gens, ideal.den * ideal.den * ideal.norm
+    )
+    if not order.is_ring():
+        raise OrderError("right order is not a ring: corrupt ideal")
+    if reduced_discriminant(order) != alg.p:
+        raise OrderError("right order is not maximal: corrupt ideal")
+    return order
+
+
+def order_walk(p, ell, visited=None):
+    """(order, Gross lattice, minimal basis) per type, sorted by minima.
+
+    Every order the walk visits, duplicates included, is appended to
+    `visited` when it is given.
+    """
     queue = deque([standard_maximal_order(p)])
     found = {}
     while queue:
         order = queue.popleft()
+        if visited is not None:
+            visited.append(order)
         lat = gross_lattice(order)
         mb = minimal_basis(lat.gram)
         if mb.minima in found:
@@ -42,13 +139,20 @@ def order_walk(p, ell):
 
 def basis_elements(lat, coords):
     """The quaternions of a Gross lattice with the given coordinate rows."""
-    return tuple(lat.vector_element(c) for c in coords)
+    return tuple(vector_element(lat, c) for c in coords)
 
+
+# -- the differential tests ---------------------------------------------------
 
 def assert_walks_agree(p, ell):
     want = [(tuple(mb.minima), mb.gram) for _, _, mb in order_walk(p, ell)]
     got = [(rec.minima, rec.gram) for rec in enumerate_types(p, ell)]
     assert got == want, (p, ell)
+
+
+@pytest.mark.parametrize("p", primes_between(3, 300))
+def test_gram_walk_matches_the_order_walk_at_ell_2(p):
+    assert_walks_agree(p, 2)
 
 
 @pytest.mark.parametrize("p", primes_between(5, 300))
@@ -62,14 +166,52 @@ def test_gram_walk_matches_the_order_walk_at_ell_5_and_7(p, ell):
     assert_walks_agree(p, ell)
 
 
+@pytest.mark.parametrize("ell", [2, 3])
+def test_gram_neighbours_match_the_right_orders_per_type(ell):
+    # the same neighbour graph, not only the same vertices: per type, the
+    # Kneser neighbours of the half form of its Gross lattice and the right
+    # orders of its ideals of norm ell reach the same types, with multiplicity
+    for p in primes_between(2, 100):
+        if p == ell:
+            continue
+        for order, lat, _ in order_walk(p, ell):
+            by_orders = sorted(
+                minima_triple(gross_lattice(right_order(i)).gram)
+                for i in left_ideals_of_norm(order, ell)
+            )
+            by_grams = sorted(
+                minima_triple(adj3(m))
+                for m in kneser_neighbours(half_form(lat.gram, p), ell)
+            )
+            assert by_grams == by_orders, (p, ell, lat.gram)
+
+
 def test_gram_walk_records_reduce_from_their_walk_gram():
     for p in (2, 11, 101):
-        for rec in enumerate_types(p, 3):
-            mb = minimal_basis(rec.walk_gram)
-            assert (mb.minima, mb.gram, mb.coords) == (rec.minima, rec.gram, rec.basis)
+        for ell in (2, 3):
+            if ell == p:
+                continue
+            for rec in enumerate_types(p, ell):
+                mb = minimal_basis(rec.walk_gram)
+                assert (mb.minima, mb.gram, mb.coords) == (
+                    rec.minima, rec.gram, rec.basis
+                )
+
+
+def test_enumerated_orders_satisfy_order_axioms():
+    # every order the ell = 2 order walk visits, duplicates included, is
+    # maximal
+    visited = []
+    types = order_walk(37, 2, visited)
+    assert len(types) == 2 and len(visited) == 1 + 3 * len(types)
+    for order in visited:
+        assert order.is_ring()
+        assert reduced_discriminant(order) == 37
 
 
 @pytest.mark.walk_reference
 def test_gram_walk_matches_the_order_walk_up_to_2000():
-    for p in primes_between(5, 2000):
-        assert_walks_agree(p, 3)
+    for p in primes_between(2, 2000):
+        for ell in (2, 3):
+            if ell != p:
+                assert_walks_agree(p, ell)
