@@ -390,6 +390,10 @@ def adj3(rows):
     )
 
 
+def _odd_diagonal(m) -> bool:
+    return any(m[i][i] % 2 for i in range(3))
+
+
 def half_form(gram, p: int):
     """Even Gram adj(gram) / 2p of the Gross-Lucianovic form of a Gross lattice.
 
@@ -407,7 +411,7 @@ def half_form(gram, p: int):
             out.append(q)
         m.append(tuple(out))
     m = tuple(m)
-    if any(m[i][i] % 2 for i in range(3)):
+    if _odd_diagonal(m):
         raise LatticeError("adj(gram) / 2p has an odd diagonal entry")
     if det3(m) != 2 * p:
         raise LatticeError(f"adj(gram) / 2p has det {det3(m)}, expected {2 * p}")
@@ -452,7 +456,7 @@ def kneser_neighbours(m, ell: int):
     """
     if not is_prime(ell):
         raise LatticeError(f"ell = {ell} is not a prime")
-    if any(m[i][i] % 2 for i in range(3)):
+    if _odd_diagonal(m):
         raise LatticeError("m has an odd diagonal entry: not an even Gram")
     d = det3(m)
     if d // 2 % ell == 0:
@@ -489,7 +493,7 @@ def kneser_neighbours(m, ell: int):
                 row.append(q)
             nb.append(tuple(row))
         nb = tuple(nb)
-        if any(nb[i][i] % 2 for i in range(3)):
+        if _odd_diagonal(nb):
             raise LatticeError("ell-neighbour has an odd diagonal entry")
         if det3(nb) != d:
             raise LatticeError(f"ell-neighbour has det {det3(nb)}, expected {d}")
