@@ -28,7 +28,6 @@ from .orders import (
     TypeRecord,
     enumerate_types,
     reduced_discriminant,
-    saturate_to_maximal,
     standard_maximal_order,
 )
 from .quat import QuaternionAlgebra
@@ -65,7 +64,6 @@ __all__ = [
     "recompute_ne",
     "reduced_discriminant",
     "run_verify",
-    "saturate_to_maximal",
     "short_vectors",
     "spine_count",
     "standard_maximal_order",

@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import classify as cl
-from .cm import EXTENDED_DS, closed_form_gram, cm_row, cm_rows, recompute_ne
+from .cm import EXTENDED_DS, CmError, closed_form_gram, cm_row, cm_rows, recompute_ne
 from .exact import is_prime
 from .gramgross import PreconditionError, gram_gross
 from .lattice import short_vectors
@@ -94,6 +94,9 @@ def cmd_types(args) -> int:
     ell = args.ell if args.ell else (3 if p == 2 else 2)
     if ell == p or not is_prime(ell):
         print(f"error: ell = {ell} must be a prime different from p", file=sys.stderr)
+        return 2
+    if args.disc_bound < 0:
+        print(f"error: disc-bound = {args.disc_bound} is negative", file=sys.stderr)
         return 2
     disc_bound = args.disc_bound if args.disc_bound else max(3, 2 * p)
     payload = _type_payload(p, ell, disc_bound)
@@ -183,7 +186,11 @@ def cmd_cm(args) -> int:
                 file=sys.stderr,
             )
             return 2
-        n_e, detail = recompute_ne(row, p_max)
+        try:
+            n_e, detail = recompute_ne(row, p_max)
+        except CmError as e:
+            print(f"error: CM row {row.j_label}: {e}", file=sys.stderr)
+            return 2
         for p, rec, _good in detail:
             closed = _closed_form_or_none(row.j_label, p)
             matches = "" if closed is None else str(rec.gram == closed)

@@ -105,26 +105,6 @@ def det(mat) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def hnf_solve(hnf_rows, target):
-    """Integer coordinates of integer vector `target` in an HNF row lattice.
-
-    Fast staircase back-substitution; returns None for non-members.
-    """
-    w = list(target)
-    coords = []
-    for row in hnf_rows:
-        pc = next(c for c, x in enumerate(row) if x)
-        q, rem = divmod(w[pc], row[pc])
-        if rem:
-            return None
-        if q:
-            w = [x - q * y for x, y in zip(w, row)]
-        coords.append(q)
-    if any(w):
-        return None
-    return tuple(coords)
-
-
 # -- desk-scale integer utilities (trial division only) -----------------------
 
 def is_prime(n: int) -> bool:
@@ -140,22 +120,6 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
-
-
-def factorize(n: int):
-    """Sorted prime factors with multiplicity, by trial division."""
-    if n <= 0:
-        raise ValueError("factorize needs n > 0")
-    out = []
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.append(d)
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def primes_between(lo: int, hi: int):

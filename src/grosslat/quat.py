@@ -1,9 +1,12 @@
 """Arithmetic in a definite rational quaternion algebra (a, b | Q).
 
 Basis 1, i, j, k with i^2 = a, j^2 = b, ij = k = -ji, both a and b negative.
-The sign conventions live in exactly one place: the coordinate polynomials
-mul4, conj4, nrd4 and inner4, on integer 4-vectors (an order or lattice
-keeps its common denominator beside its integer rows).
+The package takes no quaternion product: it needs only conj4 and the
+trace pairing inner4, on integer 4-vectors (an order or lattice keeps its
+common denominator beside its integer rows), and the sign conventions of
+the algebra live in these two.  The product and the reduced norm are test
+helpers (`tests/quat_elements.py`), checked against a structure-constant
+table written out from the defining relations.
 """
 
 from __future__ import annotations
@@ -11,26 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-def mul4(u, v, a: int, b: int):
-    """Product of coordinate 4-vectors over (1, i, j, k)."""
-    u0, u1, u2, u3 = u
-    v0, v1, v2, v3 = v
-    return (
-        u0 * v0 + a * u1 * v1 + b * u2 * v2 - a * b * u3 * v3,
-        u0 * v1 + u1 * v0 - b * u2 * v3 + b * u3 * v2,
-        u0 * v2 + u2 * v0 + a * u1 * v3 - a * u3 * v1,
-        u0 * v3 + u3 * v0 + u1 * v2 - u2 * v1,
-    )
-
-
 def conj4(u):
     return (u[0], -u[1], -u[2], -u[3])
-
-
-def nrd4(u, a: int, b: int) -> int:
-    """Reduced norm u * conj(u) of a coordinate 4-vector."""
-    u0, u1, u2, u3 = u
-    return u0 * u0 - a * u1 * u1 - b * u2 * u2 + a * b * u3 * u3
 
 
 def inner4(u, v, a: int, b: int) -> int:

@@ -37,6 +37,13 @@ def test_types_rejects_composite(capsys):
     assert "not prime" in err
 
 
+def test_types_rejects_negative_disc_bound(capsys):
+    code, out, err = run(capsys, "types", "--p", "11", "--disc-bound", "-1")
+    assert code == 2
+    assert out == ""
+    assert "disc-bound" in err
+
+
 def test_types_output_is_byte_stable(capsys):
     _, first, _ = run(capsys, "types", "--p", "37")
     _, second, _ = run(capsys, "types", "--p", "37")
@@ -174,6 +181,15 @@ def test_cm_unknown_row(capsys):
     code, _, err = run(capsys, "cm", "--row", "-14^3")
     assert code == 2
     assert "unknown" in err
+
+
+def test_cm_precondition_error_exits_2(capsys):
+    # no row-supersingular prime in [5, 4]: a CmError, reported and not raised
+    code, out, err = run(capsys, "cm", "--row", "0", "--pmax", "4")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "no good prime" in err
 
 
 def test_oracle_p37(capsys):

@@ -1,14 +1,7 @@
 import random
 
-from grosslat.exact import (
-    det,
-    factorize,
-    hnf,
-    hnf_solve,
-    is_prime,
-    legendre,
-    primes_between,
-)
+from grosslat.exact import det, hnf, is_prime, legendre, primes_between
+from quat_elements import factorize, hnf_solve
 
 
 def test_hnf_index_two_sublattice():

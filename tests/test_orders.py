@@ -4,6 +4,8 @@ from math import isqrt
 
 import pytest
 
+from grosslat import orders
+from grosslat.exact import primes_between
 from grosslat.lattice import gross_lattice, minima_triple
 from grosslat.oracle import supersingular_j_set
 from grosslat.orders import (
@@ -11,11 +13,19 @@ from grosslat.orders import (
     QuaternionOrder,
     enumerate_types,
     reduced_discriminant,
-    saturate_to_maximal,
     standard_maximal_order,
 )
 from grosslat.quat import QuaternionAlgebra
-from quat_elements import element, order_basis_elements, order_from_elements
+from quat_elements import (
+    contains_vec,
+    element,
+    is_ring,
+    mul4,
+    nrd4,
+    order_basis_elements,
+    order_from_elements,
+    saturate_to_maximal,
+)
 from test_walk_reference import QuaternionIdeal, left_ideals_of_norm, right_order
 
 
@@ -28,8 +38,6 @@ HURWITZ = ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (1, 1, 1, 1))
 
 def brute_discriminant(order):
     """Independent oracle: permanent-style 4x4 determinant of trd(e_i e_j)."""
-    from grosslat.quat import mul4
-
     a, b = order.algebra.a, order.algebra.b
     den2 = Fraction(order.den) ** 2
     t = [
@@ -77,7 +85,7 @@ def test_standard_maximal_order(p, expected_a):
     o = standard_maximal_order(p)
     assert o.algebra.a == expected_a
     assert reduced_discriminant(o) == p
-    assert o.is_ring()
+    assert is_ring(o)
 
 
 def test_order_from_elements():
@@ -101,6 +109,49 @@ def test_standard_order_rejects_composite():
         standard_maximal_order(4)
 
 
+PRIMES_1_MOD_4 = [p for p in primes_between(5, 2000) if p % 4 == 1]
+
+
+def test_explicit_order_is_maximal_for_every_p_1_mod_4():
+    # the test-side ring check, not the seed's own discriminant check
+    for p in PRIMES_1_MOD_4:
+        o = standard_maximal_order(p)
+        assert is_ring(o), p
+        assert reduced_discriminant(o) == p
+
+
+def test_explicit_order_at_p_5_mod_12_is_the_ibukiyama_order():
+    # 1, (1+i)/2, (j-k)/2, (i-k)/3 in (-3, -p): the basis used before the
+    # p = 1 mod 4 classes shared one construction
+    rows = [(6, 0, 0, 0), (3, 3, 0, 0), (0, 0, 3, -3), (0, 2, 0, -2)]
+    for p in PRIMES_1_MOD_4:
+        if p % 12 == 5:
+            assert standard_maximal_order(p) == order_from(-3, -p, p, rows, 6)
+
+
+@pytest.mark.parametrize("p", [p for p in primes_between(5, 300) if p % 12 == 1])
+def test_saturated_seed_walks_to_the_same_types(p, monkeypatch):
+    # the walk seeded by the saturation of <1, i, j, k> in the same algebra
+    # reaches the same (minima, Gram) list as the explicit seed
+    def key(types):
+        return [(t.minima, t.gram) for t in types]
+
+    want = {ell: key(enumerate_types(p, ell)) for ell in (2, 3)}
+    alg = standard_maximal_order(p).algebra
+    lip = QuaternionOrder.from_generators(
+        alg, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), 1
+    )
+    seed = saturate_to_maximal(lip)
+    assert seed != standard_maximal_order(p)
+    monkeypatch.setattr(orders, "standard_maximal_order", lambda _p: seed)
+    enumerate_types.cache_clear()
+    try:
+        for ell in (2, 3):
+            assert key(enumerate_types(p, ell)) == want[ell]
+    finally:
+        enumerate_types.cache_clear()
+
+
 def test_saturate_fixed_point():
     o = standard_maximal_order(11)
     assert saturate_to_maximal(o) == o
@@ -111,7 +162,7 @@ def test_saturate_lipschitz_in_b11():
     o = saturate_to_maximal(lip)
     assert reduced_discriminant(o) == 11
     # contains the seed lattice
-    assert o.contains_vec((0, 1, 0, 0), 1)
+    assert contains_vec(o, (0, 1, 0, 0), 1)
 
 
 def test_saturate_alternative_presentation_of_b13():
@@ -155,7 +206,7 @@ def test_left_ideals_count_is_checked():
     o = order_from(
         -1, -11, 11, ((1, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0), (0, 0, 0, 3)), 1
     )
-    assert o.is_ring()
+    assert is_ring(o)
     with pytest.raises(OrderError, match="expected 4 ideals of norm 3"):
         left_ideals_of_norm(o, 3)
 
@@ -171,7 +222,6 @@ def test_right_order_of_two_sided_principal():
 def test_right_order_of_principal_ideal_is_conjugate():
     # O*alpha has right order conjugate to O: identical minima triple
     from grosslat.exact import canonical_lattice
-    from grosslat.quat import mul4, nrd4
 
     o = standard_maximal_order(11)
     a, b = o.algebra.a, o.algebra.b

@@ -4,8 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from grosslat.quat import QuaternionAlgebra, inner4, mul4, nrd4
-from quat_elements import AlgebraMismatch, QuaternionElement, element, gens, one
+from grosslat.quat import QuaternionAlgebra, inner4
+from quat_elements import (
+    AlgebraMismatch,
+    QuaternionElement,
+    element,
+    gens,
+    mul4,
+    nrd4,
+    one,
+)
 
 
 def alg(a=-1, b=-11, p=11):
@@ -56,7 +64,7 @@ def basis_table(a, b):
     """Structure constants: table[u][v] = e_u * e_v over (1, i, j, k).
 
     Written out from i^2 = a, j^2 = b, ij = k = -ji, independently of the
-    coordinate polynomials in grosslat.quat.
+    coordinate polynomials in grosslat.quat and quat_elements.
     """
     one = (1, 0, 0, 0)
     i = (0, 1, 0, 0)
