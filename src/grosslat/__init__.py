@@ -11,10 +11,8 @@ from .classify import Classification, classify_type, embedded_discriminants
 from .cm import CmError, closed_form_gram, cm_row, cm_rows, recompute_ne
 from .gramgross import GramCandidate, gram_gross, quadratic_residue_precheck
 from .lattice import (
-    GrossLattice,
     MinimalBasis,
     MinimaTriple,
-    gross_lattice,
     half_form,
     kneser_neighbours,
     minimal_basis,
@@ -24,9 +22,11 @@ from .lattice import (
 )
 from .oracle import OracleError, deuring_polynomial, spine_count, supersingular_j_set
 from .orders import (
+    GrossLattice,
     QuaternionOrder,
     TypeRecord,
     enumerate_types,
+    gross_lattice,
     reduced_discriminant,
     standard_maximal_order,
 )

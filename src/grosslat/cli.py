@@ -20,7 +20,7 @@ from .exact import is_prime
 from .gramgross import PreconditionError, gram_gross
 from .lattice import short_vectors
 from .oracle import supersingular_j_set
-from .orders import enumerate_types
+from .orders import default_ell, enumerate_types
 from .verify import ORACLE_CAP, run_verify
 
 BIG = 2 ** 63
@@ -91,7 +91,7 @@ def cmd_types(args) -> int:
     if not is_prime(p):
         print(f"error: p = {p} is not prime", file=sys.stderr)
         return 2
-    ell = args.ell if args.ell else (3 if p == 2 else 2)
+    ell = args.ell or default_ell(p)
     if ell == p or not is_prime(ell):
         print(f"error: ell = {ell} must be a prime different from p", file=sys.stderr)
         return 2
@@ -131,6 +131,9 @@ def cmd_gramgross(args) -> int:
 def cmd_verify(args) -> int:
     if args.pmin < 2 or args.pmax < args.pmin:
         print("error: need 2 <= pmin <= pmax", file=sys.stderr)
+        return 2
+    if args.oracle_cap < 0:
+        print(f"error: oracle-cap = {args.oracle_cap} is negative", file=sys.stderr)
         return 2
 
     lines = []
@@ -179,15 +182,8 @@ def cmd_cm(args) -> int:
     w.writerow(["j_label", "p", "D1", "D2", "D3", "matches_closed_form"])
     summary = {}
     for row in rows:
-        p_max = args.pmax if args.pmax else (row.d + 1) ** 2 // 4 + row.d
-        if 4 * p_max < (row.d + 1) ** 2:
-            print(
-                f"error: pmax {p_max} below (d+1)^2/4 for d = {row.d}",
-                file=sys.stderr,
-            )
-            return 2
         try:
-            n_e, detail = recompute_ne(row, p_max)
+            n_e, detail = recompute_ne(row, args.pmax or row.default_p_max)
         except CmError as e:
             print(f"error: CM row {row.j_label}: {e}", file=sys.stderr)
             return 2

@@ -1,10 +1,13 @@
 """The 13 class-number-one CM rows and their lattice-side recomputation.
 
-Each row carries the quadratic order data, the congruence classes of inert
-(supersingular) primes, and the tabulated threshold prime N_E above which
-the first Gross minimum of the reduction equals d.  recompute_ne re-derives
-N_E from type enumeration: the unique type embedding discriminant -d
-primitively is located per prime and its D1 compared with d.
+Each row carries the quadratic order data and the tabulated threshold prime
+N_E above which the first Gross minimum of the reduction equals d.  Its
+supersingular primes are not tabulated: by Deuring, the reduction at a prime
+p not dividing d is supersingular exactly when p does not split in
+Q(sqrt(-d)), that is when the Kronecker symbol (-d | p) is -1.
+recompute_ne re-derives N_E from type enumeration: the unique type
+embedding discriminant -d primitively is located per prime and its D1
+compared with d.
 """
 
 from __future__ import annotations
@@ -12,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classify import embedded_discriminants
-from .exact import is_prime, primes_between
+from .exact import is_prime, legendre, primes_between
 from .lattice import short_vectors
-from .orders import enumerate_types
+from .orders import default_ell, enumerate_types
 
 
 class CmError(ValueError):
@@ -27,47 +30,34 @@ class CmRow:
     d: int                 # -d is the order discriminant
     f: int                 # conductor
     field_disc: int        # fundamental discriminant (negative)
-    modulus: int
-    residues: tuple        # inert congruence classes mod `modulus`
     n_e: int               # tabulated threshold prime
 
     def is_supersingular_prime(self, p: int) -> bool:
-        return p % self.modulus in self.residues
+        """Kronecker (-d | p) = -1: (-d | 2) = -1 exactly when d = 3 mod 8."""
+        if p == 2:
+            return self.d % 8 == 3
+        return legendre(-self.d, p) == -1
+
+    @property
+    def default_p_max(self) -> int:
+        """(d+1)^2/4 + d: the default sweep end, past the bound on N_E."""
+        return (self.d + 1) ** 2 // 4 + self.d
 
 
 CM_ROWS = (
-    CmRow("0", 3, 1, -3, 3, (2,), 5),
-    CmRow("1728", 4, 1, -4, 4, (3,), 7),
-    CmRow("-15^3", 7, 1, -7, 7, (3, 5, 6), 13),
-    CmRow("20^3", 8, 1, -8, 8, (5, 7), 23),
-    CmRow("-32^3", 11, 1, -11, 11, (2, 6, 7, 8, 10), 29),
-    CmRow("2*30^3", 12, 2, -3, 12, (5, 11), 41),
-    CmRow("66^3", 16, 2, -4, 16, (3, 7, 11, 15), 67),
-    CmRow("-96^3", 19, 1, -19, 19, (2, 3, 8, 10, 12, 13, 14, 15, 18), 79),
-    CmRow("-3*160^3", 27, 3, -3, 27, (2, 5, 8, 11, 14, 17, 20, 23, 26), 167),
-    CmRow("255^3", 28, 2, -7, 28, (3, 5, 13, 17, 19, 27), 181),
-    CmRow(
-        "-960^3", 43, 1, -43, 43,
-        (2, 3, 5, 7, 8, 12, 18, 19, 20, 22, 26, 27, 28, 29, 30, 32, 33, 34,
-         37, 39, 42),
-        433,
-    ),
-    CmRow(
-        "-5280^3", 67, 1, -67, 67,
-        (2, 3, 5, 7, 8, 11, 12, 13, 18, 20, 27, 28, 30, 31, 32, 34, 38, 41,
-         42, 43, 44, 45, 46, 48, 50, 51, 52, 53, 57, 58, 61, 63, 66),
-        1103,
-    ),
-    CmRow(
-        "-640320^3", 163, 1, -163, 163,
-        (2, 3, 5, 7, 8, 11, 12, 13, 17, 18, 19, 20, 23, 27, 28, 29, 30, 31,
-         32, 37, 42, 44, 45, 48, 50, 52, 59, 63, 66, 67, 68, 70, 72, 73, 75,
-         76, 78, 79, 80, 82, 86, 89, 92, 94, 98, 99, 101, 102, 103, 105, 106,
-         107, 108, 109, 110, 112, 114, 116, 117, 120, 122, 123, 124, 125,
-         127, 128, 129, 130, 137, 138, 139, 141, 142, 147, 148, 149, 153,
-         154, 157, 159, 162),
-        6481,
-    ),
+    CmRow("0", 3, 1, -3, 5),
+    CmRow("1728", 4, 1, -4, 7),
+    CmRow("-15^3", 7, 1, -7, 13),
+    CmRow("20^3", 8, 1, -8, 23),
+    CmRow("-32^3", 11, 1, -11, 29),
+    CmRow("2*30^3", 12, 2, -3, 41),
+    CmRow("66^3", 16, 2, -4, 67),
+    CmRow("-96^3", 19, 1, -19, 79),
+    CmRow("-3*160^3", 27, 3, -3, 167),
+    CmRow("255^3", 28, 2, -7, 181),
+    CmRow("-960^3", 43, 1, -43, 433),
+    CmRow("-5280^3", 67, 1, -67, 1103),
+    CmRow("-640320^3", 163, 1, -163, 6481),
 )
 
 EXTENDED_DS = (43, 67, 163)
@@ -136,11 +126,11 @@ def supersingular_primes(row: CmRow, lo: int, hi: int):
 def locate_embedding_type(p: int, d: int):
     """The unique type whose Gross lattice has a primitive norm-d vector.
 
-    The types come from the Gram walk at the default ell of `types` and
-    `verify` (2, or 3 at p = 2), so a prime those also visit is enumerated
-    once; the located record does not depend on ell.
+    The types come from the Gram walk at `default_ell(p)`, the ell of
+    `types` and `verify`, so a prime those also visit is enumerated once;
+    the located record does not depend on ell.
     """
-    types = enumerate_types(p, 3 if p == 2 else 2)
+    types = enumerate_types(p, default_ell(p))
     matches = [
         t for t in types if d in embedded_discriminants(short_vectors(t.gram, d), d)
     ]
@@ -158,11 +148,15 @@ def recompute_ne(row: CmRow, p_max: int):
     -3 reductions are outside the sweep, matching the tables), locates the
     unique type embedding -d primitively, and returns the least swept prime
     N with D1 = d from N on, together with the per-prime detail: one
-    (p, located TypeRecord, D1 == d) entry per swept prime.
+    (p, located TypeRecord, D1 == d) entry per swept prime.  The sweep must
+    reach (d+1)^2/4, past which no bad prime lies (CmError otherwise);
+    `row.default_p_max` does.
     """
     d = row.d
     if 4 * p_max < (d + 1) ** 2:
-        raise ValueError(f"p_max must be at least (d+1)^2/4 = {(d + 1) ** 2 / 4}")
+        raise CmError(
+            f"p_max = {p_max} is below (d+1)^2/4: need 4 p_max >= {(d + 1) ** 2}"
+        )
     detail = []
     last_bad = 0
     for p in supersingular_primes(row, 5, p_max):

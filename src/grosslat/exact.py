@@ -80,31 +80,6 @@ def canonical_lattice(rows, den: int):
     return mat, den
 
 
-def det(mat) -> int:
-    """Exact determinant of a square integer matrix (Bareiss elimination)."""
-    n = len(mat)
-    if any(len(row) != n for row in mat):
-        raise ValueError("det needs a square matrix")
-    a = [list(row) for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 # -- desk-scale integer utilities (trial division only) -----------------------
 
 def is_prime(n: int) -> bool:

@@ -1,12 +1,11 @@
-"""Gross lattices: extraction, short vectors, successive minima, Gram data.
+"""Positive definite ternary forms: short vectors, minima, Gram data.
 
-A Gross lattice is stored as a rank-3 integer basis over a common positive
-denominator; basis rows are coordinates over the pure quaternions (i, j, k).
-All minima machinery works on the integer Gram matrix alone, so it applies to
-any positive definite ternary form, and in Python ints only: short vectors
-come from a Fincke-Pohst enumeration whose every range is exact by an
-integer square root.  Fractions appear only in the Gram-Schmidt data of
-`orthogonalization`.
+Everything here works on an integer 3x3 Gram matrix alone and knows nothing
+of quaternions; the Gross lattice of an order, whose Gram is the input of
+most callers, is built in `orders`.  Minima machinery runs in Python ints
+only: short vectors come from a Fincke-Pohst enumeration whose every range
+is exact by an integer square root.  Fractions appear only in the
+Gram-Schmidt data of `orthogonalization`.
 
 `kneser_neighbours` gives the even Grams of the ell-neighbours of an even
 ternary form for any prime ell prime to its half-discriminant.  On the
@@ -30,44 +29,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .exact import canonical_lattice, hnf, is_prime
-from .quat import inner4
+from .exact import hnf, is_prime
 
 
 class LatticeError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class GrossLattice:
-    algebra: object
-    mat: tuple        # 3x3 integer rows, coordinates over (i, j, k), HNF
-    den: int
-    gram: tuple       # 3x3 integer Gram matrix of mat/den
-
-
-def gross_lattice(order) -> GrossLattice:
-    """Apply x -> 2x - trd(x) to an order basis and HNF the rank-3 image."""
-    a, b, p = order.algebra.a, order.algebra.b, order.algebra.p
-    rows = [(2 * r[1], 2 * r[2], 2 * r[3]) for r in order.mat]
-    mat, den = canonical_lattice(rows, order.den)
-    if len(mat) != 3:
-        raise LatticeError("trace-zero image does not have rank 3")
-    d2 = den * den
-    gram = []
-    for u in mat:
-        grow = []
-        for v in mat:
-            num = inner4((0,) + u, (0,) + v, a, b)
-            if num % d2:
-                raise LatticeError("non-integer Gram entry: input is not an order")
-            grow.append(num // d2)
-        gram.append(tuple(grow))
-    gram = tuple(gram)
-    d = det3(gram)
-    if d != 4 * p * p:
-        raise LatticeError(f"det(gram) = {d}, expected 4p^2 = {4 * p * p}")
-    return GrossLattice(order.algebra, mat, den, gram)
 
 
 def det3(rows) -> int:

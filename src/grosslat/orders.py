@@ -1,16 +1,19 @@
-"""Maximal orders of B_p and their isomorphism types.
+"""Maximal orders of B_p, their Gross lattices and their isomorphism types.
 
 Orders are rank-4 row lattices over (1, i, j, k), stored as an HNF integer
 matrix plus a common positive denominator; this module builds the one order
 type enumeration needs, the standard maximal order of B_p, from an explicit
 basis for each residue class of p (Pizer 1980, Prop. 5.2), so no quaternion
-product is ever taken.  The Gross lattice of O is the Gross-Lucianovic
-ternary form of O, so the ell-neighbours of maximal orders are the Kneser
-ell-neighbours of their Gross lattices (Birch 1991; Greenberg-Voight
-2014).  Type enumeration therefore walks Gross Grams alone, through the
-ell-neighbours of their half forms (`lattice.half_form`,
-`lattice.kneser_neighbours`), and deduplicates by the successive minima
-triple, a complete isomorphism invariant.  By
+product is ever taken.  The Gross lattice of O, the image of O under
+x -> 2x - trd(x) with the reduced norm, carries the discriminant of O as
+det G = 4 discrd(O)^2, so `reduced_discriminant` reads it from the Gram G.
+
+The Gross lattice of O is the Gross-Lucianovic ternary form of O, so the
+ell-neighbours of maximal orders are the Kneser ell-neighbours of their
+Gross lattices (Birch 1991; Greenberg-Voight 2014).  Type enumeration
+therefore walks Gross Grams alone, through the ell-neighbours of their half
+forms (`lattice.half_form`, `lattice.kneser_neighbours`), and deduplicates
+by the successive minima triple, a complete isomorphism invariant.  By
 Gross-Lucianovic every positive form of half-discriminant p is the form of a
 maximal order of B_p, so the checks on each neighbour Gram stand in for
 validating a maximal order.
@@ -23,9 +26,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
-from .exact import canonical_lattice, det, is_perfect_square, is_prime, legendre
-from .lattice import adj3, gross_lattice, half_form, kneser_neighbours, minimal_basis
-from .quat import QuaternionAlgebra, conj4, inner4
+from .exact import canonical_lattice, is_perfect_square, is_prime, legendre
+from .lattice import (
+    LatticeError, adj3, det3, half_form, kneser_neighbours, minimal_basis,
+)
+from .quat import QuaternionAlgebra, inner4
 
 
 class OrderError(ValueError):
@@ -46,17 +51,58 @@ class QuaternionOrder:
         return cls(algebra, mat, den)
 
 
-def reduced_discriminant(order: QuaternionOrder) -> int:
-    """Positive square root of |det(trd(e_i e_j))| over the Z-basis."""
+@dataclass(frozen=True)
+class GrossLattice:
+    algebra: QuaternionAlgebra
+    mat: tuple        # 3x3 integer rows, coordinates over (i, j, k), HNF
+    den: int
+    gram: tuple       # 3x3 integer Gram matrix of mat/den
+
+
+def _gross_image(order: QuaternionOrder):
+    """Unchecked (mat, den, nums): image rows mat/den, Gram nums/den^2."""
     a, b = order.algebra.a, order.algebra.b
-    rows = order.mat
-    s = [[inner4(u, conj4(v), a, b) for v in rows] for u in rows]
-    tdet, rem = divmod(16 * det(s), order.den ** 8)
+    rows = [(2 * r[1], 2 * r[2], 2 * r[3]) for r in order.mat]
+    mat, den = canonical_lattice(rows, order.den)
+    nums = tuple(
+        tuple(inner4((0,) + u, (0,) + v, a, b) for v in mat) for u in mat
+    )
+    return mat, den, nums
+
+
+def gross_lattice(order: QuaternionOrder) -> GrossLattice:
+    """Apply x -> 2x - trd(x) to an order basis and HNF the rank-3 image.
+
+    Raises LatticeError unless the image has rank 3, an integral Gram and
+    det 4p^2, the Gross Gram of a maximal order of B_p.
+    """
+    mat, den, nums = _gross_image(order)
+    if len(mat) != 3:
+        raise LatticeError("trace-zero image does not have rank 3")
+    d2 = den * den
+    if any(x % d2 for row in nums for x in row):
+        raise LatticeError("non-integer Gram entry: input is not an order")
+    gram = tuple(tuple(x // d2 for x in row) for row in nums)
+    d = det3(gram)
+    p = order.algebra.p
+    if d != 4 * p * p:
+        raise LatticeError(f"det(gram) = {d}, expected 4p^2 = {4 * p * p}")
+    return GrossLattice(order.algebra, mat, den, gram)
+
+
+def reduced_discriminant(order: QuaternionOrder) -> int:
+    """discrd(O), the positive root of det G / 4 for the Gross Gram G of O.
+
+    Over a basis 1, e_1, e_2, e_3 of O the trace form trd(x y) splits as
+    2 (+) -2 B(f_i, f_j), f_i = e_i - trd(e_i)/2, and G = 4 B(f_i, f_j), so
+    discrd(O)^2 = |det trd(x y)| = det G / 4.
+    """
+    _, den, nums = _gross_image(order)
+    val, rem = divmod(det3(nums), 4 * den ** 6)
     if rem:
-        raise OrderError("trace pairing determinant is not an integer")
-    val = abs(tdet)
+        raise OrderError("Gross Gram determinant / 4 is not an integer")
     if not is_perfect_square(val):
-        raise OrderError("trace pairing determinant is not a perfect square")
+        raise OrderError("Gross Gram determinant / 4 is not a perfect square")
     return isqrt(val)
 
 
@@ -111,19 +157,27 @@ class TypeRecord:
     basis: tuple       # minimal basis rows, coordinates w.r.t. walk_gram
 
 
+def default_ell(p: int) -> int:
+    """The walk prime of `types`, `verify` and `cm`: 2, or 3 at p = 2."""
+    return 3 if p == 2 else 2
+
+
 @lru_cache(maxsize=256)
-def enumerate_types(p: int, ell: int = 2):
+def enumerate_types(p: int, ell: int | None = None):
     """All isomorphism types of maximal orders in B_p, sorted by minima.
 
     Breadth-first search over ell-neighbours seeded by the Gross Gram of the
     standard maximal order; a node whose Gross minima triple was already
     seen is discarded (the triple characterizes the type).  The nodes are
     Gross Grams G, and the neighbours of G are the adjugates of the Kneser
-    ell-neighbours of its half form adj(G) / 2p.  Results are cached and
-    must be treated as read-only.
+    ell-neighbours of its half form adj(G) / 2p.  `ell` defaults to
+    `default_ell(p)`.  Results are cached per call form, so callers that
+    share them pass `(p, ell)` explicitly, and must be treated as read-only.
     """
     if not is_prime(p):
         raise OrderError(f"{p} is not prime")
+    if ell is None:
+        ell = default_ell(p)
     if not is_prime(ell) or ell == p:
         raise OrderError("ell must be a prime different from p")
     queue = deque([gross_lattice(standard_maximal_order(p)).gram])

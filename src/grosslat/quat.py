@@ -1,21 +1,17 @@
 """Arithmetic in a definite rational quaternion algebra (a, b | Q).
 
 Basis 1, i, j, k with i^2 = a, j^2 = b, ij = k = -ji, both a and b negative.
-The package takes no quaternion product: it needs only conj4 and the
-trace pairing inner4, on integer 4-vectors (an order or lattice keeps its
-common denominator beside its integer rows), and the sign conventions of
-the algebra live in these two.  The product and the reduced norm are test
-helpers (`tests/quat_elements.py`), checked against a structure-constant
-table written out from the defining relations.
+The package takes no quaternion product: it needs only the trace pairing
+inner4 on integer 4-vectors (an order keeps its common denominator beside
+its integer rows), for the Gram of a Gross lattice, and the sign
+conventions of the algebra live in it.  The product, the conjugate and the
+reduced norm are test helpers (`tests/quat_elements.py`), checked
+against a structure-constant table written out from the defining relations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-
-def conj4(u):
-    return (u[0], -u[1], -u[2], -u[3])
 
 
 def inner4(u, v, a: int, b: int) -> int:

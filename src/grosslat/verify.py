@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import classify as cl
-from .cm import D1_20_LABEL, closed_form_gram, cm_rows, recompute_ne
+from .cm import D1_20_LABEL, EXTENDED_DS, closed_form_gram, cm_rows, recompute_ne
 from .exact import ceil_div, primes_between
 from .gramgross import candidate_invariant_violations, gram_gross
 from .lattice import (
@@ -24,11 +24,10 @@ from .lattice import (
     short_vectors,
 )
 from .oracle import supersingular_j_set
-from .orders import enumerate_types
+from .orders import default_ell, enumerate_types
 
 ORACLE_CAP = 2000
 
-P2_GRAM = ((3, 1, 1), (1, 3, -1), (1, -1, 3))
 P3_GRAMS = (
     ((3, 0, 0), (0, 4, -2), (0, -2, 4)),
     ((3, 0, 0), (0, 4, 2), (0, 2, 4)),
@@ -58,8 +57,7 @@ class PrimeReport:
 
 def verify_prime(p: int, oracle_cap: int = ORACLE_CAP) -> PrimeReport:
     rep = PrimeReport(p)
-    ell = 3 if p == 2 else 2
-    types = enumerate_types(p, ell)
+    types = enumerate_types(p, default_ell(p))
     four_p = 4 * p
 
     classifications = []
@@ -221,7 +219,9 @@ def verify_prime(p: int, oracle_cap: int = ORACLE_CAP) -> PrimeReport:
     # closed-form comparisons where a family applies
     grams = [rec.gram for rec in types]
     if p == 2:
-        rep.check("closed-form-p2", grams == [P2_GRAM], f"{grams}")
+        rep.check(
+            "closed-form-p2", grams == [closed_form_gram("0", 2)], f"{grams}"
+        )
     elif p == 3:
         rep.check(
             "closed-form-p3",
@@ -332,9 +332,8 @@ def run_verify(
             progress(rep)
     if extended_cm:
         for row in cm_rows():
-            if row.d not in (43, 67, 163):
+            if row.d not in EXTENDED_DS:
                 continue
-            p_max = (row.d + 1) ** 2 // 4 + row.d
-            got, _ = recompute_ne(row, p_max)
+            got, _ = recompute_ne(row, row.default_p_max)
             report.cm_results[row.j_label] = (got, row.n_e)
     return report

@@ -1,10 +1,10 @@
 """Exact quaternion arithmetic and order reference code, for tests only.
 
 The package works on integer coordinate 4-vectors over a common
-denominator and takes no quaternion product: it needs only `conj4` and the
-trace pairing `inner4` from `grosslat.quat`.  Tests that want to state a
-fact as quaternion arithmetic (a product, a norm, a trace) use the
-coordinate polynomials `mul4` and `nrd4` below, and the `Fraction`
+denominator and takes no quaternion product: it needs only the trace
+pairing `inner4` from `grosslat.quat`.  Tests that want to state a fact as
+quaternion arithmetic (a product, a conjugate, a norm, a trace) use the
+coordinate polynomials `mul4`, `conj4` and `nrd4` below, and the `Fraction`
 elements built on them; `tests/test_quat.py` checks all of them against a
 structure-constant table written out from i^2 = a, j^2 = b, ij = k = -ji.
 
@@ -20,7 +20,7 @@ from itertools import product
 from math import gcd, lcm
 
 from grosslat.orders import OrderError, QuaternionOrder, reduced_discriminant
-from grosslat.quat import QuaternionAlgebra, conj4, inner4
+from grosslat.quat import QuaternionAlgebra, inner4
 
 
 def mul4(u, v, a: int, b: int):
@@ -33,6 +33,11 @@ def mul4(u, v, a: int, b: int):
         u0 * v2 + u2 * v0 + a * u1 * v3 - a * u3 * v1,
         u0 * v3 + u3 * v0 + u1 * v2 - u2 * v1,
     )
+
+
+def conj4(u):
+    """Conjugate of a coordinate 4-vector: the pure part changes sign."""
+    return (u[0], -u[1], -u[2], -u[3])
 
 
 def nrd4(u, a: int, b: int):

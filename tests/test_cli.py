@@ -114,6 +114,15 @@ def test_verify_usage_error(capsys):
     assert "pmin" in err
 
 
+def test_verify_rejects_negative_oracle_cap(capsys):
+    # a negative cap would turn every oracle rule into "skipped" under PASS
+    code, out, err = run(capsys, "verify", "--pmin", "11", "--pmax", "11",
+                         "--oracle-cap", "-5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "oracle-cap" in err
+
+
 def test_verify_extended_cm_wiring(capsys, monkeypatch):
     import grosslat.verify as V
 
@@ -190,6 +199,15 @@ def test_cm_precondition_error_exits_2(capsys):
     assert out == ""
     assert err.startswith("error:")
     assert "no good prime" in err
+
+
+def test_cm_pmax_below_the_floor_exits_2(capsys):
+    # recompute_ne's own range check, reported like any other CmError
+    code, out, err = run(capsys, "cm", "--row", "-96^3", "--pmax", "50")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: CM row -96^3:")
+    assert "(d+1)^2/4" in err
 
 
 def test_oracle_p37(capsys):

@@ -13,8 +13,9 @@ from grosslat.cm import (
     recompute_ne,
     supersingular_primes,
 )
-from grosslat.exact import is_prime
+from grosslat.exact import is_prime, primes_between
 from grosslat.lattice import det3
+from grosslat.oracle import supersingular_j_set
 
 
 def test_thirteen_rows_with_consistent_order_data():
@@ -28,14 +29,36 @@ def test_thirteen_rows_with_consistent_order_data():
         while not is_prime(q):
             q += 1
         assert r.n_e <= q
-        assert all(0 < a < r.modulus for a in r.residues)
+        # a prime dividing d is never an inert prime of the row
+        assert not any(
+            r.is_supersingular_prime(ell)
+            for ell in primes_between(2, r.d)
+            if r.d % ell == 0
+        )
+
+
+def inert_classes(row, modulus, hi=2000):
+    """Residues mod `modulus` of the row's supersingular primes below hi."""
+    return {p % modulus for p in supersingular_primes(row, 2, hi)}
 
 
 def test_specific_rows():
     r7 = cm_row("-15^3")
-    assert (r7.d, r7.f, r7.n_e, r7.residues) == (7, 1, 13, (3, 5, 6))
+    assert (r7.d, r7.f, r7.n_e) == (7, 1, 13)
+    assert inert_classes(r7, 7) == {3, 5, 6}
     r3 = cm_row("0")
-    assert (r3.d, r3.n_e, r3.residues) == (3, 5, (2,))
+    assert (r3.d, r3.n_e) == (3, 5)
+    assert inert_classes(r3, 3) == {2}
+    assert inert_classes(cm_row("1728"), 4) == {3}
+    assert inert_classes(cm_row("20^3"), 8) == {5, 7}
+    assert inert_classes(cm_row("2*30^3"), 12) == {5, 11}
+    assert inert_classes(cm_row("-3*160^3"), 27) == {
+        2, 5, 8, 11, 14, 17, 20, 23, 26,
+    }
+    # the characteristic-2 reduction is supersingular exactly for d = 3 mod 8
+    assert [r.d for r in cm_rows() if r.is_supersingular_prime(2)] == [
+        3, 11, 19, 27, 43, 67, 163,
+    ]
     r163 = cm_row("-640320^3")
     assert (r163.d, r163.n_e) == (163, 6481)
     with pytest.raises(KeyError):
@@ -64,8 +87,6 @@ def test_closed_form_rejects_inapplicable():
 
 
 def test_closed_form_determinants_are_4p2():
-    from grosslat.exact import primes_between
-
     for p in primes_between(5, 250):
         if p % 3 == 2:
             assert det3(closed_form_gram("0", p)) == 4 * p * p
@@ -79,6 +100,25 @@ def test_closed_form_determinants_are_4p2():
 
 def test_supersingular_primes_helper():
     assert supersingular_primes(cm_row("-15^3"), 5, 40) == [5, 13, 17, 19, 31]
+
+
+def j_value(label):
+    """The integer j-invariant a row label names: "0", "255^3", "-3*160^3"."""
+    coef, _, power = label.rpartition("*")
+    base, _, exp = power.partition("^")
+    return int(coef or 1) * int(base) ** int(exp or 1)
+
+
+def test_inert_primes_match_the_finite_field_oracle():
+    # Deuring without the Kronecker symbol: j reduces to a supersingular
+    # j-invariant in F_p exactly at the row's inert primes (p not dividing d)
+    for p in primes_between(5, 300):
+        js = set(supersingular_j_set(p).js)
+        for row in cm_rows():
+            if row.d % p == 0:
+                continue
+            on = (j_value(row.j_label) % p, 0) in js
+            assert on == row.is_supersingular_prime(p), (row.j_label, p)
 
 
 def test_locate_embedding_type_is_unique_and_correct():

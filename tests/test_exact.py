@@ -1,6 +1,6 @@
 import random
 
-from grosslat.exact import det, hnf, is_prime, legendre, primes_between
+from grosslat.exact import hnf, is_prime, legendre, primes_between
 from quat_elements import factorize, hnf_solve
 
 
@@ -47,26 +47,6 @@ def test_hnf_idempotent_random():
         # row lattice preserved in both directions
         for r in rows:
             assert hnf_solve(h, r) is not None
-
-
-def test_det_known_values():
-    assert det(((4, 0, 2), (0, 11, 0), (2, 0, 12))) == 484
-    assert det(((1, 0), (0, 1))) == 1
-    assert det(((3, 1, 1), (1, 3, -1), (1, -1, 3))) == 16
-
-
-def test_det_unimodular_invariance():
-    rng = random.Random(11)
-    for _ in range(30):
-        m = [[rng.randrange(-6, 7) for _ in range(3)] for _ in range(3)]
-        d = det(m)
-        i, j = rng.sample(range(3), 2)
-        q = rng.randrange(-3, 4)
-        m2 = [row[:] for row in m]
-        m2[i] = [x + q * y for x, y in zip(m2[i], m2[j])]
-        assert det(m2) == d
-        m2[i], m2[j] = m2[j], m2[i]
-        assert det(m2) == -d
 
 
 def test_primes_and_factorization():

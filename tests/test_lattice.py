@@ -7,7 +7,6 @@ import pytest
 
 import grosslat.lattice as lattice
 from grosslat.lattice import (
-    GrossLattice,
     LatticeError,
     MinimaTriple,
     adj3,
@@ -17,7 +16,6 @@ from grosslat.lattice import (
     gram_inner,
     greedy_minima,
     greedy_reduce,
-    gross_lattice,
     half_form,
     kneser_neighbours,
     minima_triple,
@@ -27,7 +25,12 @@ from grosslat.lattice import (
     short_vectors,
 )
 from grosslat.exact import hnf
-from grosslat.orders import enumerate_types, standard_maximal_order
+from grosslat.orders import (
+    GrossLattice,
+    enumerate_types,
+    gross_lattice,
+    standard_maximal_order,
+)
 from quat_elements import element, lattice_basis_elements, one
 from test_walk_reference import basis_elements, order_walk
 
@@ -232,6 +235,26 @@ def test_minimal_basis_elements_have_stated_norms():
     for elem, d in zip(basis_elements(lat, mb.coords), mb.minima):
         assert elem.nrd() == d
         assert elem.trd() == 0
+
+
+def test_det3_known_values():
+    assert det3(((4, 0, 2), (0, 11, 0), (2, 0, 12))) == 484
+    assert det3(((1, 0, 0), (0, 1, 0), (0, 0, 1))) == 1
+    assert det3(((3, 1, 1), (1, 3, -1), (1, -1, 3))) == 16
+
+
+def test_det3_unimodular_invariance():
+    rng = random.Random(11)
+    for _ in range(30):
+        m = [[rng.randrange(-6, 7) for _ in range(3)] for _ in range(3)]
+        d = det3(m)
+        i, j = rng.sample(range(3), 2)
+        q = rng.randrange(-3, 4)
+        m2 = [row[:] for row in m]
+        m2[i] = [x + q * y for x, y in zip(m2[i], m2[j])]
+        assert det3(m2) == d
+        m2[i], m2[j] = m2[j], m2[i]
+        assert det3(m2) == -d
 
 
 def test_rank2_det_examples():

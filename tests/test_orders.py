@@ -6,12 +6,13 @@ import pytest
 
 from grosslat import orders
 from grosslat.exact import primes_between
-from grosslat.lattice import gross_lattice, minima_triple
+from grosslat.lattice import minima_triple
 from grosslat.oracle import supersingular_j_set
 from grosslat.orders import (
     OrderError,
     QuaternionOrder,
     enumerate_types,
+    gross_lattice,
     reduced_discriminant,
     standard_maximal_order,
 )
@@ -78,6 +79,17 @@ def test_discrd_p11_maximal_and_lipschitz():
     lip = order_from(-1, -11, 11, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), 1)
     assert reduced_discriminant(lip) == 44
     assert brute_discriminant(lip) == 44
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_discrd_from_the_gross_gram_on_non_maximal_orders(n):
+    # Z + nO has index n^3 in O, so discrd(Z + nO) = n^3 p; the Gross Gram
+    # reading det G = 4 discrd^2 must agree with the 4x4 trace form
+    for p in primes_between(2, 200):
+        o = standard_maximal_order(p)
+        rows = [(o.den, 0, 0, 0)] + [tuple(n * x for x in r) for r in o.mat]
+        sub = QuaternionOrder.from_generators(o.algebra, rows, o.den)
+        assert reduced_discriminant(sub) == brute_discriminant(sub) == n ** 3 * p
 
 
 @pytest.mark.parametrize("p,expected_a", [(2, -1), (5, -3), (11, -1), (13, -7), (37, -19)])

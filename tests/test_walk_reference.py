@@ -23,7 +23,6 @@ import pytest
 from grosslat.exact import canonical_lattice, is_prime, primes_between
 from grosslat.lattice import (
     adj3,
-    gross_lattice,
     half_form,
     kneser_neighbours,
     minima_triple,
@@ -33,11 +32,11 @@ from grosslat.orders import (
     OrderError,
     QuaternionOrder,
     enumerate_types,
+    gross_lattice,
     reduced_discriminant,
     standard_maximal_order,
 )
-from grosslat.quat import conj4
-from quat_elements import is_ring, mul4, nrd4, vector_element
+from quat_elements import conj4, is_ring, mul4, nrd4, vector_element
 
 
 # -- the order walk: left ideals of norm ell and their right orders -----------
