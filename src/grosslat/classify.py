@@ -3,8 +3,9 @@
 Field of definition of j, the special j-invariants 0 and 1728, the Frobenius
 order embedding for p = 3 mod 4, optimally embedded discriminants, and the
 theorem-stated bound checks.  Every per-type vector fact is read from one
-`short_vectors` list of the type's Gram matrix, made once by the caller:
-only norms and primitivity are read, and both are the same in any basis.
+`lattice.reduced_vectors` list of the type's Gram matrix, made once by the
+caller: only norms and primitivity are read, and both are the same in any
+basis, so the list stays in the greedy-reduced basis.
 All comparisons are exact integer arithmetic; fractional bounds are
 cross-multiplied.
 """
@@ -39,7 +40,8 @@ def field_of_definition(p: int, d3: int) -> bool:
 def special_j(p: int, vecs) -> str:
     """j = 0 from a norm-3 vector, j = 1728 from a norm-4 one.
 
-    `vecs` is a `short_vectors` list reaching at least norm 4.
+    `vecs` is a `reduced_vectors` or `short_vectors` list reaching at least
+    norm 4.
     """
     norms = {n for n, _ in vecs}
     has0 = 3 in norms
@@ -72,7 +74,8 @@ def frobenius_embedding(p: int, minima, spine: bool) -> str:
 def embedded_discriminants(vecs, bound: int):
     """All d <= bound with a primitive lattice vector of norm d.
 
-    `vecs` is a `short_vectors` list reaching at least `bound`.  These are
+    `vecs` is a `reduced_vectors` or `short_vectors` list reaching at least
+    `bound`.  These are
     exactly the absolute discriminants of imaginary quadratic orders
     embedding optimally into the maximal order.  Empty below 3 since Gross
     vector norms are 0 or 3 mod 4.
@@ -123,7 +126,8 @@ def validate_bounds(p: int, minima, spine: bool):
 def classify_type(p: int, vecs, minima, gram) -> Classification:
     """Classification of a type from its minima, Gram and vector list.
 
-    `vecs` is a `short_vectors` list of `gram` reaching at least norm 4.
+    `vecs` is a `reduced_vectors` or `short_vectors` list of `gram` reaching
+    at least norm 4.
     """
     spine = field_of_definition(p, minima[2])
     sj = special_j(p, vecs)

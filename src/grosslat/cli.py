@@ -18,7 +18,7 @@ from . import classify as cl
 from .cm import EXTENDED_DS, CmError, closed_form_gram, cm_row, cm_rows, recompute_ne
 from .exact import is_prime
 from .gramgross import PreconditionError, gram_gross
-from .lattice import short_vectors
+from .lattice import reduced_vectors
 from .oracle import supersingular_j_set
 from .orders import default_ell, enumerate_types
 from .verify import ORACLE_CAP, run_verify
@@ -43,7 +43,7 @@ def _type_payload(p: int, ell: int, disc_bound: int):
     out = []
     for idx, rec in enumerate(types):
         # special_j reads norms 3 and 4 from the same list
-        vecs = short_vectors(rec.gram, max(disc_bound, 4))
+        vecs = reduced_vectors(rec.gram, max(disc_bound, 4))
         c = cl.classify_type(p, vecs, rec.minima, rec.gram)
         out.append(
             {

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .classify import embedded_discriminants
 from .exact import is_prime, legendre, primes_between
-from .lattice import short_vectors
+from .lattice import reduced_vectors
 from .orders import default_ell, enumerate_types
 
 
@@ -132,7 +132,7 @@ def locate_embedding_type(p: int, d: int):
     """
     types = enumerate_types(p, default_ell(p))
     matches = [
-        t for t in types if d in embedded_discriminants(short_vectors(t.gram, d), d)
+        t for t in types if d in embedded_discriminants(reduced_vectors(t.gram, d), d)
     ]
     if len(matches) != 1:
         raise CmError(

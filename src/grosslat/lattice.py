@@ -15,9 +15,11 @@ orders, so type enumeration walks Grams with no quaternion arithmetic at
 every ell, ell = 2 included.
 
 A caller asking several questions of one type enumerates once: one
-`short_vectors` list of the type's minimal-basis Gram (already reduced)
-serves `greedy_minima`, `attaining_rank2_sublattices` and the norm and
-primitivity reads in `classify`.
+`reduced_vectors` list of the type's minimal-basis Gram serves
+`greedy_minima`, `attaining_rank2_sublattices` and the norm and primitivity
+reads in `classify`.  Its coordinates refer to the greedy-reduced basis, not
+the input one; every fact those callers read is the same in any basis, so no
+vector is lifted back.
 
 Vector norms follow the squared-norm convention throughout: the "norm" of v
 is v G v^T.
@@ -94,8 +96,10 @@ def greedy_reduce(gram):
 
     Returns (u, g) with g = u * gram * u^T, u unimodular, and the rows of u
     sorted by norm.  In dimension 3 the greedy output attains the successive
-    minima, which makes the diagonal of g a cheap dedup key; callers that
-    need certainty re-derive minima by enumeration.
+    minima (Nguyen-Stehle, Low-dimensional lattice basis reduction
+    revisited, ACM TALG 2009), so the diagonal of g is the minima triple:
+    `orders.enumerate_types` keys its walk on it and checks it against the
+    enumerated minima of every new type.
     """
     g = [list(row) for row in gram]
     u = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -211,6 +215,23 @@ def short_vectors(gram, bound: int):
     if bound <= 0:
         return []
     return _lift_sorted(*greedy_reduce(gram), bound)
+
+
+def reduced_vectors(gram, bound: int):
+    """All nonzero z with norm <= bound in the greedy-reduced basis of gram.
+
+    Returns (norm, z) pairs sorted by (norm, z), one per +/- pair, with z in
+    the coordinates of the rows of `greedy_reduce(gram)`, not of the basis
+    behind `gram`.  Norms, primitivity (gcd of z) and the number of
+    sublattices spanned by attaining pairs do not depend on the basis, so a
+    caller reading only those skips `short_vectors`' lift of every vector.
+    """
+    _check_positive_definite(gram)
+    if bound <= 0:
+        return []
+    out = _enumerate_reduced(greedy_reduce(gram)[1], bound)
+    out.sort()
+    return out
 
 
 def _lift_sorted(u, g, bound):
@@ -477,11 +498,11 @@ def rank2_det(gram, i1: int, i2: int) -> int:
 def attaining_rank2_sublattices(vecs):
     """Distinct HNFs of <v, w> over all pairs attaining the first two minima.
 
-    `vecs` is a `short_vectors` list reaching at least the third minimum,
-    so `greedy_minima` reads (D1, D2) from it.  Two pairs span the same
-    sublattice exactly when their HNFs agree; a unimodular change of the
-    basis behind `vecs` changes the HNFs but not their number.  Sorted for
-    determinism.
+    `vecs` is a `short_vectors` or `reduced_vectors` list reaching at least
+    the third minimum, so `greedy_minima` reads (D1, D2) from it.  Two pairs
+    span the same sublattice exactly when their HNFs agree; a unimodular
+    change of the basis behind `vecs` changes the HNFs but not their number.
+    Sorted for determinism.
     """
     d1, d2, _, _, _ = greedy_minima(vecs)
     firsts = [v for n, v in vecs if n == d1]

@@ -13,7 +13,8 @@ ell-neighbours of maximal orders are the Kneser ell-neighbours of their
 Gross lattices (Birch 1991; Greenberg-Voight 2014).  Type enumeration
 therefore walks Gross Grams alone, through the ell-neighbours of their half
 forms (`lattice.half_form`, `lattice.kneser_neighbours`), and deduplicates
-by the successive minima triple, a complete isomorphism invariant.  By
+by the successive minima triple, a complete isomorphism invariant, read off
+the diagonal of the greedy-reduced Gram.  By
 Gross-Lucianovic every positive form of half-discriminant p is the form of a
 maximal order of B_p, so the checks on each neighbour Gram stand in for
 validating a maximal order.
@@ -28,7 +29,8 @@ from math import isqrt
 
 from .exact import canonical_lattice, is_perfect_square, is_prime, legendre
 from .lattice import (
-    LatticeError, adj3, det3, half_form, kneser_neighbours, minimal_basis,
+    LatticeError, adj3, det3, greedy_reduce, half_form, kneser_neighbours,
+    minimal_basis,
 )
 from .quat import QuaternionAlgebra, inner4
 
@@ -163,21 +165,23 @@ def default_ell(p: int) -> int:
 
 
 @lru_cache(maxsize=256)
-def enumerate_types(p: int, ell: int | None = None):
+def enumerate_types(p: int, ell: int):
     """All isomorphism types of maximal orders in B_p, sorted by minima.
 
     Breadth-first search over ell-neighbours seeded by the Gross Gram of the
-    standard maximal order; a node whose Gross minima triple was already
-    seen is discarded (the triple characterizes the type).  The nodes are
-    Gross Grams G, and the neighbours of G are the adjugates of the Kneser
-    ell-neighbours of its half form adj(G) / 2p.  `ell` defaults to
-    `default_ell(p)`.  Results are cached per call form, so callers that
-    share them pass `(p, ell)` explicitly, and must be treated as read-only.
+    standard maximal order.  The nodes are Gross Grams G, and the neighbours
+    of G are the adjugates of the Kneser ell-neighbours of its half form
+    adj(G) / 2p.  A node is keyed by the diagonal of its greedy-reduced
+    Gram, which in dimension 3 is its successive minima triple (see
+    `lattice.greedy_reduce`), a complete type invariant, and is discarded
+    when that key was already seen.  Only a new key pays for
+    `minimal_basis`, whose enumerated minima must equal the key
+    (LatticeError otherwise).  Consumers enumerate each type's `gram`
+    once, with `lattice.reduced_vectors`.  Results are cached per (p, ell)
+    and must be treated as read-only.
     """
     if not is_prime(p):
         raise OrderError(f"{p} is not prime")
-    if ell is None:
-        ell = default_ell(p)
     if not is_prime(ell) or ell == p:
         raise OrderError("ell must be a prime different from p")
     queue = deque([gross_lattice(standard_maximal_order(p)).gram])
@@ -185,13 +189,17 @@ def enumerate_types(p: int, ell: int | None = None):
     records = []
     while queue:
         walk_gram = queue.popleft()
-        mb = minimal_basis(walk_gram)
-        if mb.minima in seen:
+        _, g = greedy_reduce(walk_gram)
+        key = (g[0][0], g[1][1], g[2][2])
+        if key in seen:
             continue
-        seen.add(mb.minima)
-        records.append(
-            TypeRecord(walk_gram, tuple(mb.minima), mb.gram, mb.coords)
-        )
+        seen.add(key)
+        mb = minimal_basis(walk_gram)
+        if mb.minima != key:
+            raise LatticeError(
+                f"greedy diagonal {key} differs from the minima {mb.minima}"
+            )
+        records.append(TypeRecord(walk_gram, key, mb.gram, mb.coords))
         # from the reduced Gram, so entries do not grow along the walk
         queue.extend(
             adj3(m) for m in kneser_neighbours(half_form(mb.gram, p), ell)

@@ -21,7 +21,7 @@ from .lattice import (
     minimal_basis,
     orthogonalization,
     rank2_det,
-    short_vectors,
+    reduced_vectors,
 )
 from .oracle import supersingular_j_set
 from .orders import default_ell, enumerate_types
@@ -66,7 +66,7 @@ def verify_prime(p: int, oracle_cap: int = ORACLE_CAP) -> PrimeReport:
         g = rec.gram
         # the one enumeration behind every vector fact of this type; it
         # reaches D3 (at most 2p by the theorem bounds) and norm 8
-        vecs = short_vectors(g, max(2 * p, 8))
+        vecs = reduced_vectors(g, max(2 * p, 8))
         c = cl.classify_type(p, vecs, rec.minima, g)
         classifications.append(c)
 

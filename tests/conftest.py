@@ -16,8 +16,9 @@ OPT_IN = {
     ),
     "walk_reference": (
         "GROSSLAT_WALK_REFERENCE",
-        "Gram walk against the order walk at ell = 2 and 3 for every "
-        "prime <= 2000; set GROSSLAT_WALK_REFERENCE=1",
+        "Gram walk against the order walk, and its greedy dedupe key "
+        "against minima_triple, at ell = 2 and 3 for every prime <= 2000; "
+        "set GROSSLAT_WALK_REFERENCE=1",
     ),
 }
 

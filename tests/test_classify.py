@@ -117,7 +117,7 @@ def test_structural_flags():
 
 
 def test_classify_type_p11():
-    recs = enumerate_types(11)
+    recs = enumerate_types(11, 2)
     c0 = classify_type(11, vecs_of(11, 0), recs[0].minima, recs[0].gram)
     assert (c0.spine, c0.special_j, c0.embedding) == (True, "j0", EMBED_SQRT)
     c1 = classify_type(11, vecs_of(11, 1), recs[1].minima, recs[1].gram)
@@ -128,7 +128,7 @@ def test_classify_type_p11():
 def test_loop_discriminants_imply_spine():
     # 4, 7 or 8 among the embedded discriminants forces j in F_p
     for p in (11, 13, 37, 113):
-        for rec in enumerate_types(p):
+        for rec in enumerate_types(p, 2):
             vecs = short_vectors(rec.walk_gram, 8)
             c = classify_type(p, vecs, rec.minima, rec.gram)
             emb = embedded_discriminants(vecs, 8)

@@ -147,7 +147,7 @@ def test_recompute_ne_detail_carries_the_located_type():
 
 
 def test_locate_embedding_type_rejects_two_matches(monkeypatch):
-    types = cm.enumerate_types(31)
+    types = cm.enumerate_types(31, 2)
     (match,) = [t for t in types if t.minima[0] == 7]
     monkeypatch.setattr(cm, "enumerate_types", lambda p, ell: (match, match))
     with pytest.raises(CmError, match="2 types embed"):

@@ -2,8 +2,10 @@
 
 The files under tests/golden/ hold the stdout of each command below; any
 change to the exact arithmetic behind them shows up as a byte difference.
+Outputs too large to keep as a file are checked by their SHA-256.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -28,3 +30,17 @@ def test_cli_output_matches_golden(name, capsys):
     assert main(CASES[name]) == 0
     want = (GOLDEN / name).read_bytes()
     assert capsys.readouterr().out.encode() == want
+
+
+# the 456-type walk at p = 10007, the largest `types` input measured
+DIGESTS = {
+    "types --p 10007 --json":
+        "21a751ff0424398f4dc429aaf3176a97ab5710e73bb82d973a1d708fd7bba879",
+}
+
+
+@pytest.mark.parametrize("command", sorted(DIGESTS))
+def test_cli_output_matches_recorded_digest(command, capsys):
+    assert main(command.split()) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == DIGESTS[command]

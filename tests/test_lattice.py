@@ -1,7 +1,7 @@
 import random
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
@@ -22,8 +22,10 @@ from grosslat.lattice import (
     minimal_basis,
     orthogonalization,
     rank2_det,
+    reduced_vectors,
     short_vectors,
 )
+from grosslat.classify import embedded_discriminants, special_j
 from grosslat.exact import hnf
 from grosslat.orders import (
     GrossLattice,
@@ -224,6 +226,61 @@ def test_enumerator_matches_the_fraction_reference_on_random_grams():
         ), (gram, bound)
 
 
+def basis_free_facts(p, vecs, bound):
+    """What the consumers of one vector list read: none of it needs a basis."""
+    try:
+        sj = special_j(p, vecs)
+    except LatticeError as e:
+        sj = str(e)
+    rank3 = bool(vecs) and greedy_minima(vecs) is not None
+    return (
+        sorted(n for n, _ in vecs),
+        {n for n, v in vecs if gcd(*v) == 1},
+        sj,
+        embedded_discriminants(vecs, bound),
+        len(attaining_rank2_sublattices(vecs)) if rank3 else None,
+    )
+
+
+def assert_reduced_vectors_agree(p, gram, bound):
+    want = basis_free_facts(p, short_vectors(gram, bound), bound)
+    assert basis_free_facts(p, reduced_vectors(gram, bound), bound) == want, (
+        gram, bound
+    )
+
+
+def test_reduced_vectors_agree_with_short_vectors_on_random_grams():
+    # unreduced Grams too: only the coordinates differ, by the greedy basis
+    rng = random.Random(37)
+    for _ in range(200):
+        m = [[rng.randrange(-5, 6) for _ in range(3)] for _ in range(3)]
+        if det3(m) == 0:
+            continue
+        gram = tuple(
+            tuple(sum(x * y for x, y in zip(r, s)) for s in m) for r in m
+        )
+        bound = rng.randrange(0, 3 * max(gram[i][i] for i in range(3)))
+        assert_reduced_vectors_agree(11, gram, bound)
+
+
+@pytest.mark.parametrize("p", [2, 3, 11, 101, 1009])
+def test_reduced_vectors_agree_with_short_vectors_on_type_grams(p):
+    for rec in enumerate_types(p, 3 if p == 2 else 2):
+        for gram in (rec.gram, rec.walk_gram):
+            assert_reduced_vectors_agree(p, gram, max(2 * p, 8))
+
+
+def test_reduced_vectors_are_sorted_in_the_greedy_basis():
+    gram = ((5, 2, 0), (2, 3, 1), (0, 1, 7))
+    _, g = greedy_reduce(gram)
+    vecs = reduced_vectors(gram, 9)
+    assert vecs == sorted(vecs)
+    assert all(gram_inner(g, z, z) == n for n, z in vecs)
+    assert reduced_vectors(gram, 0) == []
+    with pytest.raises(LatticeError):
+        reduced_vectors(((1, 0, 0), (0, -1, 0), (0, 0, 1)), 5)
+
+
 def test_minimal_basis_known_grams():
     assert minimal_basis(gram_of(7)).gram == ((4, 0, 2), (0, 7, 0), (2, 0, 8))
     assert minimal_basis(gram_of(5)).gram == ((3, 1, 1), (1, 7, -3), (1, -3, 7))
@@ -329,7 +386,7 @@ def test_minima_match_short_vector_greedy():
 
 def test_minimal_basis_coords_are_index_one():
     for p in (11, 13, 37):
-        for rec in enumerate_types(p):
+        for rec in enumerate_types(p, 2):
             assert abs(det3(rec.basis)) == 1
 
 
@@ -404,7 +461,7 @@ def test_minima_and_minimal_basis_survive_basis_change(p):
     # every type: the normalized Gram, the printed bytes, does not depend
     # on the basis the walk hands to minimal_basis
     rng = random.Random(p)
-    types = enumerate_types(p)
+    types = enumerate_types(p, 2)
     walked = order_walk(p, 2)
     assert [rec.minima for rec in types] == [mb.minima for _, _, mb in walked]
     for rec, (_, lat, _) in zip(types, walked):
@@ -520,7 +577,7 @@ def test_kneser_neighbours_of_random_forms_are_integral_of_equal_det():
 
 
 def test_kneser_neighbours_stay_in_the_genus_of_a_gross_lattice():
-    types = {rec.minima for rec in enumerate_types(101)}
+    types = {rec.minima for rec in enumerate_types(101, 2)}
     for ell in (2, 3, 5):
         nbs = kneser_neighbours(half_form(gram_of(101), 101), ell)
         assert len(nbs) == ell + 1

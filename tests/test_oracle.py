@@ -74,7 +74,7 @@ def test_conjugate_pairs_listed_both_ways():
 def test_spine_count_matches_lattice_side_at_31():
     from grosslat.orders import enumerate_types
 
-    lattice_spine = sum(1 for t in enumerate_types(31) if t.minima[2] >= 31)
+    lattice_spine = sum(1 for t in enumerate_types(31, 2) if t.minima[2] >= 31)
     assert spine_count(31) == lattice_spine == 3
 
 
@@ -82,7 +82,7 @@ def test_spine_and_orbit_counts_match_lattice_side_at_2003():
     from grosslat.classify import field_of_definition
     from grosslat.orders import enumerate_types
 
-    types = enumerate_types(2003)
+    types = enumerate_types(2003, 2)
     ss = supersingular_j_set(2003)
     assert ss.count == 2003 // 12 + 2
     assert ss.orbit_count == len(types)

@@ -6,11 +6,12 @@ import pytest
 
 from grosslat import orders
 from grosslat.exact import primes_between
-from grosslat.lattice import minima_triple
+from grosslat.lattice import LatticeError, minima_triple
 from grosslat.oracle import supersingular_j_set
 from grosslat.orders import (
     OrderError,
     QuaternionOrder,
+    default_ell,
     enumerate_types,
     gross_lattice,
     reduced_discriminant,
@@ -250,10 +251,42 @@ def test_right_order_of_principal_ideal_is_conjugate():
 
 
 def test_enumerate_types_examples():
-    assert [t.minima for t in enumerate_types(11)] == [(3, 15, 15), (4, 11, 12)]
+    assert [t.minima for t in enumerate_types(11, 2)] == [(3, 15, 15), (4, 11, 12)]
     assert [t.minima for t in enumerate_types(2, 3)] == [(3, 3, 3)]
-    types37 = enumerate_types(37)
+    types37 = enumerate_types(37, 2)
     assert len(types37) == supersingular_j_set(37).orbit_count == 2
+
+
+def test_enumerate_types_caches_one_walk_per_p_and_ell():
+    enumerate_types.cache_clear()
+    first = enumerate_types(31, default_ell(31))
+    assert enumerate_types(31, default_ell(31)) is first
+    info = enumerate_types.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    # no default, so no second cache key for the same walk
+    with pytest.raises(TypeError):
+        enumerate_types(31)
+
+
+def test_enumerate_types_checks_the_greedy_key_of_each_new_type(monkeypatch):
+    # a greedy diagonal that is not the minima raises; it must not silently
+    # merge or drop a type
+    real = orders.greedy_reduce
+
+    def off_by_one(gram):
+        u, g = real(gram)
+        return u, tuple(
+            tuple(x + (i == j == 2) for j, x in enumerate(row))
+            for i, row in enumerate(g)
+        )
+
+    monkeypatch.setattr(orders, "greedy_reduce", off_by_one)
+    enumerate_types.cache_clear()
+    try:
+        with pytest.raises(LatticeError, match="greedy diagonal"):
+            enumerate_types(37, 2)
+    finally:
+        enumerate_types.cache_clear()
 
 
 @pytest.mark.parametrize("p", [11, 13, 37, 101])

@@ -32,17 +32,17 @@ def test_verify_reads_minimal_bases_from_the_type_records(p, monkeypatch):
     assert calls == ["desc"] * spine
 
 
-def count_short_vectors(monkeypatch):
-    """Record the Gram of every short_vectors call, wherever it is named."""
+def count_reduced_vectors(monkeypatch):
+    """Record the Gram of every reduced_vectors call, wherever it is named."""
     grams = []
-    real = lattice.short_vectors
+    real = lattice.reduced_vectors
 
     def counted(gram, bound):
         grams.append(gram)
         return real(gram, bound)
 
     for module in (lattice, verify, classify, cli, cm):
-        monkeypatch.setattr(module, "short_vectors", counted, raising=False)
+        monkeypatch.setattr(module, "reduced_vectors", counted, raising=False)
     return grams
 
 
@@ -50,7 +50,7 @@ def count_short_vectors(monkeypatch):
 def test_verify_enumerates_each_type_once(p, monkeypatch):
     types = enumerate_types(p, 2)
     enumerate_types(p, 3)
-    grams = count_short_vectors(monkeypatch)
+    grams = count_reduced_vectors(monkeypatch)
     rep = verify.verify_prime(p)
     assert not rep.failures
     assert grams == [rec.gram for rec in types]
@@ -58,7 +58,7 @@ def test_verify_enumerates_each_type_once(p, monkeypatch):
 
 def test_types_and_cm_enumerate_each_type_once(monkeypatch, capsys):
     types = enumerate_types(101, 2)
-    grams = count_short_vectors(monkeypatch)
+    grams = count_reduced_vectors(monkeypatch)
     assert cli.main(["types", "--p", "101"]) == 0
     capsys.readouterr()
     assert grams == [rec.gram for rec in types]

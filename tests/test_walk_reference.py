@@ -9,7 +9,16 @@ must give the same sorted (minima, normalized Gram) list, and per type the
 same multiset of neighbour types.  Tier-1 compares the lists at every prime
 3 <= p <= 300 at ell = 2 and 5 <= p <= 300 at ell = 3, at a few primes at
 ell = 5 and 7, and the neighbour multisets at ell = 2 and 3 for every
-p <= 100; the gate over every prime up to 2000 at ell = 2 and 3 is opt-in:
+p <= 100.
+
+The walk keys each Gram on the diagonal of its greedy reduction, which in
+dimension 3 is the successive minima triple; `minima_triple`, which reads
+the minima off an enumeration, is the reference for that key on every Gram
+the walk visits (each type's walk Gram and each neighbour it expands to),
+for every prime p <= 300 at ell = 2 and 3.
+
+The gate over every prime up to 2000 at ell = 2 and 3, for both the walk and
+its key, is opt-in:
 
     GROSSLAT_WALK_REFERENCE=1 pytest tests/test_walk_reference.py -m walk_reference
 """
@@ -23,6 +32,7 @@ import pytest
 from grosslat.exact import canonical_lattice, is_prime, primes_between
 from grosslat.lattice import (
     adj3,
+    greedy_reduce,
     half_form,
     kneser_neighbours,
     minima_triple,
@@ -185,6 +195,25 @@ def test_gram_neighbours_match_the_right_orders_per_type(ell):
             assert by_grams == by_orders, (p, ell, lat.gram)
 
 
+def assert_greedy_key_is_the_minima(p, ell):
+    for rec in enumerate_types(p, ell):
+        visited = [rec.walk_gram] + [
+            adj3(m) for m in kneser_neighbours(half_form(rec.gram, p), ell)
+        ]
+        for gram in visited:
+            _, g = greedy_reduce(gram)
+            assert (g[0][0], g[1][1], g[2][2]) == minima_triple(gram), (
+                p, ell, gram
+            )
+
+
+@pytest.mark.parametrize("ell", [2, 3])
+def test_greedy_key_is_the_minima_on_every_visited_gram(ell):
+    for p in primes_between(2, 300):
+        if p != ell:
+            assert_greedy_key_is_the_minima(p, ell)
+
+
 def test_gram_walk_records_reduce_from_their_walk_gram():
     for p in (2, 11, 101):
         for ell in (2, 3):
@@ -214,3 +243,11 @@ def test_gram_walk_matches_the_order_walk_up_to_2000():
         for ell in (2, 3):
             if ell != p:
                 assert_walks_agree(p, ell)
+
+
+@pytest.mark.walk_reference
+def test_greedy_key_is_the_minima_on_every_visited_gram_up_to_2000():
+    for p in primes_between(2, 2000):
+        for ell in (2, 3):
+            if ell != p:
+                assert_greedy_key_is_the_minima(p, ell)
