@@ -27,6 +27,7 @@ from .orders import (
     TypeRecord,
     enumerate_types,
     gross_lattice,
+    pizer_maximal_order,
     reduced_discriminant,
     standard_maximal_order,
 )
@@ -60,6 +61,7 @@ __all__ = [
     "minima_triple",
     "minimal_basis",
     "orthogonalization",
+    "pizer_maximal_order",
     "quadratic_residue_precheck",
     "recompute_ne",
     "reduced_discriminant",

@@ -5,9 +5,15 @@ N_E above which the first Gross minimum of the reduction equals d.  Its
 supersingular primes are not tabulated: by Deuring, the reduction at a prime
 p not dividing d is supersingular exactly when p does not split in
 Q(sqrt(-d)), that is when the Kronecker symbol (-d | p) is -1.
-recompute_ne re-derives N_E from type enumeration: the unique type
-embedding discriminant -d primitively is located per prime and its D1
-compared with d.
+recompute_ne re-derives N_E per prime from the unique type embedding
+discriminant -d primitively, comparing its D1 with d.
+
+For the seven odd prime rows (d = 3, 7, 11, 19, 43, 67, 163: f = 1,
+d = 3 mod 4, h(-d) = 1) that type is built directly at every odd inert p:
+it is Pizer's maximal order of (-d, -p), which contains O_{-d}
+(`orders.pizer_maximal_order`), and its Gross Gram is the type's ternary
+form (Gross-Lucianovic).  The rows d = 4, 8, 12, 16, 27, 28 (even d or
+f > 1) locate it on the type enumeration walk instead.
 """
 
 from __future__ import annotations
@@ -16,8 +22,11 @@ from dataclasses import dataclass
 
 from .classify import embedded_discriminants
 from .exact import is_prime, legendre, primes_between
-from .lattice import reduced_vectors
-from .orders import default_ell, enumerate_types
+from .lattice import minimal_basis, reduced_vectors
+from .orders import (
+    TypeRecord, default_ell, enumerate_types, gross_lattice,
+    pizer_maximal_order,
+)
 
 
 class CmError(ValueError):
@@ -61,6 +70,8 @@ CM_ROWS = (
 )
 
 EXTENDED_DS = (43, 67, 163)
+# odd prime d with h(-d) = 1, all d = 3 mod 4: the rows located directly
+PIZER_DS = frozenset(r.d for r in CM_ROWS if r.f == 1 and r.d % 2)
 
 
 def cm_rows():
@@ -123,21 +134,43 @@ def supersingular_primes(row: CmRow, lo: int, hi: int):
     return [p for p in primes_between(lo, hi) if row.is_supersingular_prime(p)]
 
 
-def locate_embedding_type(p: int, d: int):
+def _embeds(gram, d: int) -> bool:
+    return d in embedded_discriminants(reduced_vectors(gram, d), d)
+
+
+def _no_unique_type(count: int, p: int, d: int) -> CmError:
+    return CmError(f"{count} types embed discriminant -{d} at p = {p}; expected 1")
+
+
+def locate_embedding_type(p: int, d: int) -> TypeRecord:
     """The unique type whose Gross lattice has a primitive norm-d vector.
 
-    The types come from the Gram walk at `default_ell(p)`, the ell of
-    `types` and `verify`, so a prime those also visit is enumerated once;
-    the located record does not depend on ell.
+    Direct route, for d in PIZER_DS (the odd prime rows) at an odd prime
+    p != d: no walk, one order.  At an inert p the type is Pizer's maximal
+    order of (-d, -p); its record carries that order's Gross Gram as
+    `walk_gram` and its minimal basis, and its Gram must embed -d
+    primitively (CmError otherwise).  A split p raises CmError, as no
+    type embeds -d there.
+
+    Every other (p, d), the rows d = 4, 8, 12, 16, 27, 28 included, walks
+    the types at `default_ell(p)`, the ell of `types` and `verify`, so a
+    prime those also visit is enumerated once, and keeps the one match
+    (CmError unless there is exactly one); the record does not depend on
+    ell.
     """
-    types = enumerate_types(p, default_ell(p))
-    matches = [
-        t for t in types if d in embedded_discriminants(reduced_vectors(t.gram, d), d)
-    ]
+    if d in PIZER_DS and p % 2 and p != d:
+        if legendre(-d, p) != -1:
+            raise _no_unique_type(0, p, d)
+        walk_gram = gross_lattice(pizer_maximal_order(d, p)).gram
+        mb = minimal_basis(walk_gram)
+        if not _embeds(mb.gram, d):
+            raise CmError(
+                f"Pizer's order of (-{d}, -{p}) does not embed -{d} primitively"
+            )
+        return TypeRecord(walk_gram, mb.minima, mb.gram, mb.coords)
+    matches = [t for t in enumerate_types(p, default_ell(p)) if _embeds(t.gram, d)]
     if len(matches) != 1:
-        raise CmError(
-            f"{len(matches)} types embed discriminant -{d} at p = {p}; expected 1"
-        )
+        raise _no_unique_type(len(matches), p, d)
     return matches[0]
 
 

@@ -1,12 +1,15 @@
 """Maximal orders of B_p, their Gross lattices and their isomorphism types.
 
 Orders are rank-4 row lattices over (1, i, j, k), stored as an HNF integer
-matrix plus a common positive denominator; this module builds the one order
-type enumeration needs, the standard maximal order of B_p, from an explicit
-basis for each residue class of p (Pizer 1980, Prop. 5.2), so no quaternion
-product is ever taken.  The Gross lattice of O, the image of O under
-x -> 2x - trd(x) with the reduced norm, carries the discriminant of O as
-det G = 4 discrd(O)^2, so `reduced_discriminant` reads it from the Gram G.
+matrix plus a common positive denominator.  This module builds maximal
+orders of B_p from explicit bases (Pizer 1980, Prop. 5.2), so no quaternion
+product is ever taken.  `pizer_maximal_order(q, p)` is Pizer's order of
+(-q, -p) for a prime q = 3 mod 4 inert at p, and contains the maximal order
+of Q(sqrt(-q)).  Through `standard_maximal_order` it seeds type enumeration
+at every p = 1 mod 4, and `cm` reads the type embedding -q off it.  The
+Gross lattice of O, the image of O under x -> 2x - trd(x) with the reduced
+norm, carries the discriminant of O as det G = 4 discrd(O)^2, so
+`reduced_discriminant` reads it from the Gram G.
 
 The Gross lattice of O is the Gross-Lucianovic ternary form of O, so the
 ell-neighbours of maximal orders are the Kneser ell-neighbours of their
@@ -108,6 +111,43 @@ def reduced_discriminant(order: QuaternionOrder) -> int:
     return isqrt(val)
 
 
+def _checked_maximal(order: QuaternionOrder) -> QuaternionOrder:
+    """`order` itself, after checking its reduced discriminant is p."""
+    p = order.algebra.p
+    d = reduced_discriminant(order)
+    if d != p:
+        raise OrderError(f"explicit order has discriminant {d}, expected {p}")
+    return order
+
+
+def pizer_maximal_order(q: int, p: int) -> QuaternionOrder:
+    """Pizer's maximal order 1, (1+i)/2, (j-k)/2, (i-ck)/q, k of (-q, -p).
+
+    q is a prime q = 3 mod 4 with (p|q) = -1 and c the least c >= 0 with
+    q | c^2 p + 1 (Pizer 1980, Prop. 5.2).  By reciprocity (p|q) = (-q|p),
+    so p is inert in Q(sqrt(-q)), and the order contains (1+i)/2, a root of
+    x^2 - x + (1+q)/4, hence the maximal order of Q(sqrt(-q)).
+    `standard_maximal_order` seeds every p = 1 mod 4 with it, and
+    `cm.locate_embedding_type` reads the type embedding -q off it at any odd
+    inert p.  Raises OrderError for any other q, and unless the reduced
+    discriminant is p, which for an order of (-q, -p) shows the algebra is
+    B_p.
+    """
+    if not is_prime(p):
+        raise OrderError(f"{p} is not prime")
+    if not (is_prime(q) and q % 4 == 3 and legendre(p, q) == -1):
+        raise OrderError(f"q = {q} is not a prime 3 mod 4 with ({p}|q) = -1")
+    c = 0
+    while (c * c * p + 1) % q:
+        c += 1
+    rows = [
+        (2 * q, 0, 0, 0), (q, q, 0, 0), (0, 0, q, -q),
+        (0, 2, 0, -2 * c), (0, 0, 0, 2 * q),
+    ]
+    alg = QuaternionAlgebra(-q, -p, p)
+    return _checked_maximal(QuaternionOrder.from_generators(alg, rows, 2 * q))
+
+
 def standard_maximal_order(p: int) -> QuaternionOrder:
     """A maximal order of B_p with reduced discriminant p, by explicit basis.
 
@@ -115,40 +155,25 @@ def standard_maximal_order(p: int) -> QuaternionOrder:
 
     - p = 2: 1, i, j, (1+i+j+k)/2 in (-1, -1), the Hurwitz order;
     - p = 3 mod 4: 1, i, (1+j)/2, (i+k)/2 in (-1, -p);
-    - p = 1 mod 4: 1, (1+i)/2, (j-k)/2, (i-ck)/q, k in (-q, -p), where q
-      is the least prime q = 3 mod 4 with (p|q) = -1 and c the least
-      c >= 0 with q | c^2 p + 1.
+    - p = 1 mod 4: `pizer_maximal_order(q, p)`, where q is the least prime
+      q = 3 mod 4 with (p|q) = -1.
 
     The reduced discriminant is checked to be p.
     """
     if not is_prime(p):
         raise OrderError(f"{p} is not prime")
-    if p == 2:
-        alg = QuaternionAlgebra(-1, -1, 2)
-        rows = [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (1, 1, 1, 1)]
-        den = 2
-    elif p % 4 == 3:
-        alg = QuaternionAlgebra(-1, -p, p)
-        rows = [(2, 0, 0, 0), (0, 2, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1)]
-        den = 2
-    else:
+    if p % 4 == 1:
         q = 3
         while not (is_prime(q) and legendre(p, q) == -1):
             q += 4
-        c = 0
-        while (c * c * p + 1) % q:
-            c += 1
-        alg = QuaternionAlgebra(-q, -p, p)
-        rows = [
-            (2 * q, 0, 0, 0), (q, q, 0, 0), (0, 0, q, -q),
-            (0, 2, 0, -2 * c), (0, 0, 0, 2 * q),
-        ]
-        den = 2 * q
-    order = QuaternionOrder.from_generators(alg, rows, den)
-    d = reduced_discriminant(order)
-    if d != p:
-        raise OrderError(f"standard order has discriminant {d}, expected {p}")
-    return order
+        return pizer_maximal_order(q, p)
+    if p == 2:
+        alg = QuaternionAlgebra(-1, -1, 2)
+        rows = [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (1, 1, 1, 1)]
+    else:
+        alg = QuaternionAlgebra(-1, -p, p)
+        rows = [(2, 0, 0, 0), (0, 2, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1)]
+    return _checked_maximal(QuaternionOrder.from_generators(alg, rows, 2))
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,6 @@ import pytest
 
 # marker -> (environment flag that enables it, reason shown when skipped)
 OPT_IN = {
-    "extended_cm": (
-        "GROSSLAT_EXTENDED_CM",
-        "extended CM rows (d in {43, 67, 163}); set GROSSLAT_EXTENDED_CM=1 "
-        "or use `grosslat verify --extended-cm`",
-    ),
     "oracle_reference": (
         "GROSSLAT_ORACLE_REFERENCE",
         "oracle against the numpy sweep for every prime <= 500; "
@@ -17,8 +12,9 @@ OPT_IN = {
     "walk_reference": (
         "GROSSLAT_WALK_REFERENCE",
         "Gram walk against the order walk, and its greedy dedupe key "
-        "against minima_triple, at ell = 2 and 3 for every prime <= 2000; "
-        "set GROSSLAT_WALK_REFERENCE=1",
+        "against minima_triple, at ell = 2 and 3 for every prime <= 2000, "
+        "and the direct CM route against the walk up to each odd prime "
+        "row's default_p_max; set GROSSLAT_WALK_REFERENCE=1",
     ),
 }
 

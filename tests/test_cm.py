@@ -14,8 +14,11 @@ from grosslat.cm import (
     supersingular_primes,
 )
 from grosslat.exact import is_prime, primes_between
-from grosslat.lattice import det3
+from grosslat.lattice import det3, minimal_basis
 from grosslat.oracle import supersingular_j_set
+from grosslat.orders import (
+    TypeRecord, gross_lattice, pizer_maximal_order, standard_maximal_order,
+)
 
 
 def test_thirteen_rows_with_consistent_order_data():
@@ -142,21 +145,61 @@ def test_recompute_ne_detail_carries_the_located_type():
     assert n_e == 13
     assert [p for p, _, _ in detail] == [5, 13, 17, 19, 31, 41, 47, 59]
     for p, rec, good in detail:
-        assert rec is locate_embedding_type(p, 7)
+        assert rec == locate_embedding_type(p, 7)
         assert good == (rec.minima[0] == 7)
 
 
 def test_locate_embedding_type_rejects_two_matches(monkeypatch):
+    # d = 4 is an even row, so it is located on the walk, which must find
+    # exactly one match; 31 = 3 mod 4 is inert in Q(i)
     types = cm.enumerate_types(31, 2)
-    (match,) = [t for t in types if t.minima[0] == 7]
+    (match,) = [t for t in types if t.minima[0] == 4]
     monkeypatch.setattr(cm, "enumerate_types", lambda p, ell: (match, match))
     with pytest.raises(CmError, match="2 types embed"):
-        locate_embedding_type(31, 7)
+        locate_embedding_type(31, 4)
 
 
 def test_locate_embedding_type_rejects_no_match():
     with pytest.raises(CmError, match="0 types embed"):
         locate_embedding_type(13, 43)
+
+
+def test_odd_prime_rows_are_located_on_pizers_order(monkeypatch):
+    assert cm.PIZER_DS == {3, 7, 11, 19, 43, 67, 163}
+    monkeypatch.setattr(cm, "enumerate_types", None)  # a walk would raise
+    for d in sorted(cm.PIZER_DS):
+        row = next(r for r in cm_rows() if r.d == d)
+        for p in supersingular_primes(row, 3, 200):
+            walk_gram = gross_lattice(pizer_maximal_order(d, p)).gram
+            mb = minimal_basis(walk_gram)
+            assert locate_embedding_type(p, d) == TypeRecord(
+                walk_gram, mb.minima, mb.gram, mb.coords
+            ), (p, d)
+
+
+def test_locate_embedding_type_walks_at_p_2_and_p_d(monkeypatch):
+    # the direct route needs an odd p != d; these and the even rows walk
+    walks = []
+    real = cm.enumerate_types
+
+    def counted(p, ell):
+        walks.append((p, ell))
+        return real(p, ell)
+
+    monkeypatch.setattr(cm, "enumerate_types", counted)
+    assert locate_embedding_type(2, 3).minima == (3, 3, 3)
+    assert locate_embedding_type(7, 7).gram == closed_form_gram("1728", 7)
+    assert locate_embedding_type(31, 4).gram == closed_form_gram("1728", 31)
+    assert walks == [(2, 3), (7, 2), (31, 2)]
+
+
+def test_direct_route_checks_the_embedding(monkeypatch):
+    # at p = 31 the seed is the j = 1728 type, D1 = 4, which does not embed -7
+    monkeypatch.setattr(
+        cm, "pizer_maximal_order", lambda q, p: standard_maximal_order(p)
+    )
+    with pytest.raises(CmError, match="does not embed -7 primitively"):
+        locate_embedding_type(31, 7)
 
 
 def fake_located(first_good):

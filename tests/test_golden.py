@@ -32,10 +32,16 @@ def test_cli_output_matches_golden(name, capsys):
     assert capsys.readouterr().out.encode() == want
 
 
-# the 456-type walk at p = 10007, the largest `types` input measured
 DIGESTS = {
+    # the 456-type walk at p = 10007, the largest `types` input measured
     "types --p 10007 --json":
         "21a751ff0424398f4dc429aaf3176a97ab5710e73bb82d973a1d708fd7bba879",
+    # d = 163 over its 455 inert primes up to 6887
+    "cm --row -640320^3 --json":
+        "134ac79636414a0ce1de6d02869cc8a148a34fab61e81d095cb4c71ec61e43fc",
+    # all 13 rows, each at its default sweep
+    "cm --all --extended --json":
+        "51f0b28899c439a454d28d2ab944c2026fc93a86e26acab90c4a52e5615824fa",
 }
 
 

@@ -5,7 +5,7 @@ from math import isqrt
 import pytest
 
 from grosslat import orders
-from grosslat.exact import primes_between
+from grosslat.exact import legendre, primes_between
 from grosslat.lattice import LatticeError, minima_triple
 from grosslat.oracle import supersingular_j_set
 from grosslat.orders import (
@@ -14,6 +14,7 @@ from grosslat.orders import (
     default_ell,
     enumerate_types,
     gross_lattice,
+    pizer_maximal_order,
     reduced_discriminant,
     standard_maximal_order,
 )
@@ -140,6 +141,42 @@ def test_explicit_order_at_p_5_mod_12_is_the_ibukiyama_order():
     for p in PRIMES_1_MOD_4:
         if p % 12 == 5:
             assert standard_maximal_order(p) == order_from(-3, -p, p, rows, 6)
+
+
+@pytest.mark.parametrize("q", [3, 7, 11, 19, 43, 67, 163])
+def test_pizer_order_is_maximal_at_every_inert_p_and_contains_o_minus_q(q):
+    # both classes of p mod 4, the test-side ring check, and (1+i)/2 in O
+    for p in primes_between(3, 600):
+        if p == q or legendre(p, q) != -1:
+            continue
+        o = pizer_maximal_order(q, p)
+        assert o.algebra == QuaternionAlgebra(-q, -p, p)
+        assert is_ring(o), (q, p)
+        assert reduced_discriminant(o) == brute_discriminant(o) == p
+        assert contains_vec(o, (1, 1, 0, 0), 2)
+
+
+@pytest.mark.parametrize("q,p", [
+    (5, 7),      # q = 1 mod 4
+    (15, 7),     # q = 3 mod 4, not prime
+    (3, 7),      # (7|3) = 1
+    (7, 7),      # q = p
+    (2, 7),      # even
+    (7, 9),      # p not prime
+])
+def test_pizer_order_rejects_other_q(q, p):
+    with pytest.raises(OrderError):
+        pizer_maximal_order(q, p)
+
+
+def test_pizer_order_checks_its_discriminant(monkeypatch):
+    monkeypatch.setattr(orders, "reduced_discriminant", lambda o: 4 * o.algebra.p)
+    with pytest.raises(OrderError, match="discriminant 52, expected 13"):
+        pizer_maximal_order(7, 13)
+    with pytest.raises(OrderError, match="discriminant 52, expected 13"):
+        standard_maximal_order(13)
+    with pytest.raises(OrderError, match="discriminant 44, expected 11"):
+        standard_maximal_order(11)
 
 
 @pytest.mark.parametrize("p", [p for p in primes_between(5, 300) if p % 12 == 1])

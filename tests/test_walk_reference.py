@@ -17,8 +17,15 @@ the minima off an enumeration, is the reference for that key on every Gram
 the walk visits (each type's walk Gram and each neighbour it expands to),
 for every prime p <= 300 at ell = 2 and 3.
 
+`cm.locate_embedding_type` builds the type embedding -d, for the odd prime
+CM rows d = 3, 7, 11, 19, 43, 67, 163, from Pizer's order of (-d, -p)
+instead of keeping the one type of the walk whose Gram has a primitive
+norm-d vector.  Tier-1 compares the two, (minima, normalized Gram), at every
+inert 5 <= p <= 1200 of those rows: 686 (p, d) pairs.
+
 The gate over every prime up to 2000 at ell = 2 and 3, for both the walk and
-its key, is opt-in:
+its key, and over every inert prime of each odd prime CM row up to its
+`default_p_max` (6887 for d = 163), is opt-in:
 
     GROSSLAT_WALK_REFERENCE=1 pytest tests/test_walk_reference.py -m walk_reference
 """
@@ -29,6 +36,10 @@ from itertools import product
 
 import pytest
 
+from grosslat.classify import embedded_discriminants
+from grosslat.cm import (
+    PIZER_DS, cm_rows, locate_embedding_type, supersingular_primes,
+)
 from grosslat.exact import canonical_lattice, is_prime, primes_between
 from grosslat.lattice import (
     adj3,
@@ -37,10 +48,12 @@ from grosslat.lattice import (
     kneser_neighbours,
     minima_triple,
     minimal_basis,
+    reduced_vectors,
 )
 from grosslat.orders import (
     OrderError,
     QuaternionOrder,
+    default_ell,
     enumerate_types,
     gross_lattice,
     reduced_discriminant,
@@ -235,6 +248,43 @@ def test_enumerated_orders_satisfy_order_axioms():
     for order in visited:
         assert is_ring(order)
         assert reduced_discriminant(order) == 37
+
+
+def cm_routes_compared(p_max_of):
+    """(p, d) pairs where the direct CM route matched the walk's one match.
+
+    Every inert 5 <= p <= p_max_of(row) of each odd prime row is compared;
+    the walk at each p is shared by the rows.
+    """
+    rows = [r for r in cm_rows() if r.d in PIZER_DS]
+    pairs = []
+    for p in primes_between(5, max(p_max_of(r) for r in rows)):
+        ds = [r.d for r in rows if p <= p_max_of(r) and r.is_supersingular_prime(p)]
+        if not ds:
+            continue
+        types = enumerate_types(p, default_ell(p))
+        for d in ds:
+            walk = [
+                (t.minima, t.gram) for t in types
+                if d in embedded_discriminants(reduced_vectors(t.gram, d), d)
+            ]
+            rec = locate_embedding_type(p, d)
+            assert [(rec.minima, rec.gram)] == walk, (p, d)
+            pairs.append((p, d))
+    return pairs
+
+
+def test_cm_direct_route_matches_the_walk_up_to_1200():
+    assert len(cm_routes_compared(lambda row: 1200)) == 686
+
+
+@pytest.mark.walk_reference
+def test_cm_direct_route_matches_the_walk_up_to_each_default_p_max():
+    pairs = cm_routes_compared(lambda row: row.default_p_max)
+    assert len(pairs) == sum(
+        len(supersingular_primes(r, 5, r.default_p_max))
+        for r in cm_rows() if r.d in PIZER_DS
+    )
 
 
 @pytest.mark.walk_reference
