@@ -20,13 +20,16 @@ from .lattice import (
     orthogonalization,
     short_vectors,
 )
-from .oracle import OracleError, deuring_polynomial, spine_count, supersingular_j_set
+from .oracle import (
+    OracleError, spine_count, supersingular_j_set, supersingular_polynomial,
+)
 from .orders import (
     GrossLattice,
     QuaternionOrder,
     TypeRecord,
     enumerate_types,
     gross_lattice,
+    pizer_gross_gram,
     pizer_maximal_order,
     reduced_discriminant,
     standard_maximal_order,
@@ -51,7 +54,6 @@ __all__ = [
     "closed_form_gram",
     "cm_row",
     "cm_rows",
-    "deuring_polynomial",
     "embedded_discriminants",
     "enumerate_types",
     "gram_gross",
@@ -61,6 +63,7 @@ __all__ = [
     "minima_triple",
     "minimal_basis",
     "orthogonalization",
+    "pizer_gross_gram",
     "pizer_maximal_order",
     "quadratic_residue_precheck",
     "recompute_ne",
@@ -70,4 +73,5 @@ __all__ = [
     "spine_count",
     "standard_maximal_order",
     "supersingular_j_set",
+    "supersingular_polynomial",
 ]

@@ -11,22 +11,23 @@ discriminant -d primitively, comparing its D1 with d.
 For the seven odd prime rows (d = 3, 7, 11, 19, 43, 67, 163: f = 1,
 d = 3 mod 4, h(-d) = 1) that type is built directly at every odd inert p:
 it is Pizer's maximal order of (-d, -p), which contains O_{-d}
-(`orders.pizer_maximal_order`), and its Gross Gram is the type's ternary
-form (Gross-Lucianovic).  The rows d = 4, 8, 12, 16, 27, 28 (even d or
-f > 1) locate it on the type enumeration walk instead.
+(`orders.pizer_maximal_order`), and its Gross Gram, written down in closed
+form by `orders.pizer_gross_gram`, is the type's ternary form
+(Gross-Lucianovic).  The element i of that order is a primitive vector of
+norm d in a known basis, which certifies the embedding with no enumeration.
+The rows d = 4, 8, 12, 16, 27, 28 (even d or f > 1) locate it on the type
+enumeration walk instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .classify import embedded_discriminants
 from .exact import is_prime, legendre, primes_between
-from .lattice import minimal_basis, reduced_vectors
-from .orders import (
-    TypeRecord, default_ell, enumerate_types, gross_lattice,
-    pizer_maximal_order,
-)
+from .lattice import gram_inner, minimal_basis, reduced_vectors
+from .orders import TypeRecord, default_ell, enumerate_types, pizer_gross_gram
 
 
 class CmError(ValueError):
@@ -142,14 +143,24 @@ def _no_unique_type(count: int, p: int, d: int) -> CmError:
     return CmError(f"{count} types embed discriminant -{d} at p = {p}; expected 1")
 
 
+def _pizer_embeds(gram, p: int, d: int) -> bool:
+    """Whether i = (d, 0, -t/2), t = G_01 / p, is a primitive norm-d vector
+    of the Gross Gram G of Pizer's order of (-d, -p) (see
+    `orders.pizer_gross_gram`): O(1), no enumeration."""
+    half_t, rem = divmod(gram[0][1], 2 * p)
+    v = (d, 0, -half_t)
+    return not rem and gram_inner(gram, v, v) == d and gcd(d, half_t) == 1
+
+
 def locate_embedding_type(p: int, d: int) -> TypeRecord:
     """The unique type whose Gross lattice has a primitive norm-d vector.
 
     Direct route, for d in PIZER_DS (the odd prime rows) at an odd prime
-    p != d: no walk, one order.  At an inert p the type is Pizer's maximal
-    order of (-d, -p); its record carries that order's Gross Gram as
-    `walk_gram` and its minimal basis, and its Gram must embed -d
-    primitively (CmError otherwise).  A split p raises CmError, as no
+    p != d: no walk, no order.  At an inert p the type is Pizer's maximal
+    order of (-d, -p); its record carries that order's closed-form Gross
+    Gram (`orders.pizer_gross_gram`) as `walk_gram` and its minimal basis.
+    The embedding of -d is certified by the primitive norm-d vector i of
+    that Gram's basis (CmError otherwise).  A split p raises CmError, as no
     type embeds -d there.
 
     Every other (p, d), the rows d = 4, 8, 12, 16, 27, 28 included, walks
@@ -161,12 +172,12 @@ def locate_embedding_type(p: int, d: int) -> TypeRecord:
     if d in PIZER_DS and p % 2 and p != d:
         if legendre(-d, p) != -1:
             raise _no_unique_type(0, p, d)
-        walk_gram = gross_lattice(pizer_maximal_order(d, p)).gram
-        mb = minimal_basis(walk_gram)
-        if not _embeds(mb.gram, d):
+        walk_gram = pizer_gross_gram(d, p)
+        if not _pizer_embeds(walk_gram, p, d):
             raise CmError(
                 f"Pizer's order of (-{d}, -{p}) does not embed -{d} primitively"
             )
+        mb = minimal_basis(walk_gram)
         return TypeRecord(walk_gram, mb.minima, mb.gram, mb.coords)
     matches = [t for t in enumerate_types(p, default_ell(p)) if _embeds(t.gram, d)]
     if len(matches) != 1:

@@ -70,25 +70,18 @@ def _check_positive_definite(gram):
 
 # -- greedy dimension-3 reduction (integer Gram arithmetic only) -------------
 
-def _apply_addmul(g, u, i, j, q):
-    # b_i <- b_i + q b_j
-    u[i] = [x + q * y for x, y in zip(u[i], u[j])]
-    for t in range(3):
-        g[i][t] += q * g[j][t]
-    for t in range(3):
-        g[t][i] += q * g[t][j]
-
-
-def _apply_swap(g, u, i, j):
-    u[i], u[j] = u[j], u[i]
-    g[i], g[j] = g[j], g[i]
-    for t in range(3):
-        g[t][i], g[t][j] = g[t][j], g[t][i]
-
-
 def _nearest(t: int, n: int) -> int:
     # nearest integer to t/n for n > 0, ties rounded down
     return (2 * t + n) // (2 * n)
+
+
+def _sub(r, c, s):
+    """The coordinate row r - c s."""
+    return (r[0] - c * s[0], r[1] - c * s[1], r[2] - c * s[2])
+
+
+# Bound on the rounds of greedy_reduce, and on the Gauss steps inside one.
+_GREEDY_ROUNDS = 10000
 
 
 def greedy_reduce(gram):
@@ -100,59 +93,67 @@ def greedy_reduce(gram):
     revisited, ACM TALG 2009), so the diagonal of g is the minima triple:
     `orders.enumerate_types` keys its walk on it and checks it against the
     enumerated minima of every new type.
+
+    The Gram is carried as its six entries, a = g00, b = g11, c = g22,
+    x = g01, y = g02, z = g12, and the basis as three coordinate rows.  A
+    swap of rows i, j exchanges g_ii with g_jj and g_ik with g_jk; b_i <-
+    b_i - q b_j changes g_ii, g_ij and g_ik.  Raises LatticeError when the
+    rounds do not settle.
     """
-    g = [list(row) for row in gram]
-    u = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    for _ in range(10000):
+    (a, x, y), (_, b, z), (_, _, c) = gram
+    u0, u1, u2 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    for _ in range(_GREEDY_ROUNDS):
         changed = False
-        i0 = min(range(3), key=lambda i: (g[i][i], i))
-        if i0 != 0:
-            _apply_swap(g, u, 0, i0)
+        # the first row of least norm to the front
+        if b < a and b <= c:
+            a, b, y, z, u0, u1 = b, a, z, y, u1, u0
             changed = True
-        if g[1][1] > g[2][2]:
-            _apply_swap(g, u, 1, 2)
+        elif c < a and c < b:
+            a, c, x, z, u0, u2 = c, a, z, x, u2, u0
+            changed = True
+        if b > c:
+            b, c, x, y, u1, u2 = c, b, y, x, u2, u1
             changed = True
         # Gauss-reduce the first two rows
-        for _ in range(10000):
-            if g[0][0] > g[1][1]:
-                _apply_swap(g, u, 0, 1)
+        for _ in range(_GREEDY_ROUNDS):
+            if a > b:
+                a, b, y, z, u0, u1 = b, a, z, y, u1, u0
                 changed = True
-            q = _nearest(g[1][0], g[0][0])
+            q = _nearest(x, a)
             if q:
-                _apply_addmul(g, u, 1, 0, -q)
+                b += q * (q * a - 2 * x)
+                x -= q * a
+                z -= q * y
+                u1 = _sub(u1, q, u0)
                 changed = True
-            if g[1][1] >= g[0][0] and _nearest(g[1][0], g[0][0]) == 0:
+            if b >= a and _nearest(x, a) == 0:
                 break
         # reduce the third row against the plane of the first two
-        d2 = g[0][0] * g[1][1] - g[0][1] ** 2
-        an = g[2][0] * g[1][1] - g[2][1] * g[0][1]
-        bn = g[2][1] * g[0][0] - g[2][0] * g[0][1]
-        a0 = _nearest(an, d2)
-        b0 = _nearest(bn, d2)
-        best = (g[2][2], 0, 0)
-        for c0 in (a0 - 1, a0, a0 + 1):
-            for c1 in (b0 - 1, b0, b0 + 1):
-                if c0 == 0 and c1 == 0:
+        d2 = a * b - x * x
+        a0 = _nearest(y * b - z * x, d2)
+        b0 = _nearest(z * a - y * x, d2)
+        best, c0, c1 = c, 0, 0
+        for s0 in (a0 - 1, a0, a0 + 1):
+            for s1 in (b0 - 1, b0, b0 + 1):
+                if s0 == 0 and s1 == 0:
                     continue
                 n = (
-                    g[2][2]
-                    + c0 * c0 * g[0][0]
-                    + c1 * c1 * g[1][1]
-                    - 2 * c0 * g[2][0]
-                    - 2 * c1 * g[2][1]
-                    + 2 * c0 * c1 * g[0][1]
+                    c + s0 * s0 * a + s1 * s1 * b
+                    - 2 * s0 * y - 2 * s1 * z + 2 * s0 * s1 * x
                 )
-                if n < best[0]:
-                    best = (n, c0, c1)
-        if best[1] or best[2]:
-            _apply_addmul(g, u, 2, 0, -best[1])
-            _apply_addmul(g, u, 2, 1, -best[2])
+                if n < best:
+                    best, c0, c1 = n, s0, s1
+        if c0 or c1:
+            # b_2 <- b_2 - c0 b_0 - c1 b_1
+            c = best
+            y, z = y - c0 * a - c1 * x, z - c0 * x - c1 * b
+            u2 = _sub(_sub(u2, c0, u0), c1, u1)
             changed = True
         if not changed:
             break
     else:
         raise LatticeError("greedy reduction did not converge")
-    return tuple(tuple(r) for r in u), tuple(tuple(r) for r in g)
+    return (u0, u1, u2), ((a, x, y), (x, b, z), (y, z, c))
 
 
 # -- exact short vector enumeration (integers only) ---------------------------

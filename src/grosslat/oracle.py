@@ -1,14 +1,23 @@
 """Independent finite-field ground truth for supersingular j-invariants.
 
-A Legendre curve y^2 = x(x-1)(x-lambda) is supersingular exactly when the
-Hasse polynomial H_p(lambda) = sum C(m,i)^2 lambda^i vanishes, m = (p-1)/2.
-H_p is monic and separable, and all m of its roots lie in F_{p^2}, so it
-splits over F_p into linear factors (roots in F_p) and irreducible
-quadratics (conjugate pairs).  The roots are found exactly, with Python
-integers only, in time quasi-quadratic in p:
+The supersingular polynomial ss_p(j) is the product of j - j(E) over the
+supersingular j-invariants in characteristic p.  It is monic and
+separable, of degree floor(p/12) + delta + epsilon (Eichler-Deuring), with
+all its roots in F_{p^2}.  Kaneko and Zagier (Supersingular j-invariants,
+hypergeometric series, and Atkin's orthogonal polynomials, 1998) give it
+mod p as a truncated hypergeometric series: for p - 1 = 12n + 4 delta +
+6 epsilon with delta, epsilon in {0, 1},
 
-1. x^p mod H_p by repeated squaring; gcd(H_p, x^p - x) collects the linear
-   factors and the cofactor is the product of the quadratics.
+    ss_p(j) = j^delta (j - 1728)^epsilon sum_{i <= n} c_i j^(n-i),
+
+where sum c_i j^(n-i) is j^n 2F1(a/12, b/12; 1; 1728/j) truncated at
+degree n, with (a, b) = (1, 5) for p = 1 mod 4 and (7, 11) for p = 3 mod 4.
+ss_p splits over F_p into linear factors (j in F_p) and irreducible
+quadratics (conjugate pairs).  Its roots, the j themselves, are found
+exactly, with Python integers only:
+
+1. x^p mod ss_p by repeated squaring; gcd(ss_p, x^p - x) collects the
+   linear factors and the cofactor is the product of the quadratics.
 2. Both parts are split by Cantor-Zassenhaus equal-degree factorisation,
    seeded per prime, down to factors of degree <= 2.  A quadratic factor
    with root a is split off by ((x+d)(x^p+d))^((p-1)/2), which takes the
@@ -18,10 +27,9 @@ integers only, in time quasi-quadratic in p:
 
 Products of residues use Kronecker substitution (coefficients packed into
 one integer) and are reduced by a precomputed Newton inverse of the
-reversed modulus; gcds take Euclidean steps in blocks (Lehmer).  The roots
-are mapped through j(lambda); everything else (spine flags, Galois orbit
-count) is read off the j set.  F_{p^2} = F_p(s) with s^2 the smallest
-positive non-residue.
+reversed modulus; gcds take Euclidean steps in blocks (Lehmer).  The spine
+flags and the Galois orbit count are read off the j set.  F_{p^2} = F_p(s)
+with s^2 the smallest positive non-residue.
 """
 
 from __future__ import annotations
@@ -52,17 +60,32 @@ class SupersingularSet:
         return len(self.js)
 
 
-def deuring_polynomial(p: int):
-    """Coefficients C(m,i)^2 mod p of the Hasse polynomial, m = (p-1)/2."""
+def supersingular_polynomial(p: int):
+    """Coefficients of the monic ss_p(j) mod p, constant term first.
+
+    Kaneko-Zagier's truncated series (see the module docstring), with
+    c_0 = 1 and c_i = c_(i-1) 12 (12i - 12 + a)(12i - 12 + b) / i^2, for
+    p >= 5; ss_3(j) = j, as 1728 = 0 mod 3.
+    """
     if p < 3 or not is_prime(p):
         raise ValueError("need an odd prime")
-    m = (p - 1) // 2
-    coeffs = [1]
-    c = 1
-    for i in range(1, m + 1):
-        # C(m,i) = C(m,i-1) * (m-i+1) / i, tracked exactly then reduced
-        c = c * (m - i + 1) // i
-        coeffs.append((c * c) % p)
+    if p == 3:
+        return [0, 1]
+    delta, eps = {1: (0, 0), 5: (1, 0), 7: (0, 1), 11: (1, 1)}[p % 12]
+    n = (p - 1 - 4 * delta - 6 * eps) // 12
+    a, b = (1, 5) if p % 4 == 1 else (7, 11)
+    coeffs = [1]  # c_0, c_1, ..., c_n: the coefficients of j^n down to j^0
+    for i in range(1, n + 1):
+        num = 12 * (12 * i - 12 + a) * (12 * i - 12 + b)
+        coeffs.append(coeffs[-1] * num * pow(i * i, -1, p) % p)
+    coeffs.reverse()
+    if delta:
+        coeffs.insert(0, 0)
+    if eps:
+        # times (j - 1728)
+        coeffs = [
+            (lo - 1728 * hi) % p for lo, hi in zip([0] + coeffs, coeffs + [0])
+        ]
     return coeffs
 
 
@@ -171,7 +194,7 @@ def _divexact(g, a, p):
     """g / a for a factor a of g."""
     q, r = _divmod(g, a, p)
     if r:
-        raise OracleError(f"nonzero remainder dividing by a factor of H_{p}")
+        raise OracleError(f"nonzero remainder dividing by a factor mod {p}")
     return q
 
 
@@ -381,7 +404,7 @@ def _equal_degree_factors(g, xp, p, sigma, rng):
             if not 0 < len(a) - 1 < deg:
                 a = None
         if not a:
-            raise OracleError(f"a degree-{deg} factor of H_{p} does not split")
+            raise OracleError(f"a degree-{deg} factor mod {p} does not split")
         todo += [(a, xp), (_divexact(g, a, p), xp)]
     return done
 
@@ -390,14 +413,16 @@ def _quadratic_roots(g, p, sigma, split):
     """The two roots (re, im) over s, s^2 = sigma, of a monic quadratic g
     that splits over F_p (`split`) or is irreducible."""
     if len(g) != 3:
-        raise OracleError(f"degree-{len(g) - 1} factor where H_{p} needs a quadratic")
+        raise OracleError(
+            f"degree-{len(g) - 1} factor mod {p} where a quadratic is needed"
+        )
     c, b = g[0], g[1]
     t = (b * b - 4 * c) % p
     if not split:
         t = t * pow(sigma, -1, p) % p
     r = _sqrt_mod(t, p, sigma)
     if r * r % p != t:
-        raise OracleError(f"quadratic factor of H_{p} has no root where expected")
+        raise OracleError(f"quadratic factor mod {p} has no root where expected")
     half = (p + 1) // 2
     re, im = -b * half % p, r * half % p
     if split:
@@ -405,9 +430,9 @@ def _quadratic_roots(g, p, sigma, split):
     return [(re, im), (re, -im % p)]
 
 
-def _hasse_roots(p: int, sigma: int):
-    """All roots (re, im) of H_p in F_p(s), s^2 = sigma."""
-    f = deuring_polynomial(p)
+def _roots(f, p: int, sigma: int):
+    """All roots (re, im) in F_p(s), s^2 = sigma, of a monic f that is a
+    product of distinct factors of degree <= 2 over F_p."""
     rng = random.Random(p)
     xp = _Modulus(f, p).pow([0, 1], p)
     xp_minus_x = list(xp) + [0] * (2 - len(xp))
@@ -425,28 +450,6 @@ def _hasse_roots(p: int, sigma: int):
     return roots
 
 
-def _j_invariant(lam_re: int, lam_im: int, p: int, sigma: int):
-    """j = 256 (l^2 - l + 1)^3 / (l^2 (l-1)^2) in F_p(s), s^2 = sigma."""
-
-    def mul(a, b):
-        return ((a[0] * b[0] + sigma * a[1] * b[1]) % p,
-                (a[0] * b[1] + a[1] * b[0]) % p)
-
-    def inv(a):
-        n = (a[0] * a[0] - sigma * a[1] * a[1]) % p
-        ninv = pow(n, p - 2, p)
-        return ((a[0] * ninv) % p, (-a[1] * ninv) % p)
-
-    lam = (lam_re % p, lam_im % p)
-    lam2 = mul(lam, lam)
-    num = ((lam2[0] - lam[0] + 1) % p, (lam2[1] - lam[1]) % p)
-    num3 = mul(mul(num, num), num)
-    lm1 = ((lam[0] - 1) % p, lam[1])
-    den = mul(lam2, mul(lm1, lm1))
-    j = mul(num3, inv(den))
-    return ((256 * j[0]) % p, (256 * j[1]) % p)
-
-
 def _eichler_count(p: int) -> int:
     if p in (2, 3):
         return 1
@@ -455,15 +458,16 @@ def _eichler_count(p: int) -> int:
 
 
 def supersingular_j_set(p: int) -> SupersingularSet:
-    """Supersingular j-invariants over F_{p^2} with field-of-definition flags."""
+    """Supersingular j-invariants over F_{p^2} with field-of-definition flags.
+
+    The j are the roots of `supersingular_polynomial(p)`.
+    """
     if p == 2:
         return SupersingularSet(2, 0, ((0, 0),), 1, 1)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     sigma = _smallest_nonresidue(p)
-    js = set()
-    for lre, lim in _hasse_roots(p, sigma):
-        js.add(_j_invariant(lre, lim, p, sigma))
+    js = tuple(sorted(_roots(supersingular_polynomial(p), p, sigma)))
     total = len(js)
     expected = _eichler_count(p)
     if total != expected:
@@ -472,7 +476,7 @@ def supersingular_j_set(p: int) -> SupersingularSet:
     if (total - spine) % 2:
         raise OracleError(f"odd number {total - spine} of j outside F_p at p={p}")
     orbit = spine + (total - spine) // 2
-    return SupersingularSet(p, sigma, tuple(sorted(js)), spine, orbit)
+    return SupersingularSet(p, sigma, js, spine, orbit)
 
 
 def spine_count(p: int) -> int:

@@ -6,7 +6,8 @@ orders of B_p from explicit bases (Pizer 1980, Prop. 5.2), so no quaternion
 product is ever taken.  `pizer_maximal_order(q, p)` is Pizer's order of
 (-q, -p) for a prime q = 3 mod 4 inert at p, and contains the maximal order
 of Q(sqrt(-q)).  Through `standard_maximal_order` it seeds type enumeration
-at every p = 1 mod 4, and `cm` reads the type embedding -q off it.  The
+at every p = 1 mod 4, and `cm` reads the type embedding -q off its Gross
+Gram, which `pizer_gross_gram` writes down in closed form.  The
 Gross lattice of O, the image of O under x -> 2x - trd(x) with the reduced
 norm, carries the discriminant of O as det G = 4 discrd(O)^2, so
 `reduced_discriminant` reads it from the Gram G.
@@ -120,19 +121,10 @@ def _checked_maximal(order: QuaternionOrder) -> QuaternionOrder:
     return order
 
 
-def pizer_maximal_order(q: int, p: int) -> QuaternionOrder:
-    """Pizer's maximal order 1, (1+i)/2, (j-k)/2, (i-ck)/q, k of (-q, -p).
-
-    q is a prime q = 3 mod 4 with (p|q) = -1 and c the least c >= 0 with
-    q | c^2 p + 1 (Pizer 1980, Prop. 5.2).  By reciprocity (p|q) = (-q|p),
-    so p is inert in Q(sqrt(-q)), and the order contains (1+i)/2, a root of
-    x^2 - x + (1+q)/4, hence the maximal order of Q(sqrt(-q)).
-    `standard_maximal_order` seeds every p = 1 mod 4 with it, and
-    `cm.locate_embedding_type` reads the type embedding -q off it at any odd
-    inert p.  Raises OrderError for any other q, and unless the reduced
-    discriminant is p, which for an order of (-q, -p) shows the algebra is
-    B_p.
-    """
+def _pizer_c(q: int, p: int) -> int:
+    """The least c >= 0 with q | c^2 p + 1, for the q of Pizer's order of
+    (-q, -p); OrderError unless p is prime and q is a prime q = 3 mod 4 with
+    (p|q) = -1."""
     if not is_prime(p):
         raise OrderError(f"{p} is not prime")
     if not (is_prime(q) and q % 4 == 3 and legendre(p, q) == -1):
@@ -140,12 +132,57 @@ def pizer_maximal_order(q: int, p: int) -> QuaternionOrder:
     c = 0
     while (c * c * p + 1) % q:
         c += 1
+    return c
+
+
+def pizer_maximal_order(q: int, p: int) -> QuaternionOrder:
+    """Pizer's maximal order 1, (1+i)/2, (j-k)/2, (i-ck)/q, k of (-q, -p).
+
+    q is a prime q = 3 mod 4 with (p|q) = -1 and c the least c >= 0 with
+    q | c^2 p + 1 (Pizer 1980, Prop. 5.2).  By reciprocity (p|q) = (-q|p),
+    so p is inert in Q(sqrt(-q)), and the order contains (1+i)/2, a root of
+    x^2 - x + (1+q)/4, hence the maximal order of Q(sqrt(-q)).
+    `standard_maximal_order` seeds every p = 1 mod 4 with it;
+    `pizer_gross_gram` is its Gross Gram in closed form.  Raises OrderError
+    for any other q, and unless the reduced discriminant is p, which for an
+    order of (-q, -p) shows the algebra is B_p.
+    """
+    c = _pizer_c(q, p)
     rows = [
         (2 * q, 0, 0, 0), (q, q, 0, 0), (0, 0, q, -q),
         (0, 2, 0, -2 * c), (0, 0, 0, 2 * q),
     ]
     alg = QuaternionAlgebra(-q, -p, p)
     return _checked_maximal(QuaternionOrder.from_generators(alg, rows, 2 * q))
+
+
+def pizer_gross_gram(q: int, p: int):
+    """The Gross Gram of `pizer_maximal_order(q, p)`, in closed form.
+
+    The trace-zero image of Pizer's basis has the HNF basis (i + t k)/q,
+    j + k, 2k, with t = -(q+1) c mod 2q, and i, j, k have norms q, p, qp, so
+
+        G = ((1+pt^2)/q, pt, 2pt), (pt, p(q+1), 2pq), (2pt, 2pq, 4pq).
+
+    No order and no HNF is built: `cm.locate_embedding_type` reads the type
+    embedding -q off G at any odd inert p, and the vector (q, 0, -t/2) of
+    this basis is i.  Raises OrderError for the q that `pizer_maximal_order`
+    rejects, unless q | 1 + pt^2, and unless det G = 4p^2.
+    """
+    c = _pizer_c(q, p)
+    t = -(q + 1) * c % (2 * q)
+    n, rem = divmod(1 + p * t * t, q)
+    if rem:
+        raise OrderError(f"q = {q} does not divide 1 + p t^2 for t = {t}")
+    pt = p * t
+    gram = (
+        (n, pt, 2 * pt),
+        (pt, p * (q + 1), 2 * p * q),
+        (2 * pt, 2 * p * q, 4 * p * q),
+    )
+    if det3(gram) != 4 * p * p:
+        raise OrderError(f"det of Pizer's Gross Gram is {det3(gram)}, expected 4p^2")
+    return gram
 
 
 def standard_maximal_order(p: int) -> QuaternionOrder:

@@ -6,7 +6,8 @@ import pytest
 OPT_IN = {
     "oracle_reference": (
         "GROSSLAT_ORACLE_REFERENCE",
-        "oracle against the numpy sweep for every prime <= 500; "
+        "oracle against the numpy sweep for every prime <= 500 and against "
+        "the Legendre-form Hasse route for every prime <= 2000; "
         "set GROSSLAT_ORACLE_REFERENCE=1",
     ),
     "walk_reference": (

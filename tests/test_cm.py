@@ -195,9 +195,17 @@ def test_locate_embedding_type_walks_at_p_2_and_p_d(monkeypatch):
 
 def test_direct_route_checks_the_embedding(monkeypatch):
     # at p = 31 the seed is the j = 1728 type, D1 = 4, which does not embed -7
-    monkeypatch.setattr(
-        cm, "pizer_maximal_order", lambda q, p: standard_maximal_order(p)
-    )
+    seed = gross_lattice(standard_maximal_order(31)).gram
+    monkeypatch.setattr(cm, "pizer_gross_gram", lambda q, p: seed)
+    with pytest.raises(CmError, match="does not embed -7 primitively"):
+        locate_embedding_type(31, 7)
+
+
+def test_direct_route_certificate_reads_pizers_basis(monkeypatch):
+    # the normalized Gram of the -7 type at p = 31 embeds -7, but not at the
+    # coordinates (7, 0, -t/2) of i in Pizer's basis
+    gram = locate_embedding_type(31, 7).gram
+    monkeypatch.setattr(cm, "pizer_gross_gram", lambda q, p: gram)
     with pytest.raises(CmError, match="does not embed -7 primitively"):
         locate_embedding_type(31, 7)
 

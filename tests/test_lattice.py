@@ -26,13 +26,15 @@ from grosslat.lattice import (
     short_vectors,
 )
 from grosslat.classify import embedded_discriminants, special_j
-from grosslat.exact import hnf
+from grosslat.exact import hnf, legendre, primes_between
 from grosslat.orders import (
     GrossLattice,
     enumerate_types,
     gross_lattice,
+    pizer_gross_gram,
     standard_maximal_order,
 )
+from greedy_reference import greedy_reduce_reference
 from quat_elements import element, lattice_basis_elements, one
 from test_walk_reference import basis_elements, order_walk
 
@@ -399,10 +401,54 @@ def test_minima_triple_must_be_sorted():
 
 
 def test_greedy_reduce_reports_non_convergence(monkeypatch):
-    # with swaps disabled the shortest row never reaches the front
-    monkeypatch.setattr(lattice, "_apply_swap", lambda g, u, i, j: None)
+    # the first round moves the shortest row to the front, so a second
+    # round is needed to see that nothing changes
+    monkeypatch.setattr(lattice, "_GREEDY_ROUNDS", 1)
     with pytest.raises(LatticeError, match="did not converge"):
         greedy_reduce(((5, 0, 0), (0, 6, 0), (0, 0, 3)))
+    monkeypatch.setattr(lattice, "_GREEDY_ROUNDS", 2)
+    assert greedy_reduce(((5, 0, 0), (0, 6, 0), (0, 0, 3)))[1] == diagonal(3, 5, 6)
+
+
+def random_positive_grams(rng, count, spread):
+    """Grams m m^T + I of random integer 3x3 m with entries below `spread`."""
+    out = []
+    while len(out) < count:
+        m = [[rng.randrange(-spread, spread + 1) for _ in range(3)] for _ in range(3)]
+        if det3(m):
+            out.append(tuple(
+                tuple(sum(x * y for x, y in zip(r, s)) + (r is s) for s in m)
+                for r in m
+            ))
+    return out
+
+
+def walk_grams(p):
+    """Every Gram greedy_reduce sees on the walk at p: each type's walk and
+    normalized Gram and the Gross Grams of its ell-neighbours."""
+    ell = 3 if p == 2 else 2
+    out = []
+    for rec in enumerate_types(p, ell):
+        out += [rec.walk_gram, rec.gram]
+        out += [adj3(m) for m in kneser_neighbours(half_form(rec.gram, p), ell)]
+    return out
+
+
+def test_greedy_reduce_matches_the_list_reference():
+    rng = random.Random(41)
+    grams = random_positive_grams(rng, 2000, 6)
+    grams += random_positive_grams(rng, 1000, 200)
+    grams += [
+        pizer_gross_gram(q, p)
+        for q in (3, 7, 11, 19, 43, 67, 163)
+        for p in primes_between(3, 400)
+        if p != q and legendre(p, q) == -1
+    ]
+    for p in (2, 3, 11, 101, 1009):
+        grams += walk_grams(p)
+    assert len(grams) > 3500
+    for gram in grams:
+        assert greedy_reduce(gram) == greedy_reduce_reference(gram), gram
 
 
 def diagonal(d1, d2, d3):

@@ -6,9 +6,12 @@ from grosslat import oracle
 from grosslat.exact import primes_between
 from grosslat.oracle import (
     OracleError,
-    deuring_polynomial,
     spine_count,
     supersingular_j_set,
+    supersingular_polynomial,
+)
+from hasse_reference import (
+    deuring_polynomial, fp2_mul, hasse_j_set, hasse_lambdas,
 )
 
 
@@ -18,6 +21,39 @@ def test_deuring_polynomial_small():
     assert deuring_polynomial(7) == [1, 2, 2, 1]
     with pytest.raises(ValueError):
         deuring_polynomial(2)
+
+
+def test_supersingular_polynomial_small():
+    assert supersingular_polynomial(3) == [0, 1]            # j
+    assert supersingular_polynomial(5) == [0, 1]            # j
+    assert supersingular_polynomial(7) == [1, 1]            # j - 1728
+    assert supersingular_polynomial(11) == [0, 10, 1]       # j (j - 1728)
+    assert supersingular_polynomial(13) == [8, 1]           # j - 5
+    for p in (2, 4, 9):
+        with pytest.raises(ValueError):
+            supersingular_polynomial(p)
+
+
+def fp2_poly_from_roots(js, p, sigma):
+    """prod (x - j) over js in F_p(s)[x], constant term first."""
+    out = [(1, 0)]
+    for j in js:
+        neg = (-j[0] % p, -j[1] % p)
+        shifted = [(0, 0)] + out
+        scaled = [fp2_mul(c, neg, p, sigma) for c in out] + [(0, 0)]
+        out = [
+            ((a[0] + b[0]) % p, (a[1] + b[1]) % p) for a, b in zip(shifted, scaled)
+        ]
+    return out
+
+
+def test_j_line_route_matches_the_hasse_route_up_to_500():
+    for p in primes_between(3, 500):
+        ref = hasse_j_set(p)
+        assert supersingular_j_set(p) == ref, p
+        product = fp2_poly_from_roots(ref.js, p, ref.nonresidue)
+        assert all(im == 0 for _, im in product), p
+        assert [re for re, _ in product] == supersingular_polynomial(p), p
 
 
 def test_p11_js():
@@ -91,23 +127,32 @@ def test_spine_and_orbit_counts_match_lattice_side_at_2003():
     )
 
 
+def horner(coeffs, x, p, sigma):
+    acc = (0, 0)
+    for c in reversed(coeffs):
+        acc = fp2_mul(acc, x, p, sigma)
+        acc = ((acc[0] + c) % p, acc[1])
+    return acc
+
+
 def test_roots_are_roots_of_the_hasse_polynomial():
+    # the reference route's lambda set
     p = 103
     sigma = oracle._smallest_nonresidue(p)
     coeffs = deuring_polynomial(p)
-    roots = oracle._hasse_roots(p, sigma)
+    roots = hasse_lambdas(p, sigma)
     assert len(set(roots)) == len(roots) == (p - 1) // 2
-
-    def mul(a, b):
-        return ((a[0] * b[0] + sigma * a[1] * b[1]) % p,
-                (a[0] * b[1] + a[1] * b[0]) % p)
-
     for lam in roots:
-        acc = (0, 0)
-        for c in reversed(coeffs):
-            acc = mul(acc, lam)
-            acc = ((acc[0] + c) % p, acc[1])
-        assert acc == (0, 0)
+        assert horner(coeffs, lam, p, sigma) == (0, 0)
+
+
+def test_roots_are_roots_of_the_supersingular_polynomial():
+    for p in (103, 1009):
+        ss = supersingular_j_set(p)
+        coeffs = supersingular_polynomial(p)
+        assert len(set(ss.js)) == len(ss.js) == len(coeffs) - 1
+        for j in ss.js:
+            assert horner(coeffs, j, p, ss.nonresidue) == (0, 0)
 
 
 def _random_poly(rng, p, degree):
@@ -182,7 +227,7 @@ def test_error_eichler_count_mismatch(monkeypatch):
 
 
 def test_error_odd_off_spine_count(monkeypatch):
-    monkeypatch.setattr(oracle, "_j_invariant", lambda *args: (1, 1))
+    monkeypatch.setattr(oracle, "_roots", lambda f, p, sigma: [(1, 1)])
     monkeypatch.setattr(oracle, "_eichler_count", lambda p: 1)
     with pytest.raises(OracleError, match="odd"):
         supersingular_j_set(37)

@@ -1,9 +1,13 @@
-"""Differential tests of the oracle against the F_{p^2} sweep it replaced.
+"""Differential tests of the oracle against the routes it replaced.
 
 `reference_sweep` evaluates the Hasse polynomial at every lambda in F_{p^2}
 with numpy and maps the roots through j(lambda).  It is cubic in p, so
-tier-1 runs it for every prime up to 200 and at 499 and 1009; the gate over
-every prime up to 500 is opt-in:
+tier-1 runs it for every prime up to 200 and at 499 and 1009.  The
+Legendre-form route of `hasse_reference` (roots of H_p by exact
+factorisation, mapped to j) is compared with the j-line oracle in tier-1
+for every prime up to 500 (`test_oracle.py`).  Both gates widen when opted
+in, the sweep to every prime up to 500 and the Legendre-form route to every
+prime up to 2000:
 
     GROSSLAT_ORACLE_REFERENCE=1 pytest tests/test_oracle_reference.py -m oracle_reference
 
@@ -15,11 +19,10 @@ import pytest
 from grosslat.exact import primes_between
 from grosslat.oracle import (
     SupersingularSet,
-    _j_invariant,
     _smallest_nonresidue,
-    deuring_polynomial,
     supersingular_j_set,
 )
+from hasse_reference import deuring_polynomial, hasse_j_set, j_invariant
 
 np = pytest.importorskip("numpy")
 
@@ -54,7 +57,7 @@ def reference_sweep(p: int) -> SupersingularSet:
         roots.append((a, v))
         roots.append((a, p - v))
 
-    js = {_j_invariant(lre, lim, p, sigma) for lre, lim in roots}
+    js = {j_invariant(lre, lim, p, sigma) for lre, lim in roots}
     spine = sum(1 for _, im in js if im == 0)
     orbit = spine + (len(js) - spine) // 2
     return SupersingularSet(p, sigma, tuple(sorted(js)), spine, orbit)
@@ -69,5 +72,13 @@ def test_root_finding_matches_sweep(p):
 def test_root_finding_matches_sweep_up_to_500():
     mismatched = [
         p for p in primes_between(3, 500) if supersingular_j_set(p) != reference_sweep(p)
+    ]
+    assert mismatched == []
+
+
+@pytest.mark.oracle_reference
+def test_root_finding_matches_the_hasse_route_up_to_2000():
+    mismatched = [
+        p for p in primes_between(3, 2000) if supersingular_j_set(p) != hasse_j_set(p)
     ]
     assert mismatched == []

@@ -14,6 +14,7 @@ from grosslat.orders import (
     default_ell,
     enumerate_types,
     gross_lattice,
+    pizer_gross_gram,
     pizer_maximal_order,
     reduced_discriminant,
     standard_maximal_order,
@@ -143,7 +144,10 @@ def test_explicit_order_at_p_5_mod_12_is_the_ibukiyama_order():
             assert standard_maximal_order(p) == order_from(-3, -p, p, rows, 6)
 
 
-@pytest.mark.parametrize("q", [3, 7, 11, 19, 43, 67, 163])
+PIZER_QS = (3, 7, 11, 19, 43, 67, 163)
+
+
+@pytest.mark.parametrize("q", PIZER_QS)
 def test_pizer_order_is_maximal_at_every_inert_p_and_contains_o_minus_q(q):
     # both classes of p mod 4, the test-side ring check, and (1+i)/2 in O
     for p in primes_between(3, 600):
@@ -167,6 +171,33 @@ def test_pizer_order_is_maximal_at_every_inert_p_and_contains_o_minus_q(q):
 def test_pizer_order_rejects_other_q(q, p):
     with pytest.raises(OrderError):
         pizer_maximal_order(q, p)
+    with pytest.raises(OrderError):
+        pizer_gross_gram(q, p)
+
+
+def test_pizer_gross_gram_is_the_gross_gram_of_pizers_order():
+    # the closed form against the HNF of the order's trace-zero image
+    pairs = [
+        (q, p) for q in PIZER_QS for p in primes_between(3, 3000)
+        if p != q and legendre(p, q) == -1
+    ]
+    assert len(pairs) == 1531
+    mismatched = [
+        (q, p) for q, p in pairs
+        if pizer_gross_gram(q, p) != gross_lattice(pizer_maximal_order(q, p)).gram
+    ]
+    assert mismatched == []
+
+
+def test_pizer_gross_gram_checks_t_and_its_determinant(monkeypatch):
+    real_c = orders._pizer_c
+    monkeypatch.setattr(orders, "_pizer_c", lambda q, p: real_c(q, p) + 1)
+    with pytest.raises(OrderError, match="does not divide 1 \\+ p t\\^2"):
+        pizer_gross_gram(7, 13)
+    monkeypatch.setattr(orders, "_pizer_c", real_c)
+    monkeypatch.setattr(orders, "det3", lambda m: 4 * 13 * 13 + 1)
+    with pytest.raises(OrderError, match="expected 4p\\^2"):
+        pizer_gross_gram(7, 13)
 
 
 def test_pizer_order_checks_its_discriminant(monkeypatch):

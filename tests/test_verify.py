@@ -62,15 +62,15 @@ def test_types_and_cm_enumerate_each_type_once(monkeypatch, capsys):
     assert cli.main(["types", "--p", "101"]) == 0
     capsys.readouterr()
     assert grams == [rec.gram for rec in types]
-    # cm builds the type embedding -7 from Pizer's order of (-7, -101) with
-    # no walk, and enumerates that one Gram; 101 = 3 mod 7 is inert in
-    # Q(sqrt(-7))
+    # cm writes down the Gross Gram of Pizer's order of (-7, -101) with no
+    # walk, and certifies the embedding of -7 with no enumeration; 101 = 3
+    # mod 7 is inert in Q(sqrt(-7))
     grams.clear()
     walks = []
     monkeypatch.setattr(cm, "enumerate_types", lambda *args: walks.append(args))
     rec = cm.locate_embedding_type(101, 7)
     assert walks == []
-    assert grams == [rec.gram]
+    assert grams == []
     assert (rec.minima, rec.gram) in [(t.minima, t.gram) for t in types]
 
 
