@@ -12,7 +12,9 @@ ternary form for any prime ell prime to its half-discriminant.  On the
 Gross-Lucianovic half form of a Gross lattice (`half_form`, half-discriminant
 p) their adjugates are the Gross Grams of the ell-neighbouring maximal
 orders, so type enumeration walks Grams with no quaternion arithmetic at
-every ell, ell = 2 included.
+every ell, ell = 2 included.  The HNF of each neighbour's generators
+depends only on residues of its line mod ell and ell^2, so it is memoised
+on them, and each neighbour costs only its Gram H m H^T / ell^2.
 
 A caller asking several questions of one type enumerates once: one
 `reduced_vectors` list of the type's minimal-basis Gram serves
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 from .exact import hnf, is_prime
@@ -425,17 +428,44 @@ def _lift(m, v, ell: int, t: int, inv: int):
     return v
 
 
+# Entries of the neighbour-HNF memo.  Its key is residue data mod ell and
+# ell^2, so it is bounded for each ell: the ell = 2 and 3 walks of every
+# p <= 300 and the ell = 2 walk at p = 10007 fill fewer than 200.
+_NEIGHBOUR_MEMO = 4096
+
+
+@lru_cache(maxsize=_NEIGHBOUR_MEMO)
+def _neighbour_hnf(w, t: int, cs, ell: int):
+    """HNF of ell L' in the basis of L, from the residue data of one line.
+
+    `w` is the lifted line vector, `t` the coordinate where b = w m is a
+    unit mod ell, and `cs` the pairs (i, b_i / b_t mod ell) for i != t.
+    ell L' is spanned by w, ell^2 e_t and ell (e_i - c_i e_t); the rows
+    ell^2 e_i = ell (ell e_i - ell c_i e_t) + c_i ell^2 e_t already lie in
+    that span.  The rows depend on the key alone, and a lattice has one HNF.
+    """
+    rows = [w, tuple(ell * ell if j == t else 0 for j in range(3))]
+    for i, c in cs:
+        row = [0, 0, 0]
+        row[i] = ell
+        row[t] = -ell * c
+        rows.append(row)
+    return hnf(rows)
+
+
 def kneser_neighbours(m, ell: int):
     """Even Grams of the ell-neighbours of the lattice L with even Gram `m`.
 
-    `m` is the Gram of the bilinear form B(x, y) = x m y^T of the integral
-    form q(x) = B(x, x) / 2, so its diagonal is even.  For a prime ell not
-    dividing det(m)/2, q is nonsingular mod ell, and each of its ell + 1
-    isotropic lines v of L/ell L, lifted so that q(v) = 0 mod ell^2, gives
-    the neighbour L' = {x in L : B(x, v) = 0 mod ell} + Z v/ell.  Scaled by
-    ell, L' is spanned by the rows ell^2 e_i, ell (e_i - (b_i/b_t) e_t) and
-    v, where b = v m and b_t is a unit mod ell; their HNF H gives the Gram
-    H m H^T / ell^2 of L'.  One Gram per line, in line order; each
+    `m` is the symmetric Gram of the bilinear form B(x, y) = x m y^T of the
+    integral form q(x) = B(x, x) / 2, so its diagonal is even.  For a prime
+    ell not dividing det(m)/2, q is nonsingular mod ell, and each of its
+    ell + 1 isotropic lines v of L/ell L, lifted so that q(v) = 0 mod ell^2,
+    gives the neighbour L' = {x in L : B(x, v) = 0 mod ell} + Z v/ell.
+    Scaled by ell, L' is spanned by v, ell^2 e_t and ell (e_i - (b_i/b_t) e_t)
+    for i != t, where b = v m and b_t is a unit mod ell.  Their HNF H
+    depends only on v, t and the residues b_i/b_t mod ell, so it is
+    memoised on them (`_neighbour_hnf`); the Gram of L' is H m H^T / ell^2,
+    from the six entries of m.  One Gram per line, in line order; each
     neighbour is checked to be integral and even, with det(m).
 
     Duals of ell-neighbours are ell-neighbours, so on the half form of a
@@ -454,33 +484,39 @@ def kneser_neighbours(m, ell: int):
         raise LatticeError(
             f"expected {ell + 1} isotropic lines mod {ell}, found {len(lines)}"
         )
+    (m00, m01, m02), (_, m11, m12), (_, _, m22) = m
     ell2 = ell * ell
     out = []
     for v in lines:
-        b = [sum(v[i] * m[i][j] for i in range(3)) for j in range(3)]
+        v0, v1, v2 = v
+        b = (
+            v0 * m00 + v1 * m01 + v2 * m02,
+            v0 * m01 + v1 * m11 + v2 * m12,
+            v0 * m02 + v1 * m12 + v2 * m22,
+        )
         t = next(j for j in range(3) if b[j] % ell)
         inv = pow(b[t], -1, ell)
-        rows = [_lift(m, v, ell, t, inv)]
+        w = tuple(_lift(m, v, ell, t, inv))
+        cs = tuple((i, b[i] * inv % ell) for i in range(3) if i != t)
+        h = _neighbour_hnf(w, t, cs, ell)
+        hm = [
+            (
+                u0 * m00 + u1 * m01 + u2 * m02,
+                u0 * m01 + u1 * m11 + u2 * m12,
+                u0 * m02 + u1 * m12 + u2 * m22,
+            )
+            for u0, u1, u2 in h
+        ]
+        nb = [[0, 0, 0] for _ in range(3)]
         for i in range(3):
-            row = [0, 0, 0]
-            row[i] = ell2
-            rows.append(row)
-            if i != t:
-                row = [0, 0, 0]
-                row[i] = ell
-                row[t] = -ell * (b[i] * inv % ell)
-                rows.append(row)
-        h = hnf(rows)
-        nb = []
-        for u in h:
-            row = []
-            for w in h:
-                q, rem = divmod(gram_inner(m, u, w), ell2)
+            x0, x1, x2 = hm[i]
+            for j in range(i, 3):
+                y0, y1, y2 = h[j]
+                q, rem = divmod(x0 * y0 + x1 * y1 + x2 * y2, ell2)
                 if rem:
                     raise LatticeError("non-integer Gram entry in an ell-neighbour")
-                row.append(q)
-            nb.append(tuple(row))
-        nb = tuple(nb)
+                nb[i][j] = nb[j][i] = q
+        nb = tuple(map(tuple, nb))
         if _odd_diagonal(nb):
             raise LatticeError("ell-neighbour has an odd diagonal entry")
         if det3(nb) != d:

@@ -12,8 +12,9 @@ OPT_IN = {
     ),
     "walk_reference": (
         "GROSSLAT_WALK_REFERENCE",
-        "Gram walk against the order walk, and its greedy dedupe key "
-        "against minima_triple, at ell = 2 and 3 for every prime <= 2000, "
+        "Gram walk against the order walk, its greedy dedupe key against "
+        "minima_triple and its Kneser neighbours against the seven-row HNF "
+        "reference, at ell = 2 and 3 for every prime <= 2000, "
         "and the direct CM route against the walk up to each odd prime "
         "row's default_p_max; set GROSSLAT_WALK_REFERENCE=1",
     ),

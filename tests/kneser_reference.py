@@ -1,0 +1,80 @@
+"""The Kneser neighbour construction that `lattice.kneser_neighbours` replaced.
+
+Per isotropic line it spans ell L' by seven rows, ell^2 e_i for every i,
+ell (e_i - c_i e_t) for i != t and the lifted line vector, takes their HNF
+with `exact.hnf`, and forms the neighbour Gram with nine `gram_inner`
+products.  The package memoises that HNF on the line's residue data, drops
+the two redundant rows ell^2 e_i (i != t) and builds the Gram from the six
+entries of m; a lattice has one HNF, so the two must return identical
+neighbour lists.  `tests/test_lattice.py` and `tests/test_walk_reference.py`
+compare them.
+"""
+
+from grosslat.exact import hnf, is_prime
+from grosslat.lattice import LatticeError, det3, gram_inner
+
+
+def _odd_diagonal(m) -> bool:
+    return any(m[i][i] % 2 for i in range(3))
+
+
+def _isotropic_lines(m, ell):
+    points = [(1, a, b) for a in range(ell) for b in range(ell)]
+    points += [(0, 1, b) for b in range(ell)]
+    points.append((0, 0, 1))
+    return [v for v in points if gram_inner(m, v, v) % (2 * ell) == 0]
+
+
+def _lift(m, v, ell, t, inv):
+    v = list(v)
+    v[t] -= ell * (gram_inner(m, v, v) // 2 // ell * inv % ell)
+    return v
+
+
+def kneser_neighbours_reference(m, ell):
+    """Even Grams of the ell-neighbours of the even Gram `m`, one per line."""
+    if not is_prime(ell):
+        raise LatticeError(f"ell = {ell} is not a prime")
+    if _odd_diagonal(m):
+        raise LatticeError("m has an odd diagonal entry: not an even Gram")
+    d = det3(m)
+    if d // 2 % ell == 0:
+        raise LatticeError(f"ell = {ell} divides det(m)/2 = {d // 2}")
+    lines = _isotropic_lines(m, ell)
+    if len(lines) != ell + 1:
+        raise LatticeError(
+            f"expected {ell + 1} isotropic lines mod {ell}, found {len(lines)}"
+        )
+    ell2 = ell * ell
+    out = []
+    for v in lines:
+        b = [sum(v[i] * m[i][j] for i in range(3)) for j in range(3)]
+        t = next(j for j in range(3) if b[j] % ell)
+        inv = pow(b[t], -1, ell)
+        rows = [_lift(m, v, ell, t, inv)]
+        for i in range(3):
+            row = [0, 0, 0]
+            row[i] = ell2
+            rows.append(row)
+            if i != t:
+                row = [0, 0, 0]
+                row[i] = ell
+                row[t] = -ell * (b[i] * inv % ell)
+                rows.append(row)
+        h = hnf(rows)
+        nb = []
+        for u in h:
+            row = []
+            for w in h:
+                q, rem = divmod(gram_inner(m, u, w), ell2)
+                if rem:
+                    raise LatticeError("non-integer Gram entry in an ell-neighbour")
+                row.append(q)
+            nb.append(tuple(row))
+        nb = tuple(nb)
+        if _odd_diagonal(nb):
+            raise LatticeError("ell-neighbour has an odd diagonal entry")
+        if det3(nb) != d:
+            raise LatticeError(f"ell-neighbour has det {det3(nb)}, expected {d}")
+        out.append(nb)
+    return out

@@ -1,6 +1,7 @@
 import random
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 
 import pytest
@@ -35,8 +36,9 @@ from grosslat.orders import (
     standard_maximal_order,
 )
 from greedy_reference import greedy_reduce_reference
+from kneser_reference import kneser_neighbours_reference
 from quat_elements import element, lattice_basis_elements, one
-from test_walk_reference import basis_elements, order_walk
+from test_walk_reference import basis_elements, order_walk, walk_half_forms
 
 
 def gram_of(p, index=0):
@@ -599,27 +601,66 @@ def test_half_form_rejects_a_wrong_determinant():
         half_form(diagonal(22, 22, 22), 11)
 
 
-def test_kneser_neighbours_of_random_forms_are_integral_of_equal_det():
-    # any positive even form, not only Gross lattices: ell + 1 integral even
-    # neighbours; U A U^T for A = A2 + A1 has half-discriminant 3 det(U)^2,
-    # which is odd for odd det(U), so ell = 2 is covered too
+def random_even_forms():
+    """40 (gram, ell): positive even forms, not only Gross lattices, each with
+    a prime ell in {2, 3, 5, 7} not dividing its half-discriminant.
+
+    U A U^T for A = A2 + A1 has half-discriminant 3 det(U)^2, which is odd
+    for odd det(U), so ell = 2 is covered too.
+    """
     base = ((2, 1, 0), (1, 2, 0), (0, 0, 2))
     rng = random.Random(41)
-    checked = 0
-    while checked < 40:
+    out = []
+    while len(out) < 40:
         m = [[rng.randrange(-4, 5) for _ in range(3)] for _ in range(3)]
-        gram = change_basis(m, base) if checked % 2 else double(change_basis(m, EYE))
+        odd = len(out) % 2
+        gram = change_basis(m, base) if odd else double(change_basis(m, EYE))
         ell = rng.choice((2, 3, 5, 7))
         d = det3(gram)
         if d == 0 or d // 2 % ell == 0:
             continue
+        out.append((gram, ell))
+    return out
+
+
+def test_kneser_neighbours_of_random_forms_are_integral_of_equal_det():
+    # ell + 1 integral even neighbours of the same det
+    for gram, ell in random_even_forms():
+        d = det3(gram)
         nbs = kneser_neighbours(gram, ell)
         assert len(nbs) == ell + 1
         for nb in nbs:
             assert det3(nb) == d and nb == tuple(zip(*nb))
             assert all(nb[i][i] % 2 == 0 for i in range(3))
             minima_triple(nb)   # positive definite
-        checked += 1
+
+
+def test_kneser_neighbours_of_random_forms_match_the_reference():
+    # every random form at every ell in {2, 3, 5, 7} prime to its
+    # half-discriminant, not only the ell it was drawn with
+    forms = random_even_forms()
+    compared = 0
+    for gram, _ in forms:
+        for ell in (2, 3, 5, 7):
+            if det3(gram) // 2 % ell:
+                assert kneser_neighbours(gram, ell) == (
+                    kneser_neighbours_reference(gram, ell)
+                ), (gram, ell)
+                compared += 1
+    assert compared > len(forms)
+
+
+def test_neighbour_hnf_memo_stays_small():
+    # the memo key is residue data mod ell and ell^2: the walks of every
+    # p <= 300 at ell = 2 and 3 and of p = 10007 at ell = 2 take 191 keys
+    forms = walk_half_forms(primes_between(2, 300)) + walk_half_forms([10007], (2,))
+    memo = lattice._neighbour_hnf
+    memo.cache_clear()
+    for m, ell in forms:
+        kneser_neighbours(m, ell)
+    info = memo.cache_info()
+    assert info.hits + info.misses == sum(ell + 1 for _, ell in forms)
+    assert 100 <= info.currsize <= 300, info
 
 
 def test_kneser_neighbours_stay_in_the_genus_of_a_gross_lattice():
@@ -655,30 +696,50 @@ def test_kneser_neighbours_reject_an_odd_diagonal():
         kneser_neighbours(gram_of(11), 3)
 
 
+# The checks below patch a step of kneser_neighbours; the p = 11 half form
+# is built before the patch, because a walk that is not cached yet would run
+# through the patched step and raise first.
+
 def test_kneser_neighbours_check_the_line_count(monkeypatch):
+    m = half_form(gram_of(11), 11)
     real = lattice._isotropic_lines
     monkeypatch.setattr(lattice, "_isotropic_lines", lambda g, ell: real(g, ell)[1:])
     with pytest.raises(LatticeError, match="expected 4 isotropic lines mod 3, found 3"):
-        kneser_neighbours(half_form(gram_of(11), 11), 3)
+        kneser_neighbours(m, 3)
+
+
+def patch_neighbour_hnf(monkeypatch, h):
+    """Make every neighbour HNF `h`.
+
+    The patched `hnf` runs under a fresh, empty copy of the memo, so an
+    entry cached by an earlier test cannot bypass it, and the module's memo
+    never holds `h`.
+    """
+    monkeypatch.setattr(lattice, "hnf", lambda rows: h)
+    fresh = lru_cache(maxsize=None)(lattice._neighbour_hnf.__wrapped__)
+    monkeypatch.setattr(lattice, "_neighbour_hnf", fresh)
 
 
 def test_kneser_neighbours_check_integral_grams(monkeypatch):
     # the unscaled basis: entries of m / 9, not all integers
-    monkeypatch.setattr(lattice, "hnf", lambda rows: EYE)
+    m = half_form(gram_of(11), 11)
+    patch_neighbour_hnf(monkeypatch, EYE)
     with pytest.raises(LatticeError, match="non-integer Gram entry"):
-        kneser_neighbours(half_form(gram_of(11), 11), 3)
+        kneser_neighbours(m, 3)
 
 
 def test_kneser_neighbours_check_even_grams(monkeypatch):
     # unlifted, the line (1, 1, 1) of the p = 11 half form has q = 2 mod 4,
     # so v/2 has the odd norm q(v)/2 and every entry is still integral
+    m = half_form(gram_of(11), 11)
     monkeypatch.setattr(lattice, "_lift", lambda m, v, ell, t, inv: list(v))
     with pytest.raises(LatticeError, match="ell-neighbour has an odd diagonal"):
-        kneser_neighbours(half_form(gram_of(11), 11), 2)
+        kneser_neighbours(m, 2)
 
 
 def test_kneser_neighbours_check_the_determinant(monkeypatch):
     # H / 3 = diag(1, 1, 3) spans an integral even sublattice of index 3
-    monkeypatch.setattr(lattice, "hnf", lambda rows: diagonal(3, 3, 9))
+    m = half_form(gram_of(11), 11)
+    patch_neighbour_hnf(monkeypatch, diagonal(3, 3, 9))
     with pytest.raises(LatticeError, match="ell-neighbour has det 198, expected 22"):
-        kneser_neighbours(half_form(gram_of(11), 11), 3)
+        kneser_neighbours(m, 3)

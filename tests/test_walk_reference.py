@@ -17,15 +17,21 @@ the minima off an enumeration, is the reference for that key on every Gram
 the walk visits (each type's walk Gram and each neighbour it expands to),
 for every prime p <= 300 at ell = 2 and 3.
 
+`lattice.kneser_neighbours` memoises each line's neighbour HNF on the
+line's residue data; `tests/kneser_reference.py` is the construction it
+replaced, seven rows through `exact.hnf` per line.  Tier-1 requires identical
+neighbour lists from both on every half form the ell = 2 and 3 walks expand,
+for every prime p <= 300, and on the ell = 2 walk at p = 10007.
+
 `cm.locate_embedding_type` builds the type embedding -d, for the odd prime
 CM rows d = 3, 7, 11, 19, 43, 67, 163, from Pizer's order of (-d, -p)
 instead of keeping the one type of the walk whose Gram has a primitive
 norm-d vector.  Tier-1 compares the two, (minima, normalized Gram), at every
 inert 5 <= p <= 1200 of those rows: 686 (p, d) pairs.
 
-The gate over every prime up to 2000 at ell = 2 and 3, for both the walk and
-its key, and over every inert prime of each odd prime CM row up to its
-`default_p_max` (6887 for d = 163), is opt-in:
+The gate over every prime up to 2000 at ell = 2 and 3, for the walk, its
+key and its neighbour construction, and over every inert prime of each odd
+prime CM row up to its `default_p_max` (6887 for d = 163), is opt-in:
 
     GROSSLAT_WALK_REFERENCE=1 pytest tests/test_walk_reference.py -m walk_reference
 """
@@ -59,6 +65,7 @@ from grosslat.orders import (
     reduced_discriminant,
     standard_maximal_order,
 )
+from kneser_reference import kneser_neighbours_reference
 from quat_elements import conj4, is_ring, mul4, nrd4, vector_element
 
 
@@ -227,6 +234,34 @@ def test_greedy_key_is_the_minima_on_every_visited_gram(ell):
             assert_greedy_key_is_the_minima(p, ell)
 
 
+def walk_half_forms(primes, ells=(2, 3)):
+    """(m, ell) for the half form m of each type the ell-walk at p expands."""
+    return [
+        (half_form(rec.gram, p), ell)
+        for p in primes for ell in ells if ell != p
+        for rec in enumerate_types(p, ell)
+    ]
+
+
+def assert_neighbours_match_the_reference(forms):
+    for m, ell in forms:
+        assert kneser_neighbours(m, ell) == kneser_neighbours_reference(m, ell), (
+            m, ell
+        )
+
+
+def test_neighbours_match_the_reference_on_every_walk_to_300():
+    forms = walk_half_forms(primes_between(2, 300))
+    assert len(forms) > 1000
+    assert_neighbours_match_the_reference(forms)
+
+
+def test_neighbours_match_the_reference_on_the_walk_at_10007():
+    forms = walk_half_forms([10007], (2,))
+    assert len(forms) == 456
+    assert_neighbours_match_the_reference(forms)
+
+
 def test_gram_walk_records_reduce_from_their_walk_gram():
     for p in (2, 11, 101):
         for ell in (2, 3):
@@ -301,3 +336,9 @@ def test_greedy_key_is_the_minima_on_every_visited_gram_up_to_2000():
         for ell in (2, 3):
             if ell != p:
                 assert_greedy_key_is_the_minima(p, ell)
+
+
+@pytest.mark.walk_reference
+def test_neighbours_match_the_reference_on_every_walk_to_2000():
+    for p in primes_between(2, 2000):
+        assert_neighbours_match_the_reference(walk_half_forms([p]))
