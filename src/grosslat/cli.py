@@ -91,7 +91,7 @@ def cmd_types(args) -> int:
     if not is_prime(p):
         print(f"error: p = {p} is not prime", file=sys.stderr)
         return 2
-    ell = args.ell or default_ell(p)
+    ell = default_ell(p) if args.ell is None else args.ell
     if ell == p or not is_prime(ell):
         print(f"error: ell = {ell} must be a prime different from p", file=sys.stderr)
         return 2
@@ -244,12 +244,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("types", help="enumerate and classify the types of B_p")
     t.add_argument("--p", type=int, required=True)
-    t.add_argument("--ell", type=int, default=0,
+    t.add_argument("--ell", type=int,
                    help="neighbor prime (default 2; 3 when p = 2)")
     t.add_argument("--disc-bound", type=int, default=0,
                    help="embedded discriminant bound (default 2p)")
-    t.add_argument("--csv", action="store_true")
-    t.add_argument("--json", action="store_true", help="JSON output (default)")
+    fmt = t.add_mutually_exclusive_group()
+    fmt.add_argument("--csv", action="store_true")
+    fmt.add_argument("--json", action="store_true", help="JSON output (default)")
     t.set_defaults(func=cmd_types)
 
     g = sub.add_parser("gramgross", help="candidate Gram matrices for (p, D1)")

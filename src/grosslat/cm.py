@@ -164,10 +164,9 @@ def locate_embedding_type(p: int, d: int) -> TypeRecord:
     type embeds -d there.
 
     Every other (p, d), the rows d = 4, 8, 12, 16, 27, 28 included, walks
-    the types at `default_ell(p)`, the ell of `types` and `verify`, so a
-    prime those also visit is enumerated once, and keeps the one match
-    (CmError unless there is exactly one); the record does not depend on
-    ell.
+    the types at `default_ell(p)`, the ell of `types` and `verify`, and
+    keeps the one match (CmError unless there is exactly one); the record
+    does not depend on ell.
     """
     if d in PIZER_DS and p % 2 and p != d:
         if legendre(-d, p) != -1:

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 from math import isqrt
 
 from .exact import canonical_lattice, is_perfect_square, is_prime, legendre
@@ -226,7 +225,6 @@ def default_ell(p: int) -> int:
     return 3 if p == 2 else 2
 
 
-@lru_cache(maxsize=256)
 def enumerate_types(p: int, ell: int):
     """All isomorphism types of maximal orders in B_p, sorted by minima.
 
@@ -239,8 +237,7 @@ def enumerate_types(p: int, ell: int):
     when that key was already seen.  Only a new key pays for
     `minimal_basis`, whose enumerated minima must equal the key
     (LatticeError otherwise).  Consumers enumerate each type's `gram`
-    once, with `lattice.reduced_vectors`.  Results are cached per (p, ell)
-    and must be treated as read-only.
+    once, with `lattice.reduced_vectors`.
     """
     if not is_prime(p):
         raise OrderError(f"{p} is not prime")

@@ -28,6 +28,3 @@ class QuaternionAlgebra:
     def __post_init__(self):
         if self.a >= 0 or self.b >= 0:
             raise ValueError("need a < 0 and b < 0 for a definite algebra")
-
-    def __repr__(self):
-        return f"QuaternionAlgebra(a={self.a}, b={self.b}, p={self.p})"

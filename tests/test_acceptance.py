@@ -27,17 +27,13 @@ from grosslat.lattice import (
     short_vectors,
 )
 from grosslat.oracle import supersingular_j_set
-from grosslat.orders import enumerate_types
+from walks import types_of
 
 P2_GRAM = ((3, 1, 1), (1, 3, -1), (1, -1, 3))
 P3_GRAMS = (
     ((3, 0, 0), (0, 4, -2), (0, -2, 4)),
     ((3, 0, 0), (0, 4, 2), (0, 2, 4)),
 )
-
-
-def types_of(p):
-    return enumerate_types(p, 3 if p == 2 else 2)
 
 
 def classified(p):

@@ -22,12 +22,12 @@ from grosslat.lattice import (
     gram_inner,
     short_vectors,
 )
-from grosslat.orders import enumerate_types
 from test_lattice import brute_short_vectors
+from walks import types_of, walk
 
 
 def gram_of(p, index=0):
-    return enumerate_types(p, 3 if p == 2 else 2)[index].walk_gram
+    return types_of(p)[index].walk_gram
 
 
 def vecs_of(p, index=0, bound=4):
@@ -117,7 +117,7 @@ def test_structural_flags():
 
 
 def test_classify_type_p11():
-    recs = enumerate_types(11, 2)
+    recs = walk(11, 2)
     c0 = classify_type(11, vecs_of(11, 0), recs[0].minima, recs[0].gram)
     assert (c0.spine, c0.special_j, c0.embedding) == (True, "j0", EMBED_SQRT)
     c1 = classify_type(11, vecs_of(11, 1), recs[1].minima, recs[1].gram)
@@ -128,7 +128,7 @@ def test_classify_type_p11():
 def test_loop_discriminants_imply_spine():
     # 4, 7 or 8 among the embedded discriminants forces j in F_p
     for p in (11, 13, 37, 113):
-        for rec in enumerate_types(p, 2):
+        for rec in walk(p, 2):
             vecs = short_vectors(rec.walk_gram, 8)
             c = classify_type(p, vecs, rec.minima, rec.gram)
             emb = embedded_discriminants(vecs, 8)
@@ -156,7 +156,7 @@ def test_one_list_on_the_minimal_gram_matches_per_call_enumeration(p):
     # verify reads every vector fact of a type from one list on rec.gram;
     # norms, primitivity and sublattice counts do not see the change of
     # basis, so one enumeration of rec.walk_gram per question agrees
-    for rec in enumerate_types(p, 3 if p == 2 else 2):
+    for rec in types_of(p):
         d1, d2, d3 = rec.minima
         bound = max(2 * p, 8)
         vecs = short_vectors(rec.gram, bound)

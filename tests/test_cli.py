@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from grosslat.cli import main
 
 
@@ -57,6 +59,23 @@ def test_types_csv_columns(capsys):
     assert lines[0] == "p,type_index,D1,D2,D3,x,y,z,spine,special_j,embedding"
     assert lines[1].startswith("11,0,3,15,15,1,1,-7,True,j0,")
     assert len(lines) == 3
+
+
+def test_types_rejects_csv_with_json(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["types", "--p", "11", "--csv", "--json"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "not allowed with argument" in out.err
+
+
+def test_types_rejects_ell_zero(capsys):
+    # 0 is a value, not "unset": it must not fall back to the default ell
+    code, out, err = run(capsys, "types", "--p", "11", "--ell", "0")
+    assert code == 2
+    assert out == ""
+    assert "ell = 0 must be a prime different from p" in err
 
 
 def test_gramgross_31_7(capsys):

@@ -39,6 +39,9 @@ DIGESTS = {
     # d = 163 over its 455 inert primes up to 6887
     "cm --row -640320^3 --json":
         "134ac79636414a0ce1de6d02869cc8a148a34fab61e81d095cb4c71ec61e43fc",
+    # the benchmark's verify_sweep input: every prime up to 300
+    "verify --pmin 2 --pmax 300 --json":
+        "e34a7d75c667359c866256955a55b85144e8421153c505a2cd87f227f93f95a1",
     # all 13 rows, each at its default sweep
     "cm --all --extended --json":
         "51f0b28899c439a454d28d2ab944c2026fc93a86e26acab90c4a52e5615824fa",

@@ -30,7 +30,6 @@ from grosslat.classify import embedded_discriminants, special_j
 from grosslat.exact import hnf, legendre, primes_between
 from grosslat.orders import (
     GrossLattice,
-    enumerate_types,
     gross_lattice,
     pizer_gross_gram,
     standard_maximal_order,
@@ -39,10 +38,11 @@ from greedy_reference import greedy_reduce_reference
 from kneser_reference import kneser_neighbours_reference
 from quat_elements import element, lattice_basis_elements, one
 from test_walk_reference import basis_elements, order_walk, walk_half_forms
+from walks import types_of, walk
 
 
 def gram_of(p, index=0):
-    return enumerate_types(p, 3 if p == 2 else 2)[index].walk_gram
+    return types_of(p)[index].walk_gram
 
 
 def brute_short_vectors(gram, bound):
@@ -135,7 +135,7 @@ def test_short_vectors_against_box_oracle():
         g = gram_of(p, idx)
         assert short_vectors(g, 2 * p) == brute_short_vectors(g, 2 * p)
     for p in (2, 3, 5, 7, 11, 13):
-        for rec in enumerate_types(p, 3 if p == 2 else 2):
+        for rec in types_of(p):
             g = rec.walk_gram
             d1, _, d3 = rec.minima
             for bound in (d1 - 1, d1, d3):
@@ -205,7 +205,7 @@ def reference_enumerate(g, bound):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 11, 101, 1009])
 def test_enumerator_matches_the_fraction_reference(p):
-    for rec in enumerate_types(p, 3 if p == 2 else 2):
+    for rec in types_of(p):
         _, g = greedy_reduce(rec.walk_gram)
         d1, _, d3 = rec.minima
         for bound in (0, d1 - 1, d1, d3, 2 * p):
@@ -269,7 +269,7 @@ def test_reduced_vectors_agree_with_short_vectors_on_random_grams():
 
 @pytest.mark.parametrize("p", [2, 3, 11, 101, 1009])
 def test_reduced_vectors_agree_with_short_vectors_on_type_grams(p):
-    for rec in enumerate_types(p, 3 if p == 2 else 2):
+    for rec in types_of(p):
         for gram in (rec.gram, rec.walk_gram):
             assert_reduced_vectors_agree(p, gram, max(2 * p, 8))
 
@@ -381,7 +381,7 @@ def test_greedy_reduction_is_unimodular_and_attains_minima():
 
 def test_minima_match_short_vector_greedy():
     for p in (2, 3, 5, 7, 11, 13, 31, 37, 43):
-        for rec in enumerate_types(p, 3 if p == 2 else 2):
+        for rec in types_of(p):
             mb = minimal_basis(rec.walk_gram)
             vecs = short_vectors(rec.walk_gram, mb.minima.d3)
             got = greedy_minima(vecs)
@@ -390,7 +390,7 @@ def test_minima_match_short_vector_greedy():
 
 def test_minimal_basis_coords_are_index_one():
     for p in (11, 13, 37):
-        for rec in enumerate_types(p, 2):
+        for rec in walk(p, 2):
             assert abs(det3(rec.basis)) == 1
 
 
@@ -430,7 +430,7 @@ def walk_grams(p):
     normalized Gram and the Gross Grams of its ell-neighbours."""
     ell = 3 if p == 2 else 2
     out = []
-    for rec in enumerate_types(p, ell):
+    for rec in walk(p, ell):
         out += [rec.walk_gram, rec.gram]
         out += [adj3(m) for m in kneser_neighbours(half_form(rec.gram, p), ell)]
     return out
@@ -509,7 +509,7 @@ def test_minima_and_minimal_basis_survive_basis_change(p):
     # every type: the normalized Gram, the printed bytes, does not depend
     # on the basis the walk hands to minimal_basis
     rng = random.Random(p)
-    types = enumerate_types(p, 2)
+    types = walk(p, 2)
     walked = order_walk(p, 2)
     assert [rec.minima for rec in types] == [mb.minima for _, _, mb in walked]
     for rec, (_, lat, _) in zip(types, walked):
@@ -562,7 +562,7 @@ def test_adj3_is_the_adjugate():
 
 @pytest.mark.parametrize("p", [2, 11, 101, 1009])
 def test_half_form_inverts_to_the_gross_gram(p):
-    for rec in enumerate_types(p, 3 if p == 2 else 2):
+    for rec in types_of(p):
         for gram in (rec.walk_gram, rec.gram):
             m = half_form(gram, p)
             assert adj3(m) == gram
@@ -575,7 +575,7 @@ def test_neighbours_of_half_forms_are_even_of_det_2p(p):
     for ell in (2, 3):
         if ell == p:
             continue
-        for rec in enumerate_types(p, 3 if p == 2 else 2):
+        for rec in types_of(p):
             nbs = kneser_neighbours(half_form(rec.gram, p), ell)
             assert len(nbs) == ell + 1
             for nb in nbs:
@@ -664,7 +664,7 @@ def test_neighbour_hnf_memo_stays_small():
 
 
 def test_kneser_neighbours_stay_in_the_genus_of_a_gross_lattice():
-    types = {rec.minima for rec in enumerate_types(101, 2)}
+    types = {rec.minima for rec in walk(101, 2)}
     for ell in (2, 3, 5):
         nbs = kneser_neighbours(half_form(gram_of(101), 101), ell)
         assert len(nbs) == ell + 1
@@ -697,8 +697,8 @@ def test_kneser_neighbours_reject_an_odd_diagonal():
 
 
 # The checks below patch a step of kneser_neighbours; the p = 11 half form
-# is built before the patch, because a walk that is not cached yet would run
-# through the patched step and raise first.
+# is built before the patch, because a walk behind it would run through the
+# patched step and raise first.
 
 def test_kneser_neighbours_check_the_line_count(monkeypatch):
     m = half_form(gram_of(11), 11)

@@ -11,7 +11,6 @@ from grosslat.oracle import supersingular_j_set
 from grosslat.orders import (
     OrderError,
     QuaternionOrder,
-    default_ell,
     enumerate_types,
     gross_lattice,
     pizer_gross_gram,
@@ -225,12 +224,8 @@ def test_saturated_seed_walks_to_the_same_types(p, monkeypatch):
     seed = saturate_to_maximal(lip)
     assert seed != standard_maximal_order(p)
     monkeypatch.setattr(orders, "standard_maximal_order", lambda _p: seed)
-    enumerate_types.cache_clear()
-    try:
-        for ell in (2, 3):
-            assert key(enumerate_types(p, ell)) == want[ell]
-    finally:
-        enumerate_types.cache_clear()
+    for ell in (2, 3):
+        assert key(enumerate_types(p, ell)) == want[ell]
 
 
 def test_saturate_fixed_point():
@@ -323,15 +318,7 @@ def test_enumerate_types_examples():
     assert [t.minima for t in enumerate_types(2, 3)] == [(3, 3, 3)]
     types37 = enumerate_types(37, 2)
     assert len(types37) == supersingular_j_set(37).orbit_count == 2
-
-
-def test_enumerate_types_caches_one_walk_per_p_and_ell():
-    enumerate_types.cache_clear()
-    first = enumerate_types(31, default_ell(31))
-    assert enumerate_types(31, default_ell(31)) is first
-    info = enumerate_types.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-    # no default, so no second cache key for the same walk
+    # ell has no default
     with pytest.raises(TypeError):
         enumerate_types(31)
 
@@ -349,12 +336,8 @@ def test_enumerate_types_checks_the_greedy_key_of_each_new_type(monkeypatch):
         )
 
     monkeypatch.setattr(orders, "greedy_reduce", off_by_one)
-    enumerate_types.cache_clear()
-    try:
-        with pytest.raises(LatticeError, match="greedy diagonal"):
-            enumerate_types(37, 2)
-    finally:
-        enumerate_types.cache_clear()
+    with pytest.raises(LatticeError, match="greedy diagonal"):
+        enumerate_types(37, 2)
 
 
 @pytest.mark.parametrize("p", [11, 13, 37, 101])

@@ -133,3 +133,7 @@ def test_rendering():
     A = alg()
     e = element(A, Fraction(1, 2), -1, 0, 3)
     assert str(e) == "1/2 + -1*i + 0*j + 3*k"
+
+
+def test_algebra_repr_is_the_dataclass_repr():
+    assert repr(alg(-1, -3, 3)) == "QuaternionAlgebra(a=-1, b=-3, p=3)"

@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -13,10 +15,9 @@ from grosslat.orders import enumerate_types
 
 @pytest.mark.parametrize("p", [11, 101])
 def test_verify_reads_minimal_bases_from_the_type_records(p, monkeypatch):
-    # enumerate_types builds each minimal basis once; warm its cache so the
-    # calls counted below are the ones verify_prime makes
+    # the walks' own minimal bases go through orders' name, which is not
+    # patched, so the calls counted below are the ones verify_prime makes
     types = enumerate_types(p, 2)
-    enumerate_types(p, 3)
     calls = []
     real = lattice.minimal_basis
 
@@ -49,7 +50,6 @@ def count_reduced_vectors(monkeypatch):
 @pytest.mark.parametrize("p", [11, 101])
 def test_verify_enumerates_each_type_once(p, monkeypatch):
     types = enumerate_types(p, 2)
-    enumerate_types(p, 3)
     grams = count_reduced_vectors(monkeypatch)
     rep = verify.verify_prime(p)
     assert not rep.failures
@@ -80,3 +80,24 @@ def test_types_reads_special_j_below_a_small_disc_bound(capsys):
         return [t["special_j"] for t in json.loads(capsys.readouterr().out)["types"]]
 
     assert special_js("--disc-bound", "3") == special_js() == ["j0", "j1728"]
+
+
+def test_verify_leaves_no_walk_alive(monkeypatch):
+    # no record of a sweep outlives its report.  Weak references catch a
+    # cache of walks however it was filled; tracemalloc would read 0 bytes
+    # had an earlier `verify 2..300` in this process filled it
+    walked = []
+    real = verify.enumerate_types
+
+    def tracked(p, ell):
+        types = real(p, ell)
+        walked.extend(weakref.ref(rec) for rec in types)
+        return types
+
+    monkeypatch.setattr(verify, "enumerate_types", tracked)
+    report = verify.run_verify(2, 300, oracle_cap=0)
+    assert not report.failures
+    del report
+    gc.collect()
+    assert len(walked) > 500
+    assert sum(ref() is not None for ref in walked) == 0

@@ -67,6 +67,7 @@ from grosslat.orders import (
 )
 from kneser_reference import kneser_neighbours_reference
 from quat_elements import conj4, is_ring, mul4, nrd4, vector_element
+from walks import walk
 
 
 # -- the order walk: left ideals of norm ell and their right orders -----------
@@ -175,7 +176,7 @@ def basis_elements(lat, coords):
 
 def assert_walks_agree(p, ell):
     want = [(tuple(mb.minima), mb.gram) for _, _, mb in order_walk(p, ell)]
-    got = [(rec.minima, rec.gram) for rec in enumerate_types(p, ell)]
+    got = [(rec.minima, rec.gram) for rec in walk(p, ell)]
     assert got == want, (p, ell)
 
 
@@ -216,7 +217,7 @@ def test_gram_neighbours_match_the_right_orders_per_type(ell):
 
 
 def assert_greedy_key_is_the_minima(p, ell):
-    for rec in enumerate_types(p, ell):
+    for rec in walk(p, ell):
         visited = [rec.walk_gram] + [
             adj3(m) for m in kneser_neighbours(half_form(rec.gram, p), ell)
         ]
@@ -239,7 +240,7 @@ def walk_half_forms(primes, ells=(2, 3)):
     return [
         (half_form(rec.gram, p), ell)
         for p in primes for ell in ells if ell != p
-        for rec in enumerate_types(p, ell)
+        for rec in walk(p, ell)
     ]
 
 
@@ -267,7 +268,7 @@ def test_gram_walk_records_reduce_from_their_walk_gram():
         for ell in (2, 3):
             if ell == p:
                 continue
-            for rec in enumerate_types(p, ell):
+            for rec in walk(p, ell):
                 mb = minimal_basis(rec.walk_gram)
                 assert (mb.minima, mb.gram, mb.coords) == (
                     rec.minima, rec.gram, rec.basis
