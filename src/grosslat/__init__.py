@@ -7,7 +7,7 @@ from lattice data, and cross-validates everything against a finite-field
 supersingularity oracle.
 """
 
-from .classify import Classification, classify_type, embedded_discriminants
+from .classify import Classification, classify_type
 from .cm import CmError, closed_form_gram, cm_row, cm_rows, recompute_ne
 from .gramgross import GramCandidate, gram_gross, quadratic_residue_precheck
 from .lattice import (
@@ -18,6 +18,7 @@ from .lattice import (
     minimal_basis,
     minima_triple,
     orthogonalization,
+    primitive_norms,
     short_vectors,
 )
 from .oracle import (
@@ -54,7 +55,6 @@ __all__ = [
     "closed_form_gram",
     "cm_row",
     "cm_rows",
-    "embedded_discriminants",
     "enumerate_types",
     "gram_gross",
     "gross_lattice",
@@ -65,6 +65,7 @@ __all__ = [
     "orthogonalization",
     "pizer_gross_gram",
     "pizer_maximal_order",
+    "primitive_norms",
     "quadratic_residue_precheck",
     "recompute_ne",
     "reduced_discriminant",

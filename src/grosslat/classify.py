@@ -1,11 +1,12 @@
 """Classify a type from its Gross lattice data alone.
 
 Field of definition of j, the special j-invariants 0 and 1728, the Frobenius
-order embedding for p = 3 mod 4, optimally embedded discriminants, and the
-theorem-stated bound checks.  Every per-type vector fact is read from one
-`lattice.reduced_vectors` list of the type's Gram matrix, made once by the
-caller: only norms and primitivity are read, and both are the same in any
-basis, so the list stays in the greedy-reduced basis.
+order embedding for p = 3 mod 4, and the theorem-stated bound checks.  The
+only vector fact read here, whether norm 3 or norm 4 occurs, comes from the
+type's `lattice.primitive_norms`, made once by the caller: a Gross lattice
+has minimum >= 3, so every vector of norm 3 or 4 is primitive.  The same
+list, cut at the discriminant bound, is the type's optimally embedded
+discriminants.
 All comparisons are exact integer arithmetic; fractional bounds are
 cross-multiplied.
 """
@@ -13,7 +14,6 @@ cross-multiplied.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .lattice import LatticeError
 
@@ -37,13 +37,13 @@ def field_of_definition(p: int, d3: int) -> bool:
     return d3 >= p
 
 
-def special_j(p: int, vecs) -> str:
+def special_j(p: int, norms) -> str:
     """j = 0 from a norm-3 vector, j = 1728 from a norm-4 one.
 
-    `vecs` is a `reduced_vectors` or `short_vectors` list reaching at least
-    norm 4.
+    `norms` holds the lattice's primitive norms, `lattice.primitive_norms`,
+    at least up to 4; vectors of norm 3 or 4 are primitive in a Gross
+    lattice, whose minimum is at least 3.
     """
-    norms = {n for n, _ in vecs}
     has0 = 3 in norms
     has1728 = 4 in norms
     if has0 and has1728:
@@ -69,22 +69,6 @@ def frobenius_embedding(p: int, minima, spine: bool) -> str:
     if d3 == p:
         return EMBED_HALF
     return EMBED_SQRT
-
-
-def embedded_discriminants(vecs, bound: int):
-    """All d <= bound with a primitive lattice vector of norm d.
-
-    `vecs` is a `reduced_vectors` or `short_vectors` list reaching at least
-    `bound`.  These are
-    exactly the absolute discriminants of imaginary quadratic orders
-    embedding optimally into the maximal order.  Empty below 3 since Gross
-    vector norms are 0 or 3 mod 4.
-    """
-    out = set()
-    for n, v in vecs:
-        if n <= bound and gcd(gcd(v[0], v[1]), v[2]) == 1:
-            out.add(n)
-    return sorted(out)
 
 
 def structural_flags(gram, minima):
@@ -123,14 +107,13 @@ def validate_bounds(p: int, minima, spine: bool):
     return bad
 
 
-def classify_type(p: int, vecs, minima, gram) -> Classification:
-    """Classification of a type from its minima, Gram and vector list.
+def classify_type(p: int, norms, minima, gram) -> Classification:
+    """Classification of a type from its minima, Gram and primitive norms.
 
-    `vecs` is a `reduced_vectors` or `short_vectors` list of `gram` reaching
-    at least norm 4.
+    `norms` is the `lattice.primitive_norms` of `gram` to at least 4.
     """
     spine = field_of_definition(p, minima[2])
-    sj = special_j(p, vecs)
+    sj = special_j(p, norms)
     emb = frobenius_embedding(p, minima, spine)
     orth, wr = structural_flags(gram, minima)
     return Classification(spine, sj, emb, orth, wr)

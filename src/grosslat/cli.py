@@ -13,12 +13,13 @@ import csv
 import io
 import json
 import sys
+from bisect import bisect_right
 
 from . import classify as cl
 from .cm import EXTENDED_DS, CmError, closed_form_gram, cm_row, cm_rows, recompute_ne
 from .exact import is_prime
 from .gramgross import PreconditionError, gram_gross
-from .lattice import reduced_vectors
+from .lattice import primitive_norms
 from .oracle import supersingular_j_set
 from .orders import default_ell, enumerate_types
 from .verify import ORACLE_CAP, run_verify
@@ -34,17 +35,51 @@ def _jmat(gram):
     return [[_jint(x) for x in row] for row in gram]
 
 
+def _jsorted(xs):
+    """A sorted list of nonnegative ints, those from 2^63 up as strings."""
+    return xs if not xs or xs[-1] < BIG else [_jint(x) for x in xs]
+
+
+# A list or dict holding only these is encoded in one call to json's C
+# encoder, which json.dumps does not use when it indents.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
 def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1)
+    """json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1)."""
+    return _encode(obj, "\n")
+
+
+def _encode(obj, nl: str) -> str:
+    """`obj` as indented JSON, `nl` being the newline and indent before its
+    closing bracket.  Dict keys are strings."""
+    if isinstance(obj, dict):
+        brackets, values = "{}", obj.values()
+    elif isinstance(obj, (list, tuple)):
+        brackets, values = "[]", obj
+    else:
+        return json.dumps(obj)
+    if not obj:
+        return brackets
+    inner = nl + " "
+    if set(map(type, values)) <= _SCALARS:
+        body = json.dumps(obj, sort_keys=True, separators=("," + inner, ": "))[1:-1]
+    elif brackets == "{}":
+        body = ("," + inner).join(
+            json.dumps(k) + ": " + _encode(v, inner) for k, v in sorted(obj.items())
+        )
+    else:
+        body = ("," + inner).join(_encode(v, inner) for v in obj)
+    return brackets[0] + inner + body + nl + brackets[1]
 
 
 def _type_payload(p: int, ell: int, disc_bound: int):
     types = enumerate_types(p, ell)
     out = []
     for idx, rec in enumerate(types):
-        # special_j reads norms 3 and 4 from the same list
-        vecs = reduced_vectors(rec.gram, max(disc_bound, 4))
-        c = cl.classify_type(p, vecs, rec.minima, rec.gram)
+        # one pass per type: special_j reads norms 3 and 4 from it
+        norms = primitive_norms(rec.gram, max(disc_bound, 4))
+        c = cl.classify_type(p, norms, rec.minima, rec.gram)
         out.append(
             {
                 "index": idx,
@@ -55,10 +90,9 @@ def _type_payload(p: int, ell: int, disc_bound: int):
                 "embedding": c.embedding,
                 "orthogonal": c.orthogonal,
                 "well_rounded": c.well_rounded,
-                "embedded_discriminants": [
-                    _jint(d)
-                    for d in cl.embedded_discriminants(vecs, disc_bound)
-                ],
+                "embedded_discriminants": _jsorted(
+                    norms[:bisect_right(norms, disc_bound)]
+                ),
             }
         )
     return {"schema": 1, "p": _jint(p), "ell": ell, "types": out}
@@ -177,33 +211,41 @@ def cmd_cm(args) -> int:
     else:
         rows = [r for r in cm_rows() if args.extended or r.d not in EXTENDED_DS]
     all_ok = True
-    csv_buf = io.StringIO()
-    w = csv.writer(csv_buf, lineterminator="\n")
-    w.writerow(["j_label", "p", "D1", "D2", "D3", "matches_closed_form"])
     summary = {}
+    details = []
     for row in rows:
         try:
             n_e, detail = recompute_ne(row, args.pmax or row.default_p_max)
         except CmError as e:
             print(f"error: CM row {row.j_label}: {e}", file=sys.stderr)
             return 2
-        for p, rec, _good in detail:
-            closed = _closed_form_or_none(row.j_label, p)
-            matches = "" if closed is None else str(rec.gram == closed)
-            w.writerow([row.j_label, p, *rec.minima, matches])
+        details.append((row.j_label, detail))
         summary[row.j_label] = {"recomputed": n_e, "table": row.n_e}
         if n_e != row.n_e:
             all_ok = False
     if args.json:
         print(_dump({"schema": 1, "rows": summary}))
     else:
-        sys.stdout.write(csv_buf.getvalue())
+        sys.stdout.write(_cm_csv(details))
         for label, v in sorted(summary.items()):
             print(
                 f"N_E[{label}] recomputed {v['recomputed']}, table {v['table']}",
                 file=sys.stderr,
             )
     return 0 if all_ok else 1
+
+
+def _cm_csv(details) -> str:
+    """The per-prime CSV of `cm`, from (j_label, recompute_ne detail) pairs."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["j_label", "p", "D1", "D2", "D3", "matches_closed_form"])
+    for label, detail in details:
+        for p, rec, _good in detail:
+            closed = _closed_form_or_none(label, p)
+            matches = "" if closed is None else str(rec.gram == closed)
+            w.writerow([label, p, *rec.minima, matches])
+    return buf.getvalue()
 
 
 def _closed_form_or_none(label: str, p: int):

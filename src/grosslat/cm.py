@@ -24,9 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .classify import embedded_discriminants
 from .exact import is_prime, legendre, primes_between
-from .lattice import gram_inner, minimal_basis, reduced_vectors
+from .lattice import gram_inner, minimal_basis, primitive_norms
 from .orders import TypeRecord, default_ell, enumerate_types, pizer_gross_gram
 
 
@@ -136,7 +135,7 @@ def supersingular_primes(row: CmRow, lo: int, hi: int):
 
 
 def _embeds(gram, d: int) -> bool:
-    return d in embedded_discriminants(reduced_vectors(gram, d), d)
+    return d in primitive_norms(gram, d)
 
 
 def _no_unique_type(count: int, p: int, d: int) -> CmError:

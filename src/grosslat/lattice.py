@@ -16,12 +16,17 @@ every ell, ell = 2 included.  The HNF of each neighbour's generators
 depends only on residues of its line mod ell and ell^2, so it is memoised
 on them, and each neighbour costs only its Gram H m H^T / ell^2.
 
-A caller asking several questions of one type enumerates once: one
+Two questions need no vector list.  `primitive_norms` reads the norms of
+the primitive vectors, the optimally embedded discriminants of a type, off
+one enumeration pass with no per-vector tuple and no sort.  `minimal_basis`
+visits only the vectors of norm exactly D1, D2 or D3, the diagonal of the
+greedy-reduced Gram, and checks once per enumeration row that no vector
+reaches below that diagonal, which makes the diagonal the minima triple.
+A caller that needs the vectors themselves (`verify`) enumerates once: one
 `reduced_vectors` list of the type's minimal-basis Gram serves
-`greedy_minima`, `attaining_rank2_sublattices` and the norm and primitivity
-reads in `classify`.  Its coordinates refer to the greedy-reduced basis, not
-the input one; every fact those callers read is the same in any basis, so no
-vector is lifted back.
+`greedy_minima` and `attaining_rank2_sublattices`.  Its coordinates refer to
+the greedy-reduced basis, not the input one; every fact those callers read
+is the same in any basis, so no vector is lifted back.
 
 Vector norms follow the squared-norm convention throughout: the "norm" of v
 is v G v^T.
@@ -32,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 
 from .exact import hnf, is_prime
 
@@ -94,8 +99,8 @@ def greedy_reduce(gram):
     sorted by norm.  In dimension 3 the greedy output attains the successive
     minima (Nguyen-Stehle, Low-dimensional lattice basis reduction
     revisited, ACM TALG 2009), so the diagonal of g is the minima triple:
-    `orders.enumerate_types` keys its walk on it and checks it against the
-    enumerated minima of every new type.
+    `orders.enumerate_types` keys its walk on it, and `minimal_basis`
+    checks it row by row on every new type.
 
     The Gram is carried as its six entries, a = g00, b = g11, c = g22,
     x = g01, y = g02, z = g12, and the basis as three coordinate rows.  A
@@ -174,29 +179,43 @@ def _interval(a: int, b: int, c: int):
     return range(-((b + s) // a), (s - b) // a + 1)
 
 
-def _enumerate_reduced(g, bound: int):
-    """All (norm, z) with 0 < z G z^T <= bound, one per +/- pair.
+def _rows(g, bound: int):
+    """The rows (z1, z2) of the Fincke-Pohst tree of g to `bound`.
 
-    Fincke-Pohst in Python ints: each level bounds its coordinate by the
-    form minimised over the coordinates below it, which, scaled by the
-    leading principal minors, is an integer quadratic in that coordinate,
-    so `_interval` gives every range exactly.  z coordinates refer to the
-    rows of the (reduced) basis behind g.
+    Yields (z1, z2, b, q) for one row of each +/- pair, z2 > 0 or z2 = 0
+    and z1 >= 0, in increasing (z2, z1).  Each level bounds its coordinate
+    by the form minimised over the coordinates below it, which, scaled by
+    the leading principal minors, is an integer quadratic in that
+    coordinate, so `_interval` gives every range exactly.  On the row,
+    z = (z0, z1, z2) has norm (g00 z0 + 2 b) z0 + q, and its z0 range is
+    `_interval(g00, b, q - bound)`.
     """
     (g00, g01, g02), (_, g11, g12), (_, _, g22) = g
     m2 = g00 * g11 - g01 * g01
     m1 = g00 * g12 - g01 * g02
     m0 = g00 * g22 - g02 * g02
-    out = []
     # z2 >= 0: the stop of the symmetric range
     for z2 in range(_interval(det3(g), 0, -bound * m2).stop):
         for z1 in _interval(m2, z2 * m1, z2 * z2 * m0 - g00 * bound):
-            b = g01 * z1 + g02 * z2
-            q = (g11 * z1 + 2 * g12 * z2) * z1 + g22 * z2 * z2
-            for z0 in _interval(g00, b, q - bound):
-                if z2 == 0 and (z1 < 0 or (z1 == 0 and z0 <= 0)):
-                    continue  # one representative per +/- pair, zero excluded
-                out.append(((g00 * z0 + 2 * b) * z0 + q, (z0, z1, z2)))
+            if z2 or z1 >= 0:
+                b = g01 * z1 + g02 * z2
+                q = (g11 * z1 + 2 * g12 * z2) * z1 + g22 * z2 * z2
+                yield z1, z2, b, q
+
+
+def _enumerate_reduced(g, bound: int):
+    """All (norm, z) with 0 < z G z^T <= bound, one per +/- pair.
+
+    Fincke-Pohst in Python ints, over `_rows`; z coordinates refer to the
+    rows of the (reduced) basis behind g.
+    """
+    g00 = g[0][0]
+    out = []
+    for z1, z2, b, q in _rows(g, bound):
+        for z0 in _interval(g00, b, q - bound):
+            if z1 == z2 == 0 and z0 <= 0:
+                continue  # one representative per +/- pair, zero excluded
+            out.append(((g00 * z0 + 2 * b) * z0 + q, (z0, z1, z2)))
     return out
 
 
@@ -218,7 +237,10 @@ def short_vectors(gram, bound: int):
     _check_positive_definite(gram)
     if bound <= 0:
         return []
-    return _lift_sorted(*greedy_reduce(gram), bound)
+    u, g = greedy_reduce(gram)
+    out = [(n, _from_reduced(u, z)) for n, z in _enumerate_reduced(g, bound)]
+    out.sort()
+    return out
 
 
 def reduced_vectors(gram, bound: int):
@@ -238,16 +260,40 @@ def reduced_vectors(gram, bound: int):
     return out
 
 
-def _lift_sorted(u, g, bound):
-    """short_vectors from the greedy output (u, g) of the Gram matrix."""
-    out = []
-    for n, z in _enumerate_reduced(g, bound):
-        v = tuple(
-            z[0] * u[0][t] + z[1] * u[1][t] + z[2] * u[2][t] for t in range(3)
-        )
-        out.append((n, _canon_sign(v)))
-    out.sort()
-    return out
+def primitive_norms(gram, bound: int):
+    """The sorted norms <= bound of the primitive vectors of gram.
+
+    These are the absolute discriminants d of the imaginary quadratic orders
+    that embed optimally into the maximal order whose Gross Gram is `gram`.
+    One Fincke-Pohst pass (`_rows`) over the greedy-reduced Gram, as in
+    `reduced_vectors`, collecting norms only: z is primitive exactly when
+    gcd(z0, gcd(z1, z2)) = 1, so a row with gcd(z1, z2) = 1 adds every norm
+    it reaches with no per-vector gcd, and on the row z1 = z2 = 0 only the
+    first basis vector is primitive.
+    """
+    _check_positive_definite(gram)
+    if bound <= 0:
+        return []
+    g = greedy_reduce(gram)[1]
+    g00 = g[0][0]
+    out = {g00} if g00 <= bound else set()
+    for z1, z2, b, q in _rows(g, bound):
+        h = gcd(z1, z2)
+        leaves = _interval(g00, b, q - bound)
+        if h == 1:
+            out.update([(g00 * z0 + 2 * b) * z0 + q for z0 in leaves])
+        elif h:  # h = 0 is the row of e_0's multiples, done above
+            out.update(
+                [(g00 * z0 + 2 * b) * z0 + q for z0 in leaves if gcd(z0, h) == 1]
+            )
+    return sorted(out)
+
+
+def _from_reduced(u, z):
+    """z0 u_0 + z1 u_1 + z2 u_2 with its first nonzero coordinate positive."""
+    return _canon_sign(tuple(
+        z[0] * u[0][t] + z[1] * u[1][t] + z[2] * u[2][t] for t in range(3)
+    ))
 
 
 # -- successive minima and minimal bases --------------------------------------
@@ -300,22 +346,54 @@ def greedy_minima(vecs):
     return None
 
 
-def _minima_pass(gram):
-    """One reduction and one enumeration behind both minima and basis.
+def _norm_pools(u, g):
+    """{n: the vectors of norm n that can be in a basis} for n = d1, d2, d3,
+    the diagonal of g.
 
-    Returns the short_vectors list up to the greedy third minimum, which
-    spans rank 3 since it holds the greedy basis, and its greedy_minima.
+    (u, g) is the `greedy_reduce` output of a Gram G.  The z are visited by
+    the (z2, z1) rows of `_rows` to the bound d3, and each row is checked
+    once, at its least norm: a row with z2 != 0 must not reach below d3, and
+    one with z2 = 0, z1 != 0 not below d2.  Then every vector off Z e_0 has
+    norm >= d2 and every vector off the plane of e_0, e_1 has norm >= d3, so
+    the diagonal is the successive minima triple; LatticeError otherwise.
+
+    Each row is then solved for its leaves of one norm with one isqrt: d3
+    on a row with z2 != 0, d2 on one with z2 = 0.  No basis takes a norm-d3
+    vector from that plane: when d3 > d2, b1 and b2 already lie in it.  Of
+    the row z1 = z2 = 0 only the primitive e_0 is kept.  Each vector, one
+    per +/- pair, is lifted to the coordinates behind G with its first
+    nonzero coordinate positive; the pools are unsorted.
     """
-    _check_positive_definite(gram)
-    u, g = greedy_reduce(gram)
-    vecs = _lift_sorted(u, g, g[2][2])
-    return vecs, greedy_minima(vecs)
+    g00, d2, d3 = g[0][0], g[1][1], g[2][2]
+    pools = {g00: [], d2: [], d3: []}
+    pools[g00].append(_from_reduced(u, (1, 0, 0)))
+    for z1, z2, b, q in _rows(g, d3):
+        if z2:
+            n = d3
+        elif z1:
+            n = d2
+        else:
+            continue  # the row of e_0's multiples
+        z0 = _nearest(-b, g00)
+        least = (g00 * z0 + 2 * b) * z0 + q
+        if least < n:
+            raise LatticeError(
+                f"greedy diagonal ({g00}, {d2}, {d3}) is not the minima: "
+                f"the row (z1, z2) = ({z1}, {z2}) reaches norm {least}"
+            )
+        # n = g00 z0^2 + 2 b z0 + q  <=>  (g00 z0 + b)^2 = g00 n - g00 q + b^2
+        disc = g00 * (n - q) + b * b
+        s = isqrt(max(disc, 0))
+        if s * s == disc:
+            for t in {s - b, -s - b}:
+                if t % g00 == 0:
+                    pools[n].append(_from_reduced(u, (t // g00, z1, z2)))
+    return pools
 
 
 def minima_triple(gram) -> MinimaTriple:
     """Successive minima of a positive definite ternary Gram matrix."""
-    d1, d2, d3, _, _ = _minima_pass(gram)[1]
-    return MinimaTriple(d1, d2, d3)
+    return minimal_basis(gram).minima
 
 
 @dataclass(frozen=True)
@@ -328,20 +406,27 @@ class MinimalBasis:
 def minimal_basis(gram, tie_break: str = "asc") -> MinimalBasis:
     """Normalized successive minimal basis of a positive definite ternary Gram.
 
-    Greedy selection over the sorted short-vector list: shortest vector,
-    shortest independent vector, then the shortest rank-3 completion with
-    unimodular coordinate determinant.  Signs are flipped so the (1,2) and
-    (1,3) inner products are nonnegative.  `tie_break` orders equal-norm
-    candidates lexicographically ascending or descending.
+    The minima are the diagonal of the greedy-reduced Gram, checked by
+    `_norm_pools`, which lists the vectors of norm exactly D1, D2 and D3.
+    Each list is sorted lexicographically, ascending or descending by
+    `tie_break`, and the basis is the first (b1, b2, b3) in that order with
+    b1, b2 independent and |det(b1, b2, b3)| = 1.  Signs are flipped so the
+    (1,2) and (1,3) inner products are nonnegative.
     """
     if tie_break not in ("asc", "desc"):
         raise ValueError(f"unknown tie_break {tie_break!r}")
-    vecs, (d1, d2, d3, _, _) = _minima_pass(gram)
-    if tie_break == "desc":
-        vecs.sort(key=lambda t: (t[0], tuple(-x for x in t[1])))
-    d1_pool = [v for n, v in vecs if n == d1]
-    d2_pool = [v for n, v in vecs if n == d2]
-    d3_pool = [v for n, v in vecs if n == d3]
+    _check_positive_definite(gram)
+    return _minimal_basis(gram, *greedy_reduce(gram), tie_break)
+
+
+def _minimal_basis(gram, u, g, tie_break: str = "asc") -> MinimalBasis:
+    """`minimal_basis` from (u, g) = `greedy_reduce(gram)`, for a caller that
+    already holds it, as the type walk does for its key."""
+    minima = MinimaTriple(g[0][0], g[1][1], g[2][2])
+    pools = _norm_pools(u, g)
+    d1_pool, d2_pool, d3_pool = (
+        sorted(pools[n], reverse=tie_break == "desc") for n in minima
+    )
     chosen = next(
         (
             (b1, b2, b3)
@@ -361,8 +446,7 @@ def minimal_basis(gram, tie_break: str = "asc") -> MinimalBasis:
     if gram_inner(gram, b1, b3) < 0:
         b3 = tuple(-x for x in b3)
     basis = (b1, b2, b3)
-    g = tuple(tuple(gram_inner(gram, u, v) for v in basis) for u in basis)
-    minima = MinimaTriple(d1, d2, d3)
+    g = tuple(tuple(gram_inner(gram, x, y) for y in basis) for x in basis)
     norms = (g[0][0], g[1][1], g[2][2])
     if norms != minima:
         raise LatticeError(f"basis norms {norms} differ from the minima {minima}")

@@ -32,8 +32,8 @@ from math import isqrt
 
 from .exact import canonical_lattice, is_perfect_square, is_prime, legendre
 from .lattice import (
-    LatticeError, adj3, det3, greedy_reduce, half_form, kneser_neighbours,
-    minimal_basis,
+    LatticeError, _minimal_basis, adj3, det3, greedy_reduce, half_form,
+    kneser_neighbours,
 )
 from .quat import QuaternionAlgebra, inner4
 
@@ -234,10 +234,9 @@ def enumerate_types(p: int, ell: int):
     adj(G) / 2p.  A node is keyed by the diagonal of its greedy-reduced
     Gram, which in dimension 3 is its successive minima triple (see
     `lattice.greedy_reduce`), a complete type invariant, and is discarded
-    when that key was already seen.  Only a new key pays for
-    `minimal_basis`, whose enumerated minima must equal the key
-    (LatticeError otherwise).  Consumers enumerate each type's `gram`
-    once, with `lattice.reduced_vectors`.
+    when that key was already seen.  Only a new key pays for a minimal
+    basis, from the key's own reduction (`lattice._minimal_basis`), which
+    checks that its diagonal is the minima (LatticeError otherwise).
     """
     if not is_prime(p):
         raise OrderError(f"{p} is not prime")
@@ -248,16 +247,12 @@ def enumerate_types(p: int, ell: int):
     records = []
     while queue:
         walk_gram = queue.popleft()
-        _, g = greedy_reduce(walk_gram)
+        u, g = greedy_reduce(walk_gram)
         key = (g[0][0], g[1][1], g[2][2])
         if key in seen:
             continue
         seen.add(key)
-        mb = minimal_basis(walk_gram)
-        if mb.minima != key:
-            raise LatticeError(
-                f"greedy diagonal {key} differs from the minima {mb.minima}"
-            )
+        mb = _minimal_basis(walk_gram, u, g)
         records.append(TypeRecord(walk_gram, key, mb.gram, mb.coords))
         # from the reduced Gram, so entries do not grow along the walk
         queue.extend(

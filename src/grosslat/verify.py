@@ -20,6 +20,7 @@ from .lattice import (
     greedy_minima,
     minimal_basis,
     orthogonalization,
+    primitive_norms,
     rank2_det,
     reduced_vectors,
 )
@@ -64,10 +65,12 @@ def verify_prime(p: int, oracle_cap: int = ORACLE_CAP) -> PrimeReport:
     for rec in types:
         d1, d2, d3 = rec.minima
         g = rec.gram
-        # the one enumeration behind every vector fact of this type; it
-        # reaches D3 (at most 2p by the theorem bounds) and norm 8
+        # the one vector list of this type; it reaches D3 (at most 2p by
+        # the theorem bounds) and norm 8.  Primitive norms to 8 serve
+        # special_j and the loop discriminants 4, 7 and 8
         vecs = reduced_vectors(g, max(2 * p, 8))
-        c = cl.classify_type(p, vecs, rec.minima, g)
+        norms = primitive_norms(g, 8)
+        c = cl.classify_type(p, norms, rec.minima, g)
         classifications.append(c)
 
         rep.check("det-4p2", det3(g) == 4 * p * p, f"type {rec.minima}")
@@ -151,8 +154,7 @@ def verify_prime(p: int, oracle_cap: int = ORACLE_CAP) -> PrimeReport:
             bf is not None and (bf[0], bf[1], bf[2]) == tuple(rec.minima),
             f"type {rec.minima}",
         )
-        embedded = cl.embedded_discriminants(vecs, 8)
-        if any(d in embedded for d in (4, 7, 8)):
+        if any(d in norms for d in (4, 7, 8)):
             rep.check("loop-implies-spine", c.spine, f"type {rec.minima}")
         if c.spine:
             cands = gram_gross(p, d1)

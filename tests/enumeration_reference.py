@@ -1,0 +1,74 @@
+"""The vector-list routes that `minimal_basis` and `primitive_norms` replaced.
+
+`minimal_basis_reference` lists every vector up to the greedy third minimum
+(`short_vectors`, sorted by norm and coordinates), reads the minima off the
+list with `greedy_minima`, and picks the basis from the norm-D1, D2 and D3
+vectors in list order.  `lattice.minimal_basis` lists only the vectors of
+norm exactly D1, D2 or D3 and takes the minima from the greedy diagonal.
+
+`primitive_norms_reference` reduces a sorted `reduced_vectors` list to the
+set of its primitive norms, as `embedded_discriminants` did;
+`lattice.primitive_norms` collects the norms in the enumeration itself.
+"""
+
+from math import gcd
+
+from grosslat.lattice import (
+    LatticeError,
+    MinimaTriple,
+    MinimalBasis,
+    _independent2,
+    det3,
+    gram_inner,
+    greedy_minima,
+    greedy_reduce,
+    reduced_vectors,
+    short_vectors,
+)
+
+
+def minima_pass(gram):
+    """The short_vectors list up to the greedy third minimum, and its
+    greedy_minima; the list spans rank 3, since it holds the greedy basis."""
+    vecs = short_vectors(gram, greedy_reduce(gram)[1][2][2])
+    return vecs, greedy_minima(vecs)
+
+
+def minimal_basis_reference(gram, tie_break="asc"):
+    """`lattice.minimal_basis` by a greedy selection over the full list."""
+    vecs, (d1, d2, d3, _, _) = minima_pass(gram)
+    if tie_break == "desc":
+        vecs.sort(key=lambda t: (t[0], tuple(-x for x in t[1])))
+    pools = [[v for n, v in vecs if n == d] for d in (d1, d2, d3)]
+    chosen = next(
+        (
+            (b1, b2, b3)
+            for b1 in pools[0]
+            for b2 in pools[1]
+            if _independent2(b1, b2)
+            for b3 in pools[2]
+            if abs(det3((b1, b2, b3))) == 1
+        ),
+        None,
+    )
+    if chosen is None:
+        raise LatticeError("no index-1 completion among minima-attaining vectors")
+    b1, b2, b3 = chosen
+    if gram_inner(gram, b1, b2) < 0:
+        b2 = tuple(-x for x in b2)
+    if gram_inner(gram, b1, b3) < 0:
+        b3 = tuple(-x for x in b3)
+    basis = (b1, b2, b3)
+    g = tuple(tuple(gram_inner(gram, x, y) for y in basis) for x in basis)
+    return MinimalBasis(basis, g, MinimaTriple(d1, d2, d3))
+
+
+def embedded_discriminants(vecs, bound):
+    """All d <= bound with a primitive vector of norm d in a vector list
+    (`short_vectors` or `reduced_vectors`) reaching at least `bound`."""
+    return sorted({n for n, v in vecs if n <= bound and gcd(gcd(v[0], v[1]), v[2]) == 1})
+
+
+def primitive_norms_reference(gram, bound):
+    """`lattice.primitive_norms` from the sorted reduced_vectors list."""
+    return embedded_discriminants(reduced_vectors(gram, bound), bound)

@@ -23,6 +23,7 @@ from grosslat.lattice import (
     basis_pair_rank2_sublattices,
     minimal_basis,
     orthogonalization,
+    primitive_norms,
     rank2_det,
     short_vectors,
 )
@@ -39,8 +40,8 @@ P3_GRAMS = (
 def classified(p):
     out = []
     for rec in types_of(p):
-        vecs = short_vectors(rec.walk_gram, 4)
-        out.append((rec, cl.classify_type(p, vecs, rec.minima, rec.gram)))
+        norms = primitive_norms(rec.walk_gram, 4)
+        out.append((rec, cl.classify_type(p, norms, rec.minima, rec.gram)))
     return out
 
 

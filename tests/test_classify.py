@@ -8,7 +8,6 @@ from grosslat.classify import (
     EMBED_NA,
     EMBED_SQRT,
     classify_type,
-    embedded_discriminants,
     field_of_definition,
     frobenius_embedding,
     special_j,
@@ -20,8 +19,10 @@ from grosslat.lattice import (
     LatticeError,
     attaining_rank2_sublattices,
     gram_inner,
+    primitive_norms,
     short_vectors,
 )
+from enumeration_reference import embedded_discriminants
 from test_lattice import brute_short_vectors
 from walks import types_of, walk
 
@@ -30,8 +31,8 @@ def gram_of(p, index=0):
     return types_of(p)[index].walk_gram
 
 
-def vecs_of(p, index=0, bound=4):
-    return short_vectors(gram_of(p, index), bound)
+def norms_of(p, index=0, bound=4):
+    return primitive_norms(gram_of(p, index), bound)
 
 
 def test_field_of_definition():
@@ -41,19 +42,19 @@ def test_field_of_definition():
 
 
 def test_special_j():
-    assert special_j(5, vecs_of(5)) == "j0"
-    assert special_j(11, vecs_of(11, 1)) == "j1728"
-    assert special_j(11, vecs_of(11, 0)) == "j0"
-    assert special_j(2, vecs_of(2)) == "both"
-    assert special_j(3, vecs_of(3)) == "both"
-    assert special_j(13, vecs_of(13)) == "none"
+    assert special_j(5, norms_of(5)) == "j0"
+    assert special_j(11, norms_of(11, 1)) == "j1728"
+    assert special_j(11, norms_of(11, 0)) == "j0"
+    assert special_j(2, norms_of(2)) == "both"
+    assert special_j(3, norms_of(3)) == "both"
+    assert special_j(13, norms_of(13)) == "none"
 
 
 def test_special_j_rejects_norms_3_and_4_away_from_1728():
-    vecs = short_vectors(((3, 0, 0), (0, 4, 0), (0, 0, 5)), 5)
-    assert [n for n, _ in vecs] == [3, 4, 5]
+    norms = primitive_norms(((3, 0, 0), (0, 4, 0), (0, 0, 5)), 5)
+    assert norms == [3, 4, 5]
     with pytest.raises(LatticeError):
-        special_j(7, vecs)
+        special_j(7, norms)
 
 
 def test_frobenius_embedding():
@@ -80,16 +81,13 @@ def brute_embedded(gram, bound):
 
 
 def test_embedded_discriminants_frozen_from_box_oracle():
-    assert embedded_discriminants(vecs_of(11, 1, 12), 12) == [4, 11, 12]
-    assert embedded_discriminants(vecs_of(11, 1, 12), 12) == brute_embedded(
-        gram_of(11, 1), 12
-    )
-    assert embedded_discriminants(vecs_of(5, 0, 7), 7) == [3, 7]
-    assert embedded_discriminants(vecs_of(5, 0, 7), 7) == brute_embedded(
-        gram_of(5), 7
-    )
+    # the embedded discriminants of a type are its primitive norms
+    assert norms_of(11, 1, 12) == [4, 11, 12]
+    assert norms_of(11, 1, 12) == brute_embedded(gram_of(11, 1), 12)
+    assert norms_of(5, 0, 7) == [3, 7]
+    assert norms_of(5, 0, 7) == brute_embedded(gram_of(5), 7)
     # norms 1 and 2 cannot occur in a Gross lattice
-    assert embedded_discriminants(vecs_of(5, 0, 2), 2) == []
+    assert norms_of(5, 0, 2) == []
 
 
 def test_validate_bounds_examples():
@@ -118,9 +116,9 @@ def test_structural_flags():
 
 def test_classify_type_p11():
     recs = walk(11, 2)
-    c0 = classify_type(11, vecs_of(11, 0), recs[0].minima, recs[0].gram)
+    c0 = classify_type(11, norms_of(11, 0), recs[0].minima, recs[0].gram)
     assert (c0.spine, c0.special_j, c0.embedding) == (True, "j0", EMBED_SQRT)
-    c1 = classify_type(11, vecs_of(11, 1), recs[1].minima, recs[1].gram)
+    c1 = classify_type(11, norms_of(11, 1), recs[1].minima, recs[1].gram)
     assert (c1.spine, c1.special_j, c1.embedding) == (True, "j1728", EMBED_BOTH)
     assert not c1.orthogonal and not c1.well_rounded
 
@@ -129,9 +127,8 @@ def test_loop_discriminants_imply_spine():
     # 4, 7 or 8 among the embedded discriminants forces j in F_p
     for p in (11, 13, 37, 113):
         for rec in walk(p, 2):
-            vecs = short_vectors(rec.walk_gram, 8)
-            c = classify_type(p, vecs, rec.minima, rec.gram)
-            emb = embedded_discriminants(vecs, 8)
+            emb = primitive_norms(rec.walk_gram, 8)
+            c = classify_type(p, emb, rec.minima, rec.gram)
             if any(d in emb for d in (4, 7, 8)):
                 assert c.spine
 
@@ -161,11 +158,13 @@ def test_one_list_on_the_minimal_gram_matches_per_call_enumeration(p):
         bound = max(2 * p, 8)
         vecs = short_vectors(rec.gram, bound)
         old = rec.walk_gram
-        assert special_j(p, vecs) == special_j(p, short_vectors(old, 4))
+        assert special_j(p, {n for n, _ in vecs}) == special_j(
+            p, primitive_norms(old, 4)
+        )
         for b in (8, 2 * p):
             assert embedded_discriminants(vecs, b) == embedded_discriminants(
                 short_vectors(old, b), b
-            )
+            ) == primitive_norms(old, b) == primitive_norms(rec.gram, b)
         subs = attaining_rank2_sublattices(vecs)
         assert len(subs) == rank2_sublattice_count(old, d1, d2)
         if p <= 13:

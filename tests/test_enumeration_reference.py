@@ -1,0 +1,84 @@
+"""Differential tests of the exact-norm and norm-only passes against the lists.
+
+`lattice.minimal_basis` enumerates only the vectors of norm exactly D1, D2
+or D3 and takes the minima from the greedy diagonal, checked row by row;
+`minimal_basis_reference` (tests/enumeration_reference.py) is the route it
+replaced, a greedy selection over every vector up to D3.  Both tie-breaks
+must give the same basis, Gram and minima.
+
+`lattice.primitive_norms` collects primitive norms in one enumeration pass;
+`primitive_norms_reference` reduces a sorted `reduced_vectors` list to them.
+They must agree at the bounds 3, 8, D3 and 2p.
+
+Each type's walk Gram is compared, and the same Gram under a seeded random
+unimodular change of basis.  Tier-1 covers every type at every prime
+p <= 500 at ell = 2 and 3; the gate over every p <= 2000 is opt-in:
+
+    GROSSLAT_WALK_REFERENCE=1 pytest tests/test_enumeration_reference.py -m walk_reference
+"""
+
+import random
+
+import pytest
+
+from grosslat.exact import primes_between
+from grosslat.lattice import minimal_basis, primitive_norms
+from grosslat.orders import enumerate_types
+from enumeration_reference import minimal_basis_reference, primitive_norms_reference
+from test_lattice import change_basis, random_unimodular
+
+
+def grams_of(p, ell):
+    """(type record, Gram) pairs: each walk Gram and one moved copy of it."""
+    rng = random.Random(p * 10 + ell)
+    out = []
+    for rec in enumerate_types(p, ell):
+        out.append((rec, rec.walk_gram))
+        out.append((rec, change_basis(random_unimodular(rng), rec.walk_gram)))
+    return out
+
+
+def assert_minimal_bases_match(p, ell):
+    for rec, gram in grams_of(p, ell):
+        for tie_break in ("asc", "desc"):
+            got = minimal_basis(gram, tie_break)
+            assert got == minimal_basis_reference(gram, tie_break), (p, ell, gram)
+            assert got.minima == rec.minima
+
+
+def assert_primitive_norms_match(p, ell):
+    for rec, gram in grams_of(p, ell):
+        for bound in (3, 8, rec.minima[2], 2 * p):
+            assert primitive_norms(gram, bound) == primitive_norms_reference(
+                gram, bound
+            ), (p, ell, gram, bound)
+
+
+def primes_for(ell, pmax):
+    return [p for p in primes_between(2, pmax) if p != ell]
+
+
+@pytest.mark.parametrize("ell", [2, 3])
+def test_minimal_basis_matches_the_full_enumeration_to_500(ell):
+    for p in primes_for(ell, 500):
+        assert_minimal_bases_match(p, ell)
+
+
+@pytest.mark.parametrize("ell", [2, 3])
+def test_primitive_norms_match_the_vector_list_to_500(ell):
+    for p in primes_for(ell, 500):
+        assert_primitive_norms_match(p, ell)
+
+
+@pytest.mark.walk_reference
+@pytest.mark.parametrize("ell", [2, 3])
+def test_minimal_basis_matches_the_full_enumeration_to_2000(ell):
+    for p in primes_for(ell, 2000):
+        assert_minimal_bases_match(p, ell)
+
+
+@pytest.mark.walk_reference
+@pytest.mark.parametrize("ell", [2, 3])
+def test_primitive_norms_match_the_vector_list_to_2000(ell):
+    for p in primes_for(ell, 2000):
+        assert_primitive_norms_match(p, ell)

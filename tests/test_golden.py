@@ -2,15 +2,21 @@
 
 The files under tests/golden/ hold the stdout of each command below; any
 change to the exact arithmetic behind them shows up as a byte difference.
-Outputs too large to keep as a file are checked by their SHA-256.
+Outputs too large to keep as a file are checked by their SHA-256; they
+include every input of the benchmark in bench/workloads.py.
+
+`cli._dump` encodes each list or dict of scalars in one call to json's C
+encoder; `json.dumps(..., indent=1)`, which does not use it, is its
+reference on every golden payload and on edge cases.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
-from grosslat.cli import main
+from grosslat.cli import _dump, _jint, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -45,6 +51,12 @@ DIGESTS = {
     # all 13 rows, each at its default sweep
     "cm --all --extended --json":
         "51f0b28899c439a454d28d2ab944c2026fc93a86e26acab90c4a52e5615824fa",
+    # the other prime of the benchmark's types_large band
+    "types --p 10039 --json":
+        "b462943a53f46162874cb6e3117b2457d47e14a2e9030af6327b109e74e96978",
+    # the benchmark's oracle_large input at seed 0
+    "oracle --p 1009":
+        "8bd4452edd38bfb80c0728bbcc53284514c075259add22c6914ebd2beb5c41d1",
 }
 
 
@@ -53,3 +65,42 @@ def test_cli_output_matches_recorded_digest(command, capsys):
     assert main(command.split()) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == DIGESTS[command]
+
+
+def reference_dump(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1)
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.name for p in GOLDEN.glob("*.json"))
+)
+def test_dump_matches_the_indenting_encoder_on_golden_payloads(name):
+    text = (GOLDEN / name).read_text()
+    obj = json.loads(text)
+    assert _dump(obj) == reference_dump(obj)
+    assert _dump(obj) + "\n" == text
+
+
+DUMP_EDGE_CASES = [
+    [],
+    {},
+    None,
+    True,
+    False,
+    0,
+    -5,
+    0.5,
+    "é\n\"",
+    [None, True, False, 0, "", 1.25],
+    {"b": [], "a": {}, "c": [[]], "d": [{}], "e": [[], {}, [[]]]},
+    {"big": _jint(2 ** 63), "small": _jint(2 ** 63 - 1), "neg": _jint(-2 ** 63)},
+    [_jint(2 ** 63 + k) for k in range(3)],
+    [1, [2, 3], {"k": [4, None]}, [], (5, 6)],
+    {"n_equals_a": (3, 4), "z": None, "y": {"x": [True, {"w": []}]}},
+    [[[[1]]], [[2, [3]]]],
+]
+
+
+@pytest.mark.parametrize("obj", DUMP_EDGE_CASES, ids=repr)
+def test_dump_matches_the_indenting_encoder_on_edge_cases(obj):
+    assert _dump(obj) == reference_dump(obj)

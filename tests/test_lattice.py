@@ -26,7 +26,7 @@ from grosslat.lattice import (
     reduced_vectors,
     short_vectors,
 )
-from grosslat.classify import embedded_discriminants, special_j
+from grosslat.classify import special_j
 from grosslat.exact import hnf, legendre, primes_between
 from grosslat.orders import (
     GrossLattice,
@@ -34,6 +34,7 @@ from grosslat.orders import (
     pizer_gross_gram,
     standard_maximal_order,
 )
+from enumeration_reference import embedded_discriminants
 from greedy_reference import greedy_reduce_reference
 from kneser_reference import kneser_neighbours_reference
 from quat_elements import element, lattice_basis_elements, one
@@ -233,7 +234,7 @@ def test_enumerator_matches_the_fraction_reference_on_random_grams():
 def basis_free_facts(p, vecs, bound):
     """What the consumers of one vector list read: none of it needs a basis."""
     try:
-        sj = special_j(p, vecs)
+        sj = special_j(p, {n for n, _ in vecs})
     except LatticeError as e:
         sj = str(e)
     rank3 = bool(vecs) and greedy_minima(vecs) is not None
@@ -459,20 +460,38 @@ def diagonal(d1, d2, d3):
 
 def test_minimal_basis_needs_an_index_one_completion(monkeypatch):
     # the claimed minima vectors span an index-2 sublattice only
-    vecs = [(3, (0, 0, 1)), (3, (0, 1, 0)), (3, (2, 0, 0))]
-    fake = (vecs, (3, 3, 3, None, None))
-    monkeypatch.setattr(lattice, "_minima_pass", lambda gram: fake)
+    pools = {3: [(0, 0, 1), (0, 1, 0), (2, 0, 0)]}
+    monkeypatch.setattr(lattice, "_norm_pools", lambda u, g: pools)
     with pytest.raises(LatticeError, match="index-1"):
         minimal_basis(diagonal(3, 3, 3))
 
 
 def test_minimal_basis_norms_must_equal_the_minima(monkeypatch):
     # (0, 0, 1) is listed with norm 4 but has norm 5
-    vecs = [(3, (1, 0, 0)), (4, (0, 0, 1)), (4, (0, 1, 0))]
-    fake = (vecs, (3, 4, 4, None, None))
-    monkeypatch.setattr(lattice, "_minima_pass", lambda gram: fake)
+    pools = {3: [(1, 0, 0)], 4: [(0, 0, 1), (0, 1, 0)]}
+    monkeypatch.setattr(lattice, "_norm_pools", lambda u, g: pools)
     with pytest.raises(LatticeError, match="differ from the minima"):
-        minimal_basis(diagonal(3, 4, 5))
+        lattice._minimal_basis(diagonal(3, 4, 5), EYE, diagonal(3, 4, 4))
+
+
+def test_minimal_basis_checks_each_row_against_the_greedy_diagonal(monkeypatch):
+    # sorted diagonals (4, 4, 5) that are not the minima, each handed over
+    # as the greedy reduction of its own Gram: (-1, 1, 0) has norm 2 < D2 = 4
+    # on a row with z2 = 0, and (-1, 0, 1) has norm 3 < D3 = 5 on one with
+    # z2 = 1
+    for gram, row, minima in (
+        (((4, 3, 0), (3, 4, 0), (0, 0, 5)), r"\(1, 0\) reaches norm 2", (2, 4, 5)),
+        (((4, 0, 3), (0, 4, 0), (3, 0, 5)), r"\(0, 1\) reaches norm 3", (3, 4, 4)),
+    ):
+        assert minima_triple(gram) == minima
+        with pytest.raises(LatticeError, match=r"greedy diagonal \(4, 4, 5\).*" + row):
+            lattice._minimal_basis(gram, EYE, gram)
+        # a greedy_reduce that hands back its input unreduced is caught too
+        with monkeypatch.context() as m:
+            m.setattr(lattice, "greedy_reduce", lambda g: (EYE, g))
+            for call in (minimal_basis, minima_triple):
+                with pytest.raises(LatticeError, match="is not the minima"):
+                    call(gram)
 
 
 # -- basis-change invariance (seeded random unimodular transforms) ------------

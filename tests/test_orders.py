@@ -4,9 +4,9 @@ from math import isqrt
 
 import pytest
 
-from grosslat import orders
+from grosslat import lattice, orders
 from grosslat.exact import legendre, primes_between
-from grosslat.lattice import LatticeError, minima_triple
+from grosslat.lattice import LatticeError, gram_inner, minima_triple
 from grosslat.oracle import supersingular_j_set
 from grosslat.orders import (
     OrderError,
@@ -325,8 +325,17 @@ def test_enumerate_types_examples():
 
 def test_enumerate_types_checks_the_greedy_key_of_each_new_type(monkeypatch):
     # a greedy diagonal that is not the minima raises; it must not silently
-    # merge or drop a type
+    # merge or drop a type.  The walk hands its key's reduction to
+    # minimal_basis, which takes it as it is
     real = orders.greedy_reduce
+
+    def lengthened(gram):
+        # u2 + s u0 has norm D3 + D1 + 2|(u0, u2)| > D3: a sorted diagonal,
+        # the Gram of its basis, but not the minima
+        (u0, u1, u2), _ = real(gram)
+        s = 1 if gram_inner(gram, u0, u2) >= 0 else -1
+        u = (u0, u1, tuple(a + s * b for a, b in zip(u2, u0)))
+        return u, tuple(tuple(gram_inner(gram, x, y) for y in u) for x in u)
 
     def off_by_one(gram):
         u, g = real(gram)
@@ -335,9 +344,31 @@ def test_enumerate_types_checks_the_greedy_key_of_each_new_type(monkeypatch):
             for i, row in enumerate(g)
         )
 
-    monkeypatch.setattr(orders, "greedy_reduce", off_by_one)
+    monkeypatch.setattr(orders, "greedy_reduce", lengthened)
     with pytest.raises(LatticeError, match="greedy diagonal"):
         enumerate_types(37, 2)
+    # a diagonal that is not even the Gram of u: the basis found has norms
+    # other than the key's
+    monkeypatch.setattr(orders, "greedy_reduce", off_by_one)
+    with pytest.raises(LatticeError, match="differ from the minima"):
+        enumerate_types(37, 2)
+
+
+def test_enumerate_types_reduces_each_popped_gram_once(monkeypatch):
+    # the greedy reduction behind a new type's key also gives its minimal
+    # basis: one reduction for each Gram popped, the seed and ell + 1
+    # neighbours of each type
+    calls = []
+    real = lattice.greedy_reduce
+
+    def counted(gram):
+        calls.append(gram)
+        return real(gram)
+
+    monkeypatch.setattr(orders, "greedy_reduce", counted)
+    monkeypatch.setattr(lattice, "greedy_reduce", counted)
+    types = enumerate_types(101, 2)
+    assert len(calls) == 1 + 3 * len(types)
 
 
 @pytest.mark.parametrize("p", [11, 13, 37, 101])

@@ -33,44 +33,56 @@ def test_verify_reads_minimal_bases_from_the_type_records(p, monkeypatch):
     assert calls == ["desc"] * spine
 
 
-def count_reduced_vectors(monkeypatch):
-    """Record the Gram of every reduced_vectors call, wherever it is named."""
-    grams = []
-    real = lattice.reduced_vectors
+def count_enumerations(monkeypatch):
+    """Record (name, Gram) of every reduced_vectors and primitive_norms call,
+    wherever the function is named."""
+    calls = []
 
-    def counted(gram, bound):
-        grams.append(gram)
-        return real(gram, bound)
+    def counted(name):
+        real = getattr(lattice, name)
 
-    for module in (lattice, verify, classify, cli, cm):
-        monkeypatch.setattr(module, "reduced_vectors", counted, raising=False)
-    return grams
+        def wrapper(gram, bound):
+            calls.append((name, gram))
+            return real(gram, bound)
+
+        return wrapper
+
+    for name in ("reduced_vectors", "primitive_norms"):
+        wrapper = counted(name)
+        for module in (lattice, verify, classify, cli, cm):
+            monkeypatch.setattr(module, name, wrapper, raising=False)
+    return calls
 
 
 @pytest.mark.parametrize("p", [11, 101])
 def test_verify_enumerates_each_type_once(p, monkeypatch):
+    # one vector list to 2p and one primitive-norm pass to 8 per type
     types = enumerate_types(p, 2)
-    grams = count_reduced_vectors(monkeypatch)
+    calls = count_enumerations(monkeypatch)
     rep = verify.verify_prime(p)
     assert not rep.failures
-    assert grams == [rec.gram for rec in types]
+    assert calls == [
+        (name, rec.gram)
+        for rec in types for name in ("reduced_vectors", "primitive_norms")
+    ]
 
 
 def test_types_and_cm_enumerate_each_type_once(monkeypatch, capsys):
+    # types: one primitive-norm pass per type, and no vector list
     types = enumerate_types(101, 2)
-    grams = count_reduced_vectors(monkeypatch)
+    calls = count_enumerations(monkeypatch)
     assert cli.main(["types", "--p", "101"]) == 0
     capsys.readouterr()
-    assert grams == [rec.gram for rec in types]
+    assert calls == [("primitive_norms", rec.gram) for rec in types]
     # cm writes down the Gross Gram of Pizer's order of (-7, -101) with no
     # walk, and certifies the embedding of -7 with no enumeration; 101 = 3
     # mod 7 is inert in Q(sqrt(-7))
-    grams.clear()
+    calls.clear()
     walks = []
     monkeypatch.setattr(cm, "enumerate_types", lambda *args: walks.append(args))
     rec = cm.locate_embedding_type(101, 7)
     assert walks == []
-    assert grams == []
+    assert calls == []
     assert (rec.minima, rec.gram) in [(t.minima, t.gram) for t in types]
 
 

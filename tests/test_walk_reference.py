@@ -42,7 +42,6 @@ from itertools import product
 
 import pytest
 
-from grosslat.classify import embedded_discriminants
 from grosslat.cm import (
     PIZER_DS, cm_rows, locate_embedding_type, supersingular_primes,
 )
@@ -54,7 +53,6 @@ from grosslat.lattice import (
     kneser_neighbours,
     minima_triple,
     minimal_basis,
-    reduced_vectors,
 )
 from grosslat.orders import (
     OrderError,
@@ -65,6 +63,7 @@ from grosslat.orders import (
     reduced_discriminant,
     standard_maximal_order,
 )
+from enumeration_reference import primitive_norms_reference
 from kneser_reference import kneser_neighbours_reference
 from quat_elements import conj4, is_ring, mul4, nrd4, vector_element
 from walks import walk
@@ -302,7 +301,7 @@ def cm_routes_compared(p_max_of):
         for d in ds:
             walk = [
                 (t.minima, t.gram) for t in types
-                if d in embedded_discriminants(reduced_vectors(t.gram, d), d)
+                if d in primitive_norms_reference(t.gram, d)
             ]
             rec = locate_embedding_type(p, d)
             assert [(rec.minima, rec.gram)] == walk, (p, d)
