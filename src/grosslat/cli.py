@@ -35,11 +35,6 @@ def _jmat(gram):
     return [[_jint(x) for x in row] for row in gram]
 
 
-def _jsorted(xs):
-    """A sorted list of nonnegative ints, those from 2^63 up as strings."""
-    return xs if not xs or xs[-1] < BIG else [_jint(x) for x in xs]
-
-
 # A list or dict holding only these is encoded in one call to json's C
 # encoder, which json.dumps does not use when it indents.
 _SCALARS = frozenset({str, int, float, bool, type(None)})
@@ -90,9 +85,9 @@ def _type_payload(p: int, ell: int, disc_bound: int):
                 "embedding": c.embedding,
                 "orthogonal": c.orthogonal,
                 "well_rounded": c.well_rounded,
-                "embedded_discriminants": _jsorted(
-                    norms[:bisect_right(norms, disc_bound)]
-                ),
+                "embedded_discriminants": [
+                    _jint(d) for d in norms[:bisect_right(norms, disc_bound)]
+                ],
             }
         )
     return {"schema": 1, "p": _jint(p), "ell": ell, "types": out}

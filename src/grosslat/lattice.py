@@ -392,8 +392,12 @@ def _norm_pools(u, g):
 
 
 def minima_triple(gram) -> MinimaTriple:
-    """Successive minima of a positive definite ternary Gram matrix."""
-    return minimal_basis(gram).minima
+    """Successive minima of a positive definite ternary Gram matrix: the
+    greedy diagonal, checked by `_norm_pools`."""
+    _check_positive_definite(gram)
+    u, g = greedy_reduce(gram)
+    _norm_pools(u, g)
+    return MinimaTriple(g[0][0], g[1][1], g[2][2])
 
 
 @dataclass(frozen=True)

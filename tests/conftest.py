@@ -13,7 +13,7 @@ OPT_IN = {
     "walk_reference": (
         "GROSSLAT_WALK_REFERENCE",
         "Gram walk against the order walk, its greedy dedupe key against "
-        "minima_triple, its Kneser neighbours against the seven-row HNF "
+        "the full-enumeration minima, its Kneser neighbours against the seven-row HNF "
         "reference, and minimal_basis and primitive_norms against the "
         "vector-list routes, at ell = 2 and 3 for every prime <= 2000, "
         "and the direct CM route against the walk up to each odd prime "

@@ -34,7 +34,7 @@ from grosslat.orders import (
     pizer_gross_gram,
     standard_maximal_order,
 )
-from enumeration_reference import embedded_discriminants
+from enumeration_reference import embedded_discriminants, minima_pass
 from greedy_reference import greedy_reduce_reference
 from kneser_reference import kneser_neighbours_reference
 from quat_elements import element, lattice_basis_elements, one
@@ -375,9 +375,9 @@ def test_greedy_reduction_is_unimodular_and_attains_minima():
         u, g = greedy_reduce(gram)
         assert abs(det3(u)) == 1
         assert det3(g) == det3(gram)
-        assert tuple(sorted((g[0][0], g[1][1], g[2][2]))) == tuple(
-            minima_triple(gram)
-        )
+        minima = minima_pass(gram)[1][:3]
+        assert tuple(sorted((g[0][0], g[1][1], g[2][2]))) == minima
+        assert minima_triple(gram) == minima
 
 
 def test_minima_match_short_vector_greedy():

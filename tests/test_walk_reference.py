@@ -12,10 +12,12 @@ ell = 5 and 7, and the neighbour multisets at ell = 2 and 3 for every
 p <= 100.
 
 The walk keys each Gram on the diagonal of its greedy reduction, which in
-dimension 3 is the successive minima triple; `minima_triple`, which reads
-the minima off an enumeration, is the reference for that key on every Gram
-the walk visits (each type's walk Gram and each neighbour it expands to),
-for every prime p <= 300 at ell = 2 and 3.
+dimension 3 is the successive minima triple.  The reference for that key is
+`enumeration_reference.minima_pass`, which reads the minima off the full
+list of vectors up to the greedy third minimum; the two must agree, and
+`minima_triple` with them, on every Gram the walk visits (each type's walk
+Gram and each neighbour it expands to), for every prime p <= 300 at
+ell = 2 and 3.
 
 `lattice.kneser_neighbours` memoises each line's neighbour HNF on the
 line's residue data; `tests/kneser_reference.py` is the construction it
@@ -63,7 +65,7 @@ from grosslat.orders import (
     reduced_discriminant,
     standard_maximal_order,
 )
-from enumeration_reference import primitive_norms_reference
+from enumeration_reference import minima_pass, primitive_norms_reference
 from kneser_reference import kneser_neighbours_reference
 from quat_elements import conj4, is_ring, mul4, nrd4, vector_element
 from walks import walk
@@ -222,9 +224,9 @@ def assert_greedy_key_is_the_minima(p, ell):
         ]
         for gram in visited:
             _, g = greedy_reduce(gram)
-            assert (g[0][0], g[1][1], g[2][2]) == minima_triple(gram), (
-                p, ell, gram
-            )
+            minima = minima_pass(gram)[1][:3]
+            assert (g[0][0], g[1][1], g[2][2]) == minima, (p, ell, gram)
+            assert minima_triple(gram) == minima, (p, ell, gram)
 
 
 @pytest.mark.parametrize("ell", [2, 3])
