@@ -17,7 +17,6 @@ from .lattice import (
     kneser_neighbours,
     minimal_basis,
     minima_triple,
-    orthogonalization,
     primitive_norms,
     short_vectors,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "kneser_neighbours",
     "minima_triple",
     "minimal_basis",
-    "orthogonalization",
     "pizer_gross_gram",
     "pizer_maximal_order",
     "primitive_norms",

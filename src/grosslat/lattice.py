@@ -3,9 +3,10 @@
 Everything here works on an integer 3x3 Gram matrix alone and knows nothing
 of quaternions; the Gross lattice of an order, whose Gram is the input of
 most callers, is built in `orders`.  Minima machinery runs in Python ints
-only: short vectors come from a Fincke-Pohst enumeration whose every range
-is exact by an integer square root.  Fractions appear only in the
-Gram-Schmidt data of `orthogonalization`.
+only, with no Fraction anywhere: short vectors come from a Fincke-Pohst
+enumeration whose every range is exact by an integer square root, and the
+hot kernels (`greedy_reduce`, `kneser_neighbours`, the minimal-basis
+search) carry a Gram as its six entries, not as rows for a helper to read.
 
 `kneser_neighbours` gives the even Grams of the ell-neighbours of an even
 ternary form for any prime ell prime to its half-discriminant.  On the
@@ -35,7 +36,6 @@ is v G v^T.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
@@ -78,16 +78,6 @@ def _check_positive_definite(gram):
 
 # -- greedy dimension-3 reduction (integer Gram arithmetic only) -------------
 
-def _nearest(t: int, n: int) -> int:
-    # nearest integer to t/n for n > 0, ties rounded down
-    return (2 * t + n) // (2 * n)
-
-
-def _sub(r, c, s):
-    """The coordinate row r - c s."""
-    return (r[0] - c * s[0], r[1] - c * s[1], r[2] - c * s[2])
-
-
 # Bound on the rounds of greedy_reduce, and on the Gauss steps inside one.
 _GREEDY_ROUNDS = 10000
 
@@ -105,8 +95,9 @@ def greedy_reduce(gram):
     The Gram is carried as its six entries, a = g00, b = g11, c = g22,
     x = g01, y = g02, z = g12, and the basis as three coordinate rows.  A
     swap of rows i, j exchanges g_ii with g_jj and g_ik with g_jk; b_i <-
-    b_i - q b_j changes g_ii, g_ij and g_ik.  Raises LatticeError when the
-    rounds do not settle.
+    b_i - q b_j changes g_ii, g_ij and g_ik.  Nearest integers round ties
+    down: round(t/n) = (2t + n) // 2n for n > 0.  Raises LatticeError when
+    the rounds do not settle.
     """
     (a, x, y), (_, b, z), (_, _, c) = gram
     u0, u1, u2 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
@@ -127,35 +118,39 @@ def greedy_reduce(gram):
             if a > b:
                 a, b, y, z, u0, u1 = b, a, z, y, u1, u0
                 changed = True
-            q = _nearest(x, a)
+            q = (2 * x + a) // (2 * a)
             if q:
                 b += q * (q * a - 2 * x)
                 x -= q * a
                 z -= q * y
-                u1 = _sub(u1, q, u0)
+                u1 = (u1[0] - q * u0[0], u1[1] - q * u0[1], u1[2] - q * u0[2])
                 changed = True
-            if b >= a and _nearest(x, a) == 0:
+            # x now rounds to 0 against a, whether or not a step was taken
+            if b >= a:
                 break
-        # reduce the third row against the plane of the first two
+        # reduce the third row against the plane of the first two: b_2 -
+        # s0 b_0 - s1 b_1 has norm c + s0 (s0 a - 2y) + s1 (s1 b - 2 (z - s0 x))
         d2 = a * b - x * x
-        a0 = _nearest(y * b - z * x, d2)
-        b0 = _nearest(z * a - y * x, d2)
+        a0 = (2 * (y * b - z * x) + d2) // (2 * d2)
+        b0 = (2 * (z * a - y * x) + d2) // (2 * d2)
         best, c0, c1 = c, 0, 0
         for s0 in (a0 - 1, a0, a0 + 1):
+            r = c + s0 * (s0 * a - 2 * y)
+            w = 2 * (z - s0 * x)
             for s1 in (b0 - 1, b0, b0 + 1):
-                if s0 == 0 and s1 == 0:
-                    continue
-                n = (
-                    c + s0 * s0 * a + s1 * s1 * b
-                    - 2 * s0 * y - 2 * s1 * z + 2 * s0 * s1 * x
-                )
+                # s0 = s1 = 0 gives n = c, never below best
+                n = r + s1 * (s1 * b - w)
                 if n < best:
                     best, c0, c1 = n, s0, s1
         if c0 or c1:
             # b_2 <- b_2 - c0 b_0 - c1 b_1
             c = best
             y, z = y - c0 * a - c1 * x, z - c0 * x - c1 * b
-            u2 = _sub(_sub(u2, c0, u0), c1, u1)
+            u2 = (
+                u2[0] - c0 * u0[0] - c1 * u1[0],
+                u2[1] - c0 * u0[1] - c1 * u1[1],
+                u2[2] - c0 * u0[2] - c1 * u1[2],
+            )
             changed = True
         if not changed:
             break
@@ -374,7 +369,7 @@ def _norm_pools(u, g):
             n = d2
         else:
             continue  # the row of e_0's multiples
-        z0 = _nearest(-b, g00)
+        z0 = (g00 - 2 * b) // (2 * g00)  # the nearest integer to -b / g00
         least = (g00 * z0 + 2 * b) * z0 + q
         if least < n:
             raise LatticeError(
@@ -423,38 +418,70 @@ def minimal_basis(gram, tie_break: str = "asc") -> MinimalBasis:
     return _minimal_basis(gram, *greedy_reduce(gram), tie_break)
 
 
+def _index_one_completion(d1_pool, d2_pool, d3_pool):
+    """The first (b1, b2, b3) from the pools, in loop order, with b1, b2
+    independent and |det(b1, b2, b3)| = 1; None when there is none.
+
+    b1, b2 are independent exactly when their cross product c is nonzero,
+    and det(b1, b2, b3) = b3 . c.
+    """
+    for b1 in d1_pool:
+        p0, p1, p2 = b1
+        for b2 in d2_pool:
+            q0, q1, q2 = b2
+            c0, c1, c2 = p1 * q2 - p2 * q1, p2 * q0 - p0 * q2, p0 * q1 - p1 * q0
+            if c0 or c1 or c2:
+                for b3 in d3_pool:
+                    if abs(c0 * b3[0] + c1 * b3[1] + c2 * b3[2]) == 1:
+                        return b1, b2, b3
+    return None
+
+
 def _minimal_basis(gram, u, g, tie_break: str = "asc") -> MinimalBasis:
     """`minimal_basis` from (u, g) = `greedy_reduce(gram)`, for a caller that
     already holds it, as the type walk does for its key."""
     minima = MinimaTriple(g[0][0], g[1][1], g[2][2])
     pools = _norm_pools(u, g)
-    d1_pool, d2_pool, d3_pool = (
-        sorted(pools[n], reverse=tie_break == "desc") for n in minima
-    )
-    chosen = next(
-        (
-            (b1, b2, b3)
-            for b1 in d1_pool
-            for b2 in d2_pool
-            if _independent2(b1, b2)
-            for b3 in d3_pool
-            if abs(det3((b1, b2, b3))) == 1
-        ),
-        None,
+    desc = tie_break == "desc"
+    chosen = _index_one_completion(
+        *(sorted(pools[n], reverse=desc) for n in minima)
     )
     if chosen is None:
         raise LatticeError("no index-1 completion among minima-attaining vectors")
     b1, b2, b3 = chosen
-    if gram_inner(gram, b1, b2) < 0:
-        b2 = tuple(-x for x in b2)
-    if gram_inner(gram, b1, b3) < 0:
-        b3 = tuple(-x for x in b3)
-    basis = (b1, b2, b3)
-    g = tuple(tuple(gram_inner(gram, x, y) for y in basis) for x in basis)
-    norms = (g[0][0], g[1][1], g[2][2])
-    if norms != minima:
-        raise LatticeError(f"basis norms {norms} differ from the minima {minima}")
-    return MinimalBasis(basis, g, minima)
+    (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = chosen
+    # the six entries b_i gram b_j^T, i <= j, of the basis Gram
+    (m00, m01, m02), (_, m11, m12), (_, _, m22) = gram
+    (w0, w1, w2), (x0, x1, x2), (y0, y1, y2) = [
+        (
+            t0 * m00 + t1 * m01 + t2 * m02,
+            t0 * m01 + t1 * m11 + t2 * m12,
+            t0 * m02 + t1 * m12 + t2 * m22,
+        )
+        for t0, t1, t2 in chosen
+    ]
+    n1 = w0 * p0 + w1 * p1 + w2 * p2
+    n2 = x0 * q0 + x1 * q1 + x2 * q2
+    n3 = y0 * r0 + y1 * r1 + y2 * r2
+    e12 = w0 * q0 + w1 * q1 + w2 * q2
+    e13 = w0 * r0 + w1 * r1 + w2 * r2
+    e23 = x0 * r0 + x1 * r1 + x2 * r2
+    # signs so that the (1,2) and (1,3) entries are nonnegative
+    if e12 < 0:
+        b2 = (-q0, -q1, -q2)
+        e12, e23 = -e12, -e23
+    if e13 < 0:
+        b3 = (-r0, -r1, -r2)
+        e13, e23 = -e13, -e23
+    if (n1, n2, n3) != minima:
+        raise LatticeError(
+            f"basis norms {(n1, n2, n3)} differ from the minima {minima}"
+        )
+    return MinimalBasis(
+        (b1, b2, b3),
+        ((n1, e12, e13), (e12, n2, e23), (e13, e23, n3)),
+        minima,
+    )
 
 
 # -- Kneser ell-neighbours of an even ternary form ----------------------------
@@ -498,22 +525,35 @@ def half_form(gram, p: int):
 
 
 def _isotropic_lines(m, ell: int):
-    """One vector per line of F_ell^3 on which q = x m x^T / 2 vanishes mod ell."""
+    """(v, q(v)) for one vector v per line of F_ell^3 on which
+    q(x) = x m x^T / 2 vanishes mod ell."""
+    (m00, m01, m02), (_, m11, m12), (_, _, m22) = m
+    h0, h1, h2 = m00 // 2, m11 // 2, m22 // 2
     points = [(1, a, b) for a in range(ell) for b in range(ell)]
     points += [(0, 1, b) for b in range(ell)]
     points.append((0, 0, 1))
-    return [v for v in points if gram_inner(m, v, v) % (2 * ell) == 0]
+    out = []
+    for v0, v1, v2 in points:
+        q = (
+            (h0 * v0 + m01 * v1 + m02 * v2) * v0
+            + (h1 * v1 + m12 * v2) * v1
+            + h2 * v2 * v2
+        )
+        if q % ell == 0:
+            out.append(((v0, v1, v2), q))
+    return out
 
 
-def _lift(m, v, ell: int, t: int, inv: int):
-    """v + ell c e_t with q = 0 mod ell^2, for b_t = (v m)_t with inverse inv.
+def _lift(q: int, v, ell: int, t: int, inv: int):
+    """v + ell c e_t with q = 0 mod ell^2, for q = q(v) and b_t = (v m)_t
+    with inverse inv mod ell.
 
     q(v + ell c e_t) = q(v) + ell c b_t + ell^2 c^2 q(e_t), so
     c = -(q(v)/ell) / b_t mod ell; this holds for ell = 2 as well.
     """
-    v = list(v)
-    v[t] -= ell * (gram_inner(m, v, v) // 2 // ell * inv % ell)
-    return v
+    w = list(v)
+    w[t] -= ell * (q // ell * inv % ell)
+    return tuple(w)
 
 
 # Entries of the neighbour-HNF memo.  Its key is residue data mod ell and
@@ -575,41 +615,50 @@ def kneser_neighbours(m, ell: int):
     (m00, m01, m02), (_, m11, m12), (_, _, m22) = m
     ell2 = ell * ell
     out = []
-    for v in lines:
+    for v, q in lines:
         v0, v1, v2 = v
-        b = (
-            v0 * m00 + v1 * m01 + v2 * m02,
-            v0 * m01 + v1 * m11 + v2 * m12,
-            v0 * m02 + v1 * m12 + v2 * m22,
+        b0 = v0 * m00 + v1 * m01 + v2 * m02
+        b1 = v0 * m01 + v1 * m11 + v2 * m12
+        b2 = v0 * m02 + v1 * m12 + v2 * m22
+        if b0 % ell:
+            t, bt, i, bi, j, bj = 0, b0, 1, b1, 2, b2
+        elif b1 % ell:
+            t, bt, i, bi, j, bj = 1, b1, 0, b0, 2, b2
+        else:
+            t, bt, i, bi, j, bj = 2, b2, 0, b0, 1, b1
+        inv = pow(bt, -1, ell)
+        cs = ((i, bi * inv % ell), (j, bj * inv % ell))
+        (h00, h01, h02), (h10, h11, h12), (h20, h21, h22) = _neighbour_hnf(
+            _lift(q, v, ell, t, inv), t, cs, ell
         )
-        t = next(j for j in range(3) if b[j] % ell)
-        inv = pow(b[t], -1, ell)
-        w = tuple(_lift(m, v, ell, t, inv))
-        cs = tuple((i, b[i] * inv % ell) for i in range(3) if i != t)
-        h = _neighbour_hnf(w, t, cs, ell)
-        hm = [
-            (
-                u0 * m00 + u1 * m01 + u2 * m02,
-                u0 * m01 + u1 * m11 + u2 * m12,
-                u0 * m02 + u1 * m12 + u2 * m22,
-            )
-            for u0, u1, u2 in h
-        ]
-        nb = [[0, 0, 0] for _ in range(3)]
-        for i in range(3):
-            x0, x1, x2 = hm[i]
-            for j in range(i, 3):
-                y0, y1, y2 = h[j]
-                q, rem = divmod(x0 * y0 + x1 * y1 + x2 * y2, ell2)
-                if rem:
-                    raise LatticeError("non-integer Gram entry in an ell-neighbour")
-                nb[i][j] = nb[j][i] = q
-        nb = tuple(map(tuple, nb))
-        if _odd_diagonal(nb):
+        # the rows of H m, then the upper triangle of H m H^T
+        r00 = h00 * m00 + h01 * m01 + h02 * m02
+        r01 = h00 * m01 + h01 * m11 + h02 * m12
+        r02 = h00 * m02 + h01 * m12 + h02 * m22
+        r10 = h10 * m00 + h11 * m01 + h12 * m02
+        r11 = h10 * m01 + h11 * m11 + h12 * m12
+        r12 = h10 * m02 + h11 * m12 + h12 * m22
+        r20 = h20 * m00 + h21 * m01 + h22 * m02
+        r21 = h20 * m01 + h21 * m11 + h22 * m12
+        r22 = h20 * m02 + h21 * m12 + h22 * m22
+        n00, e00 = divmod(r00 * h00 + r01 * h01 + r02 * h02, ell2)
+        n01, e01 = divmod(r00 * h10 + r01 * h11 + r02 * h12, ell2)
+        n02, e02 = divmod(r00 * h20 + r01 * h21 + r02 * h22, ell2)
+        n11, e11 = divmod(r10 * h10 + r11 * h11 + r12 * h12, ell2)
+        n12, e12 = divmod(r10 * h20 + r11 * h21 + r12 * h22, ell2)
+        n22, e22 = divmod(r20 * h20 + r21 * h21 + r22 * h22, ell2)
+        if e00 or e01 or e02 or e11 or e12 or e22:
+            raise LatticeError("non-integer Gram entry in an ell-neighbour")
+        if n00 % 2 or n11 % 2 or n22 % 2:
             raise LatticeError("ell-neighbour has an odd diagonal entry")
-        if det3(nb) != d:
-            raise LatticeError(f"ell-neighbour has det {det3(nb)}, expected {d}")
-        out.append(nb)
+        nd = (
+            n00 * (n11 * n22 - n12 * n12)
+            - n01 * (n01 * n22 - n12 * n02)
+            + n02 * (n01 * n12 - n11 * n02)
+        )
+        if nd != d:
+            raise LatticeError(f"ell-neighbour has det {nd}, expected {d}")
+        out.append(((n00, n01, n02), (n01, n11, n12), (n02, n12, n22)))
     return out
 
 
@@ -654,22 +703,3 @@ def basis_pair_rank2_sublattices(gram, coords):
             if i != j and gram[i][i] == d1 and gram[j][j] == d2
         }
     )
-
-
-@dataclass(frozen=True)
-class OrthogonalizationData:
-    mu21: Fraction
-    mu31: Fraction
-    mu32: Fraction
-    delta: Fraction
-
-
-def orthogonalization(gram) -> OrthogonalizationData:
-    """Exact Gram-Schmidt coefficients of a successive minimal basis Gram."""
-    d1, d2 = gram[0][0], gram[1][1]
-    x, y, z = gram[0][1], gram[0][2], gram[1][2]
-    mu21 = Fraction(x, d1)
-    mu31 = Fraction(y, d1)
-    mu32 = Fraction(d1 * z - x * y, d1 * d2 - x * x)
-    delta = Fraction(z, d2)
-    return OrthogonalizationData(mu21, mu31, mu32, delta)

@@ -5,9 +5,11 @@ matrix plus a common positive denominator.  This module builds maximal
 orders of B_p from explicit bases (Pizer 1980, Prop. 5.2), so no quaternion
 product is ever taken.  `pizer_maximal_order(q, p)` is Pizer's order of
 (-q, -p) for a prime q = 3 mod 4 inert at p, and contains the maximal order
-of Q(sqrt(-q)).  Through `standard_maximal_order` it seeds type enumeration
-at every p = 1 mod 4, and `cm` reads the type embedding -q off its Gross
-Gram, which `pizer_gross_gram` writes down in closed form.  The
+of Q(sqrt(-q)); it is `standard_maximal_order` at every p = 1 mod 4, and
+`cm` reads the type embedding -q off its Gross Gram, which
+`pizer_gross_gram` writes down in closed form.  Type enumeration is seeded
+by `standard_gross_gram`, the Gross Gram of the standard maximal order in
+closed form at every p, so a walk builds no order and no HNF.  The
 Gross lattice of O, the image of O under x -> 2x - trd(x) with the reduced
 norm, carries the discriminant of O as det G = 4 discrd(O)^2, so
 `reduced_discriminant` reads it from the Gram G.
@@ -141,7 +143,7 @@ def pizer_maximal_order(q: int, p: int) -> QuaternionOrder:
     q | c^2 p + 1 (Pizer 1980, Prop. 5.2).  By reciprocity (p|q) = (-q|p),
     so p is inert in Q(sqrt(-q)), and the order contains (1+i)/2, a root of
     x^2 - x + (1+q)/4, hence the maximal order of Q(sqrt(-q)).
-    `standard_maximal_order` seeds every p = 1 mod 4 with it;
+    `standard_maximal_order` is this order at every p = 1 mod 4;
     `pizer_gross_gram` is its Gross Gram in closed form.  Raises OrderError
     for any other q, and unless the reduced discriminant is p, which for an
     order of (-q, -p) shows the algebra is B_p.
@@ -184,6 +186,14 @@ def pizer_gross_gram(q: int, p: int):
     return gram
 
 
+def _standard_q(p: int) -> int:
+    """The least prime q = 3 mod 4 with (p|q) = -1, for a prime p = 1 mod 4."""
+    q = 3
+    while not (is_prime(q) and legendre(p, q) == -1):
+        q += 4
+    return q
+
+
 def standard_maximal_order(p: int) -> QuaternionOrder:
     """A maximal order of B_p with reduced discriminant p, by explicit basis.
 
@@ -199,10 +209,7 @@ def standard_maximal_order(p: int) -> QuaternionOrder:
     if not is_prime(p):
         raise OrderError(f"{p} is not prime")
     if p % 4 == 1:
-        q = 3
-        while not (is_prime(q) and legendre(p, q) == -1):
-            q += 4
-        return pizer_maximal_order(q, p)
+        return pizer_maximal_order(_standard_q(p), p)
     if p == 2:
         alg = QuaternionAlgebra(-1, -1, 2)
         rows = [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (1, 1, 1, 1)]
@@ -210,6 +217,34 @@ def standard_maximal_order(p: int) -> QuaternionOrder:
         alg = QuaternionAlgebra(-1, -p, p)
         rows = [(2, 0, 0, 0), (0, 2, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1)]
     return _checked_maximal(QuaternionOrder.from_generators(alg, rows, 2))
+
+
+def standard_gross_gram(p: int):
+    """The Gross Gram of `standard_maximal_order(p)`, in closed form.
+
+    - p = 2: ((3, 2, 2), (2, 4, 0), (2, 0, 4)), from the Hurwitz order;
+    - p = 3 mod 4: ((p+1, 0, 2p), (0, p, 0), (2p, 0, 4p)), the Gram of
+      the HNF basis i + k, j, 2k of the image of 1, i, (1+j)/2, (i+k)/2
+      in (-1, -p);
+    - p = 1 mod 4: `pizer_gross_gram(q, p)` for the q of the order.
+
+    Entry for entry the Gram `gross_lattice` reads off that order's HNF
+    image, with no order and no HNF built.  Raises OrderError unless p is
+    prime and det G = 4p^2.
+    """
+    if not is_prime(p):
+        raise OrderError(f"{p} is not prime")
+    if p % 4 == 1:
+        return pizer_gross_gram(_standard_q(p), p)
+    if p == 2:
+        gram = ((3, 2, 2), (2, 4, 0), (2, 0, 4))
+    else:
+        gram = ((p + 1, 0, 2 * p), (0, p, 0), (2 * p, 0, 4 * p))
+    if det3(gram) != 4 * p * p:
+        raise OrderError(
+            f"det of the standard Gross Gram is {det3(gram)}, expected 4p^2"
+        )
+    return gram
 
 
 @dataclass(frozen=True)
@@ -229,9 +264,10 @@ def enumerate_types(p: int, ell: int):
     """All isomorphism types of maximal orders in B_p, sorted by minima.
 
     Breadth-first search over ell-neighbours seeded by the Gross Gram of the
-    standard maximal order.  The nodes are Gross Grams G, and the neighbours
-    of G are the adjugates of the Kneser ell-neighbours of its half form
-    adj(G) / 2p.  A node is keyed by the diagonal of its greedy-reduced
+    standard maximal order, written down by `standard_gross_gram` with no
+    order built.  The nodes are Gross Grams G, and the neighbours of G are
+    the adjugates of the Kneser ell-neighbours of its half form adj(G) / 2p.
+    A node is keyed by the diagonal of its greedy-reduced
     Gram, which in dimension 3 is its successive minima triple (see
     `lattice.greedy_reduce`), a complete type invariant, and is discarded
     when that key was already seen.  Only a new key pays for a minimal
@@ -242,7 +278,7 @@ def enumerate_types(p: int, ell: int):
         raise OrderError(f"{p} is not prime")
     if not is_prime(ell) or ell == p:
         raise OrderError("ell must be a prime different from p")
-    queue = deque([gross_lattice(standard_maximal_order(p)).gram])
+    queue = deque([standard_gross_gram(p)])
     seen = set()
     records = []
     while queue:

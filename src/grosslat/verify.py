@@ -7,7 +7,6 @@ pass/fail per rule plus GramGross multiplicity statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import classify as cl
 from .cm import D1_20_LABEL, EXTENDED_DS, closed_form_gram, cm_rows, recompute_ne
@@ -19,7 +18,6 @@ from .lattice import (
     det3,
     greedy_minima,
     minimal_basis,
-    orthogonalization,
     primitive_norms,
     rank2_det,
     reduced_vectors,
@@ -56,6 +54,23 @@ class PrimeReport:
         return sorted(r for r, v in self.rules.items() if not v["ok"])
 
 
+def _norms_mod4(g) -> bool:
+    """Every norm x g x^T is 0 or 3 mod 4, as a discriminant must be.
+
+    For an integral Gram Q(x + 2y) = Q(x) + 4 x g y^T + 4 Q(y) = Q(x) mod 4,
+    so the norm mod 4 depends on x mod 2 alone, and the seven nonzero
+    classes of (Z/2)^3 decide the rule for every vector.
+    """
+    (a, x, y), (_, b, z), (_, _, c) = g
+    return all(
+        n % 4 in (0, 3)
+        for n in (
+            a, b, c, a + b + 2 * x, a + c + 2 * y, b + c + 2 * z,
+            a + b + c + 2 * (x + y + z),
+        )
+    )
+
+
 def verify_prime(p: int, oracle_cap: int = ORACLE_CAP) -> PrimeReport:
     rep = PrimeReport(p)
     types = enumerate_types(p, default_ell(p))
@@ -65,20 +80,16 @@ def verify_prime(p: int, oracle_cap: int = ORACLE_CAP) -> PrimeReport:
     for rec in types:
         d1, d2, d3 = rec.minima
         g = rec.gram
-        # the one vector list of this type; it reaches D3 (at most 2p by
-        # the theorem bounds) and norm 8.  Primitive norms to 8 serve
-        # special_j and the loop discriminants 4, 7 and 8
-        vecs = reduced_vectors(g, max(2 * p, 8))
+        # the one vector list of this type, to D3 and at least norm 8: all
+        # that brute-minima and the rank-2 rules read.  Primitive norms to 8
+        # serve special_j and the loop discriminants 4, 7 and 8
+        vecs = reduced_vectors(g, max(d3, 8))
         norms = primitive_norms(g, 8)
         c = cl.classify_type(p, norms, rec.minima, g)
         classifications.append(c)
 
         rep.check("det-4p2", det3(g) == 4 * p * p, f"type {rec.minima}")
-        rep.check(
-            "norms-mod4",
-            all(n % 4 in (0, 3) for n, _ in vecs),
-            f"type {rec.minima}",
-        )
+        rep.check("norms-mod4", _norms_mod4(g), f"type {rec.minima}")
         minors_ok = True
         for i, j in ((0, 1), (0, 2), (1, 2)):
             m = rank2_det(g, i, j)
@@ -102,14 +113,13 @@ def verify_prime(p: int, oracle_cap: int = ORACLE_CAP) -> PrimeReport:
             )
         viol = cl.validate_bounds(p, rec.minima, c.spine)
         rep.check("theorem-bounds", not viol, f"type {rec.minima}: {viol}")
-        o = orthogonalization(g)
-        half = Fraction(1, 2)
+        x, y, z = g[0][1], g[0][2], g[1][2]
+        # |mu21| = |x|/D1, |mu31| = |y|/D1 and |delta| = |z|/D2 at most 1/2
         rep.check(
             "size-reduced",
-            abs(o.mu21) <= half and abs(o.mu31) <= half and abs(o.delta) <= half,
-            f"type {rec.minima}: mu21={o.mu21} mu31={o.mu31} delta={o.delta}",
+            2 * abs(x) <= d1 and 2 * abs(y) <= d1 and 2 * abs(z) <= d2,
+            f"type {rec.minima}: x={x} y={y} z={z} D1={d1} D2={d2}",
         )
-        x, y, z = g[0][1], g[0][2], g[1][2]
         rep.check(
             "gram-bounds",
             0 <= 2 * x <= d1 and 0 <= 2 * y <= d1 and 2 * abs(z) <= d2,
@@ -132,9 +142,11 @@ def verify_prime(p: int, oracle_cap: int = ORACLE_CAP) -> PrimeReport:
                 alt.gram == g,
                 f"type {rec.minima}: desc gram {alt.gram}",
             )
+        bf = greedy_minima(vecs)
         if c.spine and c.special_j in ("j1728", "none"):
-            # Prop-backed uniqueness: any attaining pair spans one sublattice
-            subs = attaining_rank2_sublattices(vecs)
+            # Prop-backed uniqueness: any attaining pair spans one sublattice;
+            # a list below the third minimum has no attaining pair to read
+            subs = attaining_rank2_sublattices(vecs) if bf else []
             rep.check(
                 "rank2-sublattice-unique",
                 len(subs) == 1,
@@ -148,7 +160,6 @@ def verify_prime(p: int, oracle_cap: int = ORACLE_CAP) -> PrimeReport:
                 len(pairs) == 2,
                 f"type {rec.minima}: {len(pairs)} basis-pair sublattices",
             )
-        bf = greedy_minima(vecs)
         rep.check(
             "brute-minima",
             bf is not None and (bf[0], bf[1], bf[2]) == tuple(rec.minima),
@@ -160,18 +171,16 @@ def verify_prime(p: int, oracle_cap: int = ORACLE_CAP) -> PrimeReport:
             cands = gram_gross(p, d1)
             key = (p, d1)
             rep.gramgross_sizes[key] = len(cands)
+            self_n = next((cand.n for cand in cands if cand.gram == g), None)
             rep.check(
-                "gramgross-contains",
-                any(cand.gram == g for cand in cands),
-                f"type {rec.minima}",
+                "gramgross-contains", self_n is not None, f"type {rec.minima}"
             )
             sound = all(
                 not candidate_invariant_violations(cand, p) for cand in cands
             )
             rep.check("gramgross-sound", sound, f"(p, D1) = {key}")
-            if cands and d1 > 3:
+            if self_n is not None and d1 > 3:
                 a = ceil_div(4 * p * d1 - d1 * d1, 16 * p)
-                self_n = next(cand.n for cand in cands if cand.gram == g)
                 rep.n_equals_a.append(self_n == a)
         rep.check(
             "embedding-labels",
@@ -209,10 +218,11 @@ def verify_prime(p: int, oracle_cap: int = ORACLE_CAP) -> PrimeReport:
     )
 
     if p > 3:
-        other = enumerate_types(p, 3)
+        # the minima alone: the ell = 3 records are dropped as they are read
+        other = [t.minima for t in enumerate_types(p, 3)]
         rep.check(
             "ell-independence",
-            [t.minima for t in types] == [t.minima for t in other],
+            [t.minima for t in types] == other,
             "ell=2 vs ell=3 triples differ",
         )
     else:

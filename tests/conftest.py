@@ -13,8 +13,9 @@ OPT_IN = {
     "walk_reference": (
         "GROSSLAT_WALK_REFERENCE",
         "Gram walk against the order walk, its greedy dedupe key against "
-        "the full-enumeration minima, its Kneser neighbours against the seven-row HNF "
-        "reference, and minimal_basis and primitive_norms against the "
+        "the full-enumeration minima, its closed-form seed against the "
+        "standard order's Gross Gram, its Kneser neighbours against the "
+        "seven-row HNF reference, and minimal_basis and primitive_norms against the "
         "vector-list routes, at ell = 2 and 3 for every prime <= 2000, "
         "and the direct CM route against the walk up to each odd prime "
         "row's default_p_max; set GROSSLAT_WALK_REFERENCE=1",
@@ -22,10 +23,28 @@ OPT_IN = {
 }
 
 
+# marker -> reason shown when skipped; these run only when `-m` names them
+SELECTED = {
+    "verify_large": (
+        "verify_prime with no oracle at the least primes above 10^5 and "
+        "2 * 10^5; run with -m verify_large"
+    ),
+}
+
+
 def pytest_collection_modifyitems(config, items):
-    for marker, (flag, reason) in OPT_IN.items():
-        if os.environ.get(flag) == "1":
-            continue
+    gates = [
+        (marker, reason)
+        for marker, (flag, reason) in OPT_IN.items()
+        if os.environ.get(flag) != "1"
+    ]
+    markexpr = config.getoption("markexpr") or ""
+    gates += [
+        (marker, reason)
+        for marker, reason in SELECTED.items()
+        if marker not in markexpr
+    ]
+    for marker, reason in gates:
         skip = pytest.mark.skip(reason=reason)
         for item in items:
             if marker in item.keywords:

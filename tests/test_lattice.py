@@ -21,7 +21,6 @@ from grosslat.lattice import (
     kneser_neighbours,
     minima_triple,
     minimal_basis,
-    orthogonalization,
     rank2_det,
     reduced_vectors,
     short_vectors,
@@ -351,16 +350,6 @@ def test_rank2_sublattices():
     assert len(attaining_rank2_sublattices(short_vectors(g5, 7))) == 3
 
 
-def test_orthogonalization_examples():
-    o = orthogonalization(minimal_basis(gram_of(11, 1)).gram)
-    assert (o.mu21, o.mu31, o.delta) == (0, Fraction(1, 2), 0)
-    o5 = orthogonalization(minimal_basis(gram_of(5)).gram)
-    assert o5.mu21 == Fraction(1, 3)
-    assert o5.delta == Fraction(-3, 7)
-    diag = orthogonalization(((3, 0, 0), (0, 4, 0), (0, 0, 5)))
-    assert diag.mu21 == diag.mu31 == diag.mu32 == diag.delta == 0
-
-
 def test_greedy_reduction_is_unimodular_and_attains_minima():
     rng = random.Random(23)
     for _ in range(40):
@@ -427,13 +416,16 @@ def random_positive_grams(rng, count, spread):
 
 
 def walk_grams(p):
-    """Every Gram greedy_reduce sees on the walk at p: each type's walk and
-    normalized Gram and the Gross Grams of its ell-neighbours."""
-    ell = 3 if p == 2 else 2
+    """Every Gram greedy_reduce sees on the ell = 2 and ell = 3 walks at p:
+    each type's walk and normalized Gram and the Gross Grams of its
+    ell-neighbours."""
     out = []
-    for rec in walk(p, ell):
-        out += [rec.walk_gram, rec.gram]
-        out += [adj3(m) for m in kneser_neighbours(half_form(rec.gram, p), ell)]
+    for ell in (2, 3):
+        if ell == p:
+            continue
+        for rec in walk(p, ell):
+            out += [rec.walk_gram, rec.gram]
+            out += [adj3(m) for m in kneser_neighbours(half_form(rec.gram, p), ell)]
     return out
 
 
@@ -449,7 +441,7 @@ def test_greedy_reduce_matches_the_list_reference():
     ]
     for p in (2, 3, 11, 101, 1009):
         grams += walk_grams(p)
-    assert len(grams) > 3500
+    assert len(grams) > 3900
     for gram in grams:
         assert greedy_reduce(gram) == greedy_reduce_reference(gram), gram
 
@@ -751,7 +743,7 @@ def test_kneser_neighbours_check_even_grams(monkeypatch):
     # unlifted, the line (1, 1, 1) of the p = 11 half form has q = 2 mod 4,
     # so v/2 has the odd norm q(v)/2 and every entry is still integral
     m = half_form(gram_of(11), 11)
-    monkeypatch.setattr(lattice, "_lift", lambda m, v, ell, t, inv: list(v))
+    monkeypatch.setattr(lattice, "_lift", lambda q, v, ell, t, inv: v)
     with pytest.raises(LatticeError, match="ell-neighbour has an odd diagonal"):
         kneser_neighbours(m, 2)
 

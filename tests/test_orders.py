@@ -4,7 +4,7 @@ from math import isqrt
 
 import pytest
 
-from grosslat import lattice, orders
+from grosslat import exact, lattice, orders
 from grosslat.exact import legendre, primes_between
 from grosslat.lattice import LatticeError, gram_inner, minima_triple
 from grosslat.oracle import supersingular_j_set
@@ -16,6 +16,7 @@ from grosslat.orders import (
     pizer_gross_gram,
     pizer_maximal_order,
     reduced_discriminant,
+    standard_gross_gram,
     standard_maximal_order,
 )
 from grosslat.quat import QuaternionAlgebra
@@ -199,6 +200,37 @@ def test_pizer_gross_gram_checks_t_and_its_determinant(monkeypatch):
         pizer_gross_gram(7, 13)
 
 
+@pytest.mark.parametrize("p", primes_between(2, 500))
+def test_standard_gross_gram_is_the_gross_gram_of_the_standard_order(p):
+    # the walk's closed-form seed against the HNF of the order's image
+    assert standard_gross_gram(p) == gross_lattice(standard_maximal_order(p)).gram
+
+
+def test_standard_gross_gram_checks_p_and_its_determinant(monkeypatch):
+    with pytest.raises(OrderError, match="91 is not prime"):
+        standard_gross_gram(91)
+    monkeypatch.setattr(orders, "det3", lambda m: 0)
+    for p in (2, 11):
+        with pytest.raises(OrderError, match="standard Gross Gram is 0, expected 4p\\^2"):
+            standard_gross_gram(p)
+    # p = 1 mod 4 takes Pizer's Gram, which checks its own determinant
+    with pytest.raises(OrderError, match="Pizer's Gross Gram is 0"):
+        standard_gross_gram(13)
+
+
+def test_enumerate_types_builds_no_order(monkeypatch):
+    # once the neighbour-HNF memo holds the walk's line data, a second walk
+    # runs no HNF at all: its seed is written down, not read off an order
+    want = enumerate_types(101, 2)
+
+    def forbidden(rows):
+        raise AssertionError("the walk ran an HNF")
+
+    monkeypatch.setattr(exact, "hnf", forbidden)
+    monkeypatch.setattr(lattice, "hnf", forbidden)
+    assert enumerate_types(101, 2) == want
+
+
 def test_pizer_order_checks_its_discriminant(monkeypatch):
     monkeypatch.setattr(orders, "reduced_discriminant", lambda o: 4 * o.algebra.p)
     with pytest.raises(OrderError, match="discriminant 52, expected 13"):
@@ -221,9 +253,9 @@ def test_saturated_seed_walks_to_the_same_types(p, monkeypatch):
     lip = QuaternionOrder.from_generators(
         alg, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), 1
     )
-    seed = saturate_to_maximal(lip)
-    assert seed != standard_maximal_order(p)
-    monkeypatch.setattr(orders, "standard_maximal_order", lambda _p: seed)
+    seed = gross_lattice(saturate_to_maximal(lip)).gram
+    assert seed != standard_gross_gram(p)
+    monkeypatch.setattr(orders, "standard_gross_gram", lambda _p: seed)
     for ell in (2, 3):
         assert key(enumerate_types(p, ell)) == want[ell]
 

@@ -1,6 +1,7 @@
 import gc
 import json
 import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -10,7 +11,9 @@ import grosslat.cm as cm
 import grosslat.lattice as lattice
 import grosslat.verify as verify
 from grosslat.classify import field_of_definition
-from grosslat.orders import enumerate_types
+from grosslat.exact import is_prime, primes_between
+from grosslat.orders import default_ell, enumerate_types
+from walks import types_of
 
 
 @pytest.mark.parametrize("p", [11, 101])
@@ -34,15 +37,15 @@ def test_verify_reads_minimal_bases_from_the_type_records(p, monkeypatch):
 
 
 def count_enumerations(monkeypatch):
-    """Record (name, Gram) of every reduced_vectors and primitive_norms call,
-    wherever the function is named."""
+    """Record (name, Gram, bound) of every reduced_vectors and primitive_norms
+    call, wherever the function is named."""
     calls = []
 
     def counted(name):
         real = getattr(lattice, name)
 
         def wrapper(gram, bound):
-            calls.append((name, gram))
+            calls.append((name, gram, bound))
             return real(gram, bound)
 
         return wrapper
@@ -56,14 +59,19 @@ def count_enumerations(monkeypatch):
 
 @pytest.mark.parametrize("p", [11, 101])
 def test_verify_enumerates_each_type_once(p, monkeypatch):
-    # one vector list to 2p and one primitive-norm pass to 8 per type
+    # one vector list to max(D3, 8), not to 2p, and one primitive-norm pass
+    # to 8 per type
     types = enumerate_types(p, 2)
     calls = count_enumerations(monkeypatch)
     rep = verify.verify_prime(p)
     assert not rep.failures
     assert calls == [
-        (name, rec.gram)
-        for rec in types for name in ("reduced_vectors", "primitive_norms")
+        call
+        for rec in types
+        for call in (
+            ("reduced_vectors", rec.gram, max(rec.minima[2], 8)),
+            ("primitive_norms", rec.gram, 8),
+        )
     ]
 
 
@@ -73,7 +81,7 @@ def test_types_and_cm_enumerate_each_type_once(monkeypatch, capsys):
     calls = count_enumerations(monkeypatch)
     assert cli.main(["types", "--p", "101"]) == 0
     capsys.readouterr()
-    assert calls == [("primitive_norms", rec.gram) for rec in types]
+    assert calls == [("primitive_norms", rec.gram, 2 * 101) for rec in types]
     # cm writes down the Gross Gram of Pizer's order of (-7, -101) with no
     # walk, and certifies the embedding of -7 with no enumeration; 101 = 3
     # mod 7 is inert in Q(sqrt(-7))
@@ -113,3 +121,105 @@ def test_verify_leaves_no_walk_alive(monkeypatch):
     gc.collect()
     assert len(walked) > 500
     assert sum(ref() is not None for ref in walked) == 0
+
+
+def edit_type(monkeypatch, p, minima, edit):
+    """Make verify_prime's default-ell walk at p hand over the type `minima`
+    as `edit(record)`; every other record and the ell = 3 walk stay."""
+    real = verify.enumerate_types
+
+    def walked(q, ell):
+        types = real(q, ell)
+        if ell != default_ell(q):
+            return types
+        assert minima in [rec.minima for rec in types]
+        return tuple(edit(rec) if rec.minima == minima else rec for rec in types)
+
+    monkeypatch.setattr(verify, "enumerate_types", walked)
+
+
+def test_norms_mod4_fails_on_an_odd_off_diagonal_entry(monkeypatch):
+    # the j = 1728 type of p = 11 with (1,2) entry 1 instead of 0: every
+    # diagonal norm is still 0 or 3 mod 4, but e1 + e2 has norm 17 = 1 mod 4
+    edit_type(
+        monkeypatch, 11, (4, 11, 12),
+        lambda rec: replace(rec, gram=((4, 1, 2), (1, 11, 0), (2, 0, 12))),
+    )
+    rep = verify.verify_prime(11)
+    assert "norms-mod4" in rep.failures
+    assert rep.rules["norms-mod4"]["detail"] == "type (4, 11, 12)"
+
+
+def test_brute_minima_fails_when_d3_is_one_too_small(monkeypatch):
+    # the list stops at the claimed D3 = 11 and so holds no third minimum;
+    # the rank-2 rule of this j = 1728 type has no attaining pair to read
+    edit_type(
+        monkeypatch, 11, (4, 11, 12), lambda rec: replace(rec, minima=(4, 11, 11))
+    )
+    rep = verify.verify_prime(11)
+    assert "brute-minima" in rep.failures
+    assert rep.rules["brute-minima"]["detail"] == "type (4, 11, 11)"
+    assert "rank2-sublattice-unique" in rep.failures
+
+
+def test_norms_mod4_classes_match_the_vector_list_to_2p():
+    # Q(x + 2y) = Q(x) mod 4: the verdict on the seven classes of (Z/2)^3
+    # is the verdict on every vector up to 2p, which verify read before
+    for p in primes_between(2, 300):
+        for rec in types_of(p):
+            vecs = lattice.reduced_vectors(rec.gram, max(2 * p, 8))
+            old = all(n % 4 in (0, 3) for n, _ in vecs)
+            assert verify._norms_mod4(rec.gram) == old, (p, rec.minima)
+
+
+def test_size_reduced_reads_integer_bounds(monkeypatch):
+    # (mu21, mu31, delta) = (x/D1, y/D1, z/D2): (0, 1/2, 0) on the second
+    # type of p = 11, which meets the bound 2|y| <= D1 exactly, and
+    # (1/3, 1/3, -3/7) at p = 5
+    assert types_of(11)[1].gram == ((4, 0, 2), (0, 11, 0), (2, 0, 12))
+    assert types_of(5)[0].gram == ((3, 1, 1), (1, 7, -3), (1, -3, 7))
+    assert not verify.verify_prime(11).failures
+    # z = -4 on D2 = 7: delta = -4/7
+    edit_type(
+        monkeypatch, 5, (3, 7, 7),
+        lambda rec: replace(rec, gram=((3, 1, 1), (1, 7, -4), (1, -4, 7))),
+    )
+    rep = verify.verify_prime(5)
+    assert "size-reduced" in rep.failures
+    assert rep.rules["size-reduced"]["detail"] == (
+        "type (3, 7, 7): x=1 y=1 z=-4 D1=3 D2=7"
+    )
+
+
+def test_ell_independence_keeps_only_the_ell_3_minima(monkeypatch):
+    # the ell = 3 records are gone by the time the closed-form rules run,
+    # which follow ell-independence; the ell = 2 records are still in use
+    walked = {}
+    real = verify.enumerate_types
+
+    def tracked(p, ell):
+        types = real(p, ell)
+        walked[ell] = [weakref.ref(rec) for rec in types]
+        return types
+
+    seen = []
+    real_closed = verify.closed_form_gram
+
+    def closed(label, p):
+        seen.append([sum(r() is not None for r in walked[ell]) for ell in (2, 3)])
+        return real_closed(label, p)
+
+    monkeypatch.setattr(verify, "enumerate_types", tracked)
+    monkeypatch.setattr(verify, "closed_form_gram", closed)
+    rep = verify.verify_prime(11)
+    assert not rep.failures
+    assert seen == [[2, 0], [2, 0]]
+
+
+@pytest.mark.verify_large
+@pytest.mark.parametrize("floor", [10**5, 2 * 10**5])
+def test_verify_passes_at_the_least_prime_above(floor):
+    p = next(q for q in range(floor + 1, 2 * floor) if is_prime(q))
+    rep = verify.verify_prime(p, oracle_cap=0)
+    assert rep.failures == []
+    assert rep.rules["oracle-type-count"]["skipped"]

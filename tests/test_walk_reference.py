@@ -31,9 +31,14 @@ instead of keeping the one type of the walk whose Gram has a primitive
 norm-d vector.  Tier-1 compares the two, (minima, normalized Gram), at every
 inert 5 <= p <= 1200 of those rows: 686 (p, d) pairs.
 
+The walk is seeded by `orders.standard_gross_gram`, the Gross Gram of the
+standard maximal order in closed form; `order_walk` starts from the order
+itself.  `tests/test_orders.py` compares the two seeds at every p <= 500.
+
 The gate over every prime up to 2000 at ell = 2 and 3, for the walk, its
-key and its neighbour construction, and over every inert prime of each odd
-prime CM row up to its `default_p_max` (6887 for d = 163), is opt-in:
+key, its seed and its neighbour construction, and over every inert prime of
+each odd prime CM row up to its `default_p_max` (6887 for d = 163), is
+opt-in:
 
     GROSSLAT_WALK_REFERENCE=1 pytest tests/test_walk_reference.py -m walk_reference
 """
@@ -63,6 +68,7 @@ from grosslat.orders import (
     enumerate_types,
     gross_lattice,
     reduced_discriminant,
+    standard_gross_gram,
     standard_maximal_order,
 )
 from enumeration_reference import minima_pass, primitive_norms_reference
@@ -322,6 +328,12 @@ def test_cm_direct_route_matches_the_walk_up_to_each_default_p_max():
         len(supersingular_primes(r, 5, r.default_p_max))
         for r in cm_rows() if r.d in PIZER_DS
     )
+
+
+@pytest.mark.walk_reference
+def test_standard_gross_gram_is_the_gross_gram_of_the_standard_order_up_to_2000():
+    for p in primes_between(2, 2000):
+        assert standard_gross_gram(p) == gross_lattice(standard_maximal_order(p)).gram, p
 
 
 @pytest.mark.walk_reference
