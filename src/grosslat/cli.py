@@ -22,7 +22,7 @@ from .gramgross import PreconditionError, gram_gross
 from .lattice import primitive_norms
 from .oracle import supersingular_j_set
 from .orders import default_ell, enumerate_types
-from .verify import ORACLE_CAP, run_verify
+from .verify import run_verify
 
 BIG = 2 ** 63
 
@@ -161,7 +161,7 @@ def cmd_verify(args) -> int:
     if args.pmin < 2 or args.pmax < args.pmin:
         print("error: need 2 <= pmin <= pmax", file=sys.stderr)
         return 2
-    if args.oracle_cap < 0:
+    if args.oracle_cap is not None and args.oracle_cap < 0:
         print(f"error: oracle-cap = {args.oracle_cap} is negative", file=sys.stderr)
         return 2
 
@@ -272,13 +272,7 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="grosslat",
-        description="Exact Gross-lattice toolkit for quaternion maximal orders",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
-
+def _add_types(sub):
     t = sub.add_parser("types", help="enumerate and classify the types of B_p")
     t.add_argument("--p", type=int, required=True)
     t.add_argument("--ell", type=int,
@@ -290,20 +284,28 @@ def build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--json", action="store_true", help="JSON output (default)")
     t.set_defaults(func=cmd_types)
 
+
+def _add_gramgross(sub):
     g = sub.add_parser("gramgross", help="candidate Gram matrices for (p, D1)")
     g.add_argument("--p", type=int, required=True)
     g.add_argument("--d1", type=int, required=True)
     g.set_defaults(func=cmd_gramgross)
 
+
+def _add_verify(sub):
     v = sub.add_parser("verify", help="run the invariant suite over a prime range")
     v.add_argument("--pmin", type=int, default=2)
     v.add_argument("--pmax", type=int, default=300)
     v.add_argument("--extended-cm", action="store_true",
                    help="also recompute N_E for d in {43, 67, 163}")
-    v.add_argument("--oracle-cap", type=int, default=ORACLE_CAP)
+    v.add_argument("--oracle-cap", type=int,
+                   help="skip the two oracle rules above this prime "
+                        "(default: run them at every prime)")
     v.add_argument("--json", action="store_true")
     v.set_defaults(func=cmd_verify)
 
+
+def _add_cm(sub):
     c = sub.add_parser("cm", help="CM rows: closed forms and N_E recomputation")
     grp = c.add_mutually_exclusive_group(required=True)
     grp.add_argument("--row", type=str, help='label, e.g. "-15^3" or "0"')
@@ -314,9 +316,36 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--json", action="store_true")
     c.set_defaults(func=cmd_cm)
 
+
+def _add_oracle(sub):
     o = sub.add_parser("oracle", help="finite-field supersingular j-invariants")
     o.add_argument("--p", type=int, required=True)
     o.set_defaults(func=cmd_oracle)
+
+
+SUBCOMMANDS = {
+    "types": _add_types,
+    "gramgross": _add_gramgross,
+    "verify": _add_verify,
+    "cm": _add_cm,
+    "oracle": _add_oracle,
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The command line parser, with every subcommand or with `command` alone.
+
+    A subcommand's parser is the same either way, so its help and errors
+    do not depend on which were built.
+    """
+    ap = argparse.ArgumentParser(
+        prog="grosslat",
+        description="Exact Gross-lattice toolkit for quaternion maximal orders",
+    )
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, add in SUBCOMMANDS.items():
+        if command in (None, name):
+            add(sub)
     return ap
 
 
@@ -339,7 +368,10 @@ def _fuse_row_flag(argv):
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(_fuse_row_flag(argv))
+    # argparse setup is most of a short run: build only the subcommand named;
+    # help, no arguments or an unknown command need them all
+    command = argv[0] if argv and argv[0] in SUBCOMMANDS else None
+    args = build_parser(command).parse_args(_fuse_row_flag(argv))
     return args.func(args)
 
 

@@ -673,12 +673,15 @@ def attaining_rank2_sublattices(vecs):
     """Distinct HNFs of <v, w> over all pairs attaining the first two minima.
 
     `vecs` is a `short_vectors` or `reduced_vectors` list reaching at least
-    the third minimum, so `greedy_minima` reads (D1, D2) from it.  Two pairs
-    span the same sublattice exactly when their HNFs agree; a unimodular
-    change of the basis behind `vecs` changes the HNFs but not their number.
-    Sorted for determinism.
+    the third minimum, so `greedy_minima` reads (D1, D2) from it; a shorter
+    list raises LatticeError.  Two pairs span the same sublattice exactly
+    when their HNFs agree; a unimodular change of the basis behind `vecs`
+    changes the HNFs but not their number.  Sorted for determinism.
     """
-    d1, d2, _, _, _ = greedy_minima(vecs)
+    minima = greedy_minima(vecs)
+    if minima is None:
+        raise LatticeError("the vector list does not reach the third minimum")
+    d1, d2 = minima[:2]
     firsts = [v for n, v in vecs if n == d1]
     seconds = [v for n, v in vecs if n == d2]
     return sorted(

@@ -1,20 +1,38 @@
 """Independent finite-field ground truth for supersingular j-invariants.
 
-The supersingular polynomial ss_p(j) is the product of j - j(E) over the
-supersingular j-invariants in characteristic p.  It is monic and
-separable, of degree floor(p/12) + delta + epsilon (Eichler-Deuring), with
-all its roots in F_{p^2}.  Kaneko and Zagier (Supersingular j-invariants,
-hypergeometric series, and Atkin's orthogonal polynomials, 1998) give it
-mod p as a truncated hypergeometric series: for p - 1 = 12n + 4 delta +
-6 epsilon with delta, epsilon in {0, 1},
+There are floor(p/12) + delta + epsilon supersingular j in characteristic p
+(Eichler-Deuring), all in F_{p^2} = F_p(s), with s^2 the smallest positive
+non-residue.  `supersingular_j_set` finds them, with Python integers only,
+as the vertices of the supersingular 2-isogeny graph, which is connected
+(Mestre 1986; Pizer, Ramanujan graphs and Hecke operators, 1990):
+
+1. Start at a j known to be supersingular: by Deuring's reduction
+   criterion, a root of a Hilbert class polynomial H_d (class number one or
+   two) with (-d/p) = -1, so 1728 when p = 3 mod 4 and 0 when p = 2 mod 3.
+2. The 2-isogenous j' of a j are the roots of the cubic Phi_2(j, Y).  The
+   start's cubic is split by Cantor-Zassenhaus over F_{p^2}.  Every later
+   vertex was reached from a parent, which is a root of its cubic since
+   Phi_2 is symmetric: dividing by Y - parent leaves a quadratic, solved
+   with one square root in F_{p^2} (two in F_p).
+3. The breadth-first search stops when no new j appears.  A count other
+   than Eichler-Deuring's, a division with a remainder or a quadratic with
+   no root in F_{p^2} raises OracleError.
+
+Each of the about p/12 vertices costs one division and one square root.
+Below 10^6 only p = 620929 and 832129 have no inert H_d in the table; there
+the j are found as the roots of the supersingular polynomial ss_p(j),
+monic and separable of the same degree.
+Kaneko and Zagier (Supersingular j-invariants, hypergeometric series, and
+Atkin's orthogonal polynomials, 1998) give it mod p as a truncated
+hypergeometric series: for p - 1 = 12n + 4 delta + 6 epsilon with delta,
+epsilon in {0, 1},
 
     ss_p(j) = j^delta (j - 1728)^epsilon sum_{i <= n} c_i j^(n-i),
 
 where sum c_i j^(n-i) is j^n 2F1(a/12, b/12; 1; 1728/j) truncated at
 degree n, with (a, b) = (1, 5) for p = 1 mod 4 and (7, 11) for p = 3 mod 4.
 ss_p splits over F_p into linear factors (j in F_p) and irreducible
-quadratics (conjugate pairs).  Its roots, the j themselves, are found
-exactly, with Python integers only:
+quadratics (conjugate pairs), and its roots are found exactly:
 
 1. x^p mod ss_p by repeated squaring; gcd(ss_p, x^p - x) collects the
    linear factors and the cofactor is the product of the quadratics.
@@ -27,9 +45,9 @@ exactly, with Python integers only:
 
 Products of residues use Kronecker substitution (coefficients packed into
 one integer) and are reduced by a precomputed Newton inverse of the
-reversed modulus; gcds take Euclidean steps in blocks (Lehmer).  The spine
-flags and the Galois orbit count are read off the j set.  F_{p^2} = F_p(s)
-with s^2 the smallest positive non-residue.
+reversed modulus; gcds take Euclidean steps in blocks (Lehmer).  This
+route grows as about p^1.7.  The spine flags and the Galois orbit count
+are read off the j set.
 """
 
 from __future__ import annotations
@@ -37,6 +55,7 @@ from __future__ import annotations
 import random
 import sys
 from array import array
+from collections import deque
 from dataclasses import dataclass
 from math import isqrt
 
@@ -333,7 +352,12 @@ def _sqrt_mod(t, p, z):
     while q % 2 == 0:
         q //= 2
         m += 1
-    c, u, r = pow(z, q, p), pow(t, q, p), pow(t, (q + 1) // 2, p)
+    w = pow(t, (q - 1) // 2, p)
+    r = t * w % p          # t^((q+1)/2)
+    u = r * w % p          # t^q
+    if u == 1:
+        return r
+    c = pow(z, q, p)
     while u != 1:
         i, v = 0, u
         while v != 1:
@@ -457,19 +481,267 @@ def _eichler_count(p: int) -> int:
     return p // 12 + eps
 
 
+# The modular polynomial Phi_2(X, Y) = X^3 + Y^3 - X^2 Y^2
+# + 1488 (X^2 Y + X Y^2) - 162000 (X^2 + Y^2) + 40773375 X Y
+# + 8748000000 (X + Y) - 157464000000000, as the monic cubic
+# Y^3 + c2(X) Y^2 + c1(X) Y + c0(X): the rows are c0, c1, c2, each a
+# polynomial in X, constant term first.
+_PHI2 = (
+    (-157464000000000, 8748000000, -162000, 1),
+    (8748000000, 40773375, 1488),
+    (-162000, 1488, -1),
+)
+
+# Monic Hilbert class polynomials H_d of the imaginary quadratic orders of
+# discriminant -d with class number one or two, as (d, coefficients below
+# the leading 1, constant term first): H_4 = x - 1728 and
+# H_15 = x^2 + 191025 x - 121287375.  By Deuring's reduction criterion the
+# roots of H_d mod p are supersingular when (-d/p) = -1.
+_HILBERT = (
+    (4, (-1728,)),
+    (3, (0,)),
+    (7, (3375,)),
+    (8, (-8000,)),
+    (11, (32768,)),
+    (19, (884736,)),
+    (28, (-16581375,)),
+    (43, (884736000,)),
+    (67, (147197952000,)),
+    (163, (262537412640768000,)),
+    (15, (-121287375, 191025)),
+    (20, (-681472000, -1264000)),
+    (24, (14670139392, -4834944)),
+    (35, (-134217728000, 117964800)),
+    (40, (9103145472000, -425692800)),
+    (51, (6262062317568, 5541101568)),
+    (52, (-567663552000000, -6896880000)),
+    (88, (15798135578688000000, -6294842640000)),
+    (91, (-3845689020776448, 10359073013760)),
+)
+
+
+class _Fp2:
+    """F_{p^2} = F_p(s), s^2 = sigma, on pairs (re, im), and polynomials
+    over it as lists of pairs, constant term first."""
+
+    def __init__(self, p, sigma):
+        self.p, self.sigma = p, sigma
+
+    def mul(self, a, b):
+        p = self.p
+        return (
+            (a[0] * b[0] + self.sigma * a[1] * b[1]) % p,
+            (a[0] * b[1] + a[1] * b[0]) % p,
+        )
+
+    def inv(self, a):
+        p = self.p
+        n = pow((a[0] * a[0] - self.sigma * a[1] * a[1]) % p, -1, p)
+        return a[0] * n % p, -a[1] * n % p
+
+    def sqrt(self, x, y):
+        """A square root of x + y s, or None when it is not a square.
+
+        From the norm: n^2 = x^2 - sigma y^2, then u^2 = (x +- n)/2 for the
+        sign that makes it a residue, and v = y/2u; two square roots in F_p.
+        """
+        p, sigma = self.p, self.sigma
+        if y == 0:
+            r = _sqrt_mod(x, p, sigma)
+            if r * r % p == x:
+                return r, 0
+            t = x * pow(sigma, -1, p) % p   # x a non-residue: x = sigma v^2
+            r = _sqrt_mod(t, p, sigma)
+            return (0, r) if r * r % p == t else None
+        norm = (x * x - sigma * y * y) % p
+        n = _sqrt_mod(norm, p, sigma)
+        if n * n % p != norm:
+            return None
+        half = (p + 1) // 2
+        # (x + n)/2 times (x - n)/2 is sigma (y/2)^2: one of them is a residue
+        for t in ((x + n) * half % p, (x - n) * half % p):
+            u = _sqrt_mod(t, p, sigma)
+            if u * u % p == t:
+                return u, y * pow(2 * u, -1, p) % p
+        return None
+
+    def quadratic_roots(self, b, c):
+        """Both roots of Y^2 + b Y + c, or None when it has none."""
+        p = self.p
+        bb = self.mul(b, b)
+        r = self.sqrt((bb[0] - 4 * c[0]) % p, (bb[1] - 4 * c[1]) % p)
+        if r is None:
+            return None
+        half = (p + 1) // 2
+        return [
+            ((e * r[0] - b[0]) * half % p, (e * r[1] - b[1]) * half % p)
+            for e in (1, -1)
+        ]
+
+    def rem(self, a, f):
+        """a mod f, trimmed, for a trimmed f != 0."""
+        p, n = self.p, len(f) - 1
+        a = list(a)
+        inv = self.inv(f[-1])
+        for i in range(len(a) - 1, n - 1, -1):
+            c = self.mul(a[i], inv)
+            for k, fk in enumerate(f, i - n):
+                t = self.mul(c, fk)
+                a[k] = ((a[k][0] - t[0]) % p, (a[k][1] - t[1]) % p)
+        del a[n:]
+        while a and a[-1] == (0, 0):
+            a.pop()
+        return a
+
+    def mulmod(self, a, b, f):
+        p = self.p
+        out = [(0, 0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for k, y in enumerate(b, i):
+                t = self.mul(x, y)
+                out[k] = ((out[k][0] + t[0]) % p, (out[k][1] + t[1]) % p)
+        return self.rem(out, f)
+
+    def deflate(self, f, r):
+        """(b, c, rem) with f = (Y - r)(Y^2 + b Y + c) + rem, f a monic cubic."""
+        p = self.p
+        f0, f1, f2 = f[:3]
+        b = ((f2[0] + r[0]) % p, (f2[1] + r[1]) % p)
+        t = self.mul(r, b)
+        c = ((f1[0] + t[0]) % p, (f1[1] + t[1]) % p)
+        t = self.mul(r, c)
+        return b, c, ((f0[0] + t[0]) % p, (f0[1] + t[1]) % p)
+
+    def cubic_roots(self, f, rng):
+        """The distinct roots of the monic cubic f, which must split.
+
+        Cantor-Zassenhaus over F_q, q = p^2: for a random delta,
+        g = gcd(f, (Y + delta)^((q-1)/2) - 1) collects the roots r of f in
+        F_q at which r + delta is a nonzero square, so it is a proper factor
+        with probability at least about 1/2 when f splits.  A root of g
+        deflates f to a quadratic.
+        """
+        p = self.p
+        for _ in range(_SPLIT_TRIES):
+            delta = [(rng.randrange(p), rng.randrange(p)), (1, 0)]
+            h = [(1, 0)]
+            for bit in bin((p * p - 1) // 2)[2:]:
+                h = self.mulmod(h, h, f)
+                if bit == "1":
+                    h = self.mulmod(h, delta, f)
+            h = h or [(0, 0)]
+            h[0] = ((h[0][0] - 1) % p, h[0][1])
+            g, h = f, self.rem(h, f)
+            while h:
+                g, h = h, self.rem(g, h)
+            if not 2 <= len(g) <= 3:
+                continue
+            inv = self.inv(g[-1])
+            if len(g) == 2:
+                r = self.mul(g[0], inv)
+                roots = [(-r[0] % p, -r[1] % p)]
+            else:
+                roots = self.quadratic_roots(self.mul(g[1], inv), self.mul(g[0], inv))
+            if roots is None:
+                break
+            b, c, _ = self.deflate(f, roots[0])
+            rest = self.quadratic_roots(b, c)
+            if rest is None:
+                break
+            return {roots[0], *rest}
+        raise OracleError(f"Phi_2(j, Y) does not split over F_(p^2) at p={p}")
+
+
+def _start(p: int, field: _Fp2):
+    """A certified supersingular j: a root of the first H_d with (-d/p) = -1,
+    or None when no H_d of the table qualifies."""
+    for d, coeffs in _HILBERT:
+        if legendre(-d, p) != -1:
+            continue
+        if len(coeffs) == 1:
+            return -coeffs[0] % p, 0
+        c, b = coeffs
+        # a quadratic over F_p has its roots in F_(p^2)
+        return field.quadratic_roots((b % p, 0), (c % p, 0))[0]
+    return None
+
+
+def _walk(p: int, field: _Fp2, start, expected: int):
+    """The j connected to `start` in the 2-isogeny graph, breadth first.
+
+    Phi_2 is symmetric, so a vertex's parent is a root of its cubic
+    Phi_2(j, Y); dividing by Y - parent leaves a quadratic for the other
+    two neighbours.  Only the start's cubic is split by Cantor-Zassenhaus.
+    Raises OracleError if a division leaves a remainder, a quadratic has
+    no root in F_{p^2}, or the walk passes `expected` vertices.
+    """
+    sigma = field.sigma
+    (a00, a01, a02, a03), (a10, a11, a12), (a20, a21, a22) = (
+        [c % p for c in row] for row in _PHI2
+    )
+
+    def cubic(j):
+        """Phi_2(j, Y) as its coefficients (c0, c1, c2, 1) over F_p(s)."""
+        x, y = j
+        x2, y2 = (x * x + sigma * y * y) % p, 2 * x * y % p
+        x3, y3 = x2 * x + sigma * y2 * y, x2 * y + y2 * x
+        return (
+            ((a00 + a01 * x + a02 * x2 + a03 * x3) % p,
+             (a01 * y + a02 * y2 + a03 * y3) % p),
+            ((a10 + a11 * x + a12 * x2) % p, (a11 * y + a12 * y2) % p),
+            ((a20 + a21 * x + a22 * x2) % p, (a21 * y + a22 * y2) % p),
+            (1, 0),
+        )
+
+    seen = {start}
+    todo = deque()
+    for r in field.cubic_roots(cubic(start), random.Random(p)):
+        if r not in seen:
+            seen.add(r)
+            todo.append((r, start))
+    while todo:
+        j, parent = todo.popleft()
+        b, c, rem = field.deflate(cubic(j), parent)
+        if rem != (0, 0):
+            raise OracleError(f"Phi_2(j, parent) != 0 at j = {j}, p={p}")
+        roots = field.quadratic_roots(b, c)
+        if roots is None:
+            raise OracleError(
+                f"Phi_2(j, Y) does not split over F_(p^2) at j = {j}, p={p}"
+            )
+        for r in roots:
+            if r not in seen:
+                seen.add(r)
+                todo.append((r, j))
+        if len(seen) > expected:
+            raise OracleError(
+                f"the walk from {start} passes the Eichler-Deuring count "
+                f"{expected} at p={p}"
+            )
+    return seen
+
+
 def supersingular_j_set(p: int) -> SupersingularSet:
     """Supersingular j-invariants over F_{p^2} with field-of-definition flags.
 
-    The j are the roots of `supersingular_polynomial(p)`.
+    The j are the vertices of the 2-isogeny graph walked from a root of a
+    Hilbert class polynomial (`_walk`); at a prime where no H_d of the table
+    is inert they are the roots of `supersingular_polynomial(p)`.
     """
     if p == 2:
         return SupersingularSet(2, 0, ((0, 0),), 1, 1)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     sigma = _smallest_nonresidue(p)
-    js = tuple(sorted(_roots(supersingular_polynomial(p), p, sigma)))
-    total = len(js)
     expected = _eichler_count(p)
+    field = _Fp2(p, sigma)
+    start = _start(p, field)
+    if start is None:
+        js = _roots(supersingular_polynomial(p), p, sigma)
+    else:
+        js = _walk(p, field, start, expected)
+    js = tuple(sorted(js))
+    total = len(js)
     if total != expected:
         raise OracleError(f"count {total} != Eichler-Deuring {expected} at p={p}")
     spine = sum(1 for _, im in js if im == 0)

@@ -25,8 +25,6 @@ from .lattice import (
 from .oracle import supersingular_j_set
 from .orders import default_ell, enumerate_types
 
-ORACLE_CAP = 2000
-
 P3_GRAMS = (
     ((3, 0, 0), (0, 4, -2), (0, -2, 4)),
     ((3, 0, 0), (0, 4, 2), (0, 2, 4)),
@@ -71,7 +69,8 @@ def _norms_mod4(g) -> bool:
     )
 
 
-def verify_prime(p: int, oracle_cap: int = ORACLE_CAP) -> PrimeReport:
+def verify_prime(p: int, oracle_cap: int | None = None) -> PrimeReport:
+    """Every rule at p; the two oracle rules are skipped when p > oracle_cap."""
     rep = PrimeReport(p)
     types = enumerate_types(p, default_ell(p))
     four_p = 4 * p
@@ -190,7 +189,7 @@ def verify_prime(p: int, oracle_cap: int = ORACLE_CAP) -> PrimeReport:
 
     # per-prime aggregates
     spine_types = sum(1 for c in classifications if c.spine)
-    if p <= oracle_cap:
+    if oracle_cap is None or p <= oracle_cap:
         ss = supersingular_j_set(p)
         rep.check(
             "oracle-type-count",
@@ -331,7 +330,7 @@ def run_verify(
     pmin: int,
     pmax: int,
     extended_cm: bool = False,
-    oracle_cap: int = ORACLE_CAP,
+    oracle_cap: int | None = None,
     progress=None,
 ) -> VerifyReport:
     if pmin < 2 or pmax < pmin:

@@ -6,8 +6,9 @@ import pytest
 OPT_IN = {
     "oracle_reference": (
         "GROSSLAT_ORACLE_REFERENCE",
-        "oracle against the numpy sweep for every prime <= 500 and against "
-        "the Legendre-form Hasse route for every prime <= 2000; "
+        "the 2-isogeny walk oracle against the numpy sweep for every prime "
+        "<= 500, and against the ss_p factorisation route and the "
+        "Legendre-form Hasse route for every prime <= 2000; "
         "set GROSSLAT_ORACLE_REFERENCE=1",
     ),
     "walk_reference": (
@@ -26,8 +27,9 @@ OPT_IN = {
 # marker -> reason shown when skipped; these run only when `-m` names them
 SELECTED = {
     "verify_large": (
-        "verify_prime with no oracle at the least primes above 10^5 and "
-        "2 * 10^5; run with -m verify_large"
+        "verify_prime with every rule live, the two oracle count rules "
+        "included, at the least primes above 10^5 and 2 * 10^5; "
+        "run with -m verify_large"
     ),
 }
 

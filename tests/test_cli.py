@@ -245,12 +245,26 @@ def test_oracle_rejects_composite(capsys):
 
 
 def test_verify_runs_oracle_rules_above_500():
-    from grosslat.verify import ORACLE_CAP, verify_prime
+    from grosslat.verify import verify_prime
 
-    assert ORACLE_CAP == 2000
     rules = verify_prime(503).rules
     for rule in ("oracle-type-count", "oracle-spine-count"):
         assert rules[rule] == {"ok": True, "detail": ""}
+
+
+def test_verify_oracle_cap_is_an_opt_out(capsys):
+    # no default cap: the oracle rules run above 2000, the old cap, unless
+    # --oracle-cap names a smaller prime
+    def oracle_rules(*cap):
+        code, out, _ = run(capsys, "verify", "--pmin", "2003", "--pmax", "2003",
+                           "--json", *cap)
+        assert code == 0
+        (prime,) = json.loads(out)["primes"]
+        return [prime["rules"][r] for r in ("oracle-type-count", "oracle-spine-count")]
+
+    assert oracle_rules() == [{"ok": True, "detail": ""}] * 2
+    skipped = {"ok": True, "detail": "", "skipped": "p > oracle cap 2000"}
+    assert oracle_rules("--oracle-cap", "2000") == [skipped] * 2
 
 
 def test_verify_skips_oracle_rules_above_cap():
@@ -259,6 +273,38 @@ def test_verify_skips_oracle_rules_above_cap():
     rules = verify_prime(11, oracle_cap=7).rules
     assert rules["oracle-type-count"]["skipped"] == "p > oracle cap 7"
     assert rules["oracle-spine-count"]["skipped"] == "p > oracle cap 7"
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["nosuch"], ["cm", "--help"], ["verify", "--help"],
+    ["oracle"], ["types", "--p", "11", "--csv", "--json"],
+])
+def test_help_and_usage_errors_match_the_full_parser(capsys, argv):
+    import grosslat.cli as cli
+
+    def outcome(parse):
+        with pytest.raises(SystemExit) as exc:
+            parse(list(argv))
+        out = capsys.readouterr()
+        return exc.value.code, out.out, out.err
+
+    assert outcome(main) == outcome(cli.build_parser().parse_args)
+
+
+def test_main_builds_only_the_named_subparser(capsys, monkeypatch):
+    import grosslat.cli as cli
+
+    built = []
+    for name, add in list(cli.SUBCOMMANDS.items()):
+        monkeypatch.setitem(
+            cli.SUBCOMMANDS, name,
+            lambda sub, name=name, add=add: (built.append(name), add(sub)),
+        )
+    assert run(capsys, "oracle", "--p", "37")[0] == 0
+    assert built == ["oracle"]
+    with pytest.raises(SystemExit):
+        main(["nosuch"])
+    assert built == ["oracle", *cli.SUBCOMMANDS]
 
 
 def test_cli_import_leaves_numpy_unloaded():

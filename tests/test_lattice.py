@@ -350,6 +350,15 @@ def test_rank2_sublattices():
     assert len(attaining_rank2_sublattices(short_vectors(g5, 7))) == 3
 
 
+def test_rank2_sublattices_need_the_third_minimum():
+    # the j = 1728 type of p = 11 has minima (4, 11, 12): a list to 11 holds
+    # no third minimum, which is a LatticeError, not a failed unpacking
+    vecs = reduced_vectors(((4, 0, 2), (0, 11, 0), (2, 0, 12)), 11)
+    assert greedy_minima(vecs) is None
+    with pytest.raises(LatticeError, match="third minimum"):
+        attaining_rank2_sublattices(vecs)
+
+
 def test_greedy_reduction_is_unimodular_and_attains_minima():
     rng = random.Random(23)
     for _ in range(40):

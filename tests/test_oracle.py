@@ -1,9 +1,10 @@
 import random
+from math import gcd
 
 import pytest
 
 from grosslat import oracle
-from grosslat.exact import primes_between
+from grosslat.exact import legendre, primes_between
 from grosslat.oracle import (
     OracleError,
     spine_count,
@@ -56,6 +57,111 @@ def test_j_line_route_matches_the_hasse_route_up_to_500():
         assert [re for re, _ in product] == supersingular_polynomial(p), p
 
 
+def ss_p_route(p):
+    """The sorted roots of ss_p(j), the route of primes with no start."""
+    sigma = oracle._smallest_nonresidue(p)
+    return tuple(sorted(oracle._roots(supersingular_polynomial(p), p, sigma)))
+
+
+@pytest.mark.parametrize("route", ["walk", "fallback"])
+def test_walk_matches_the_ss_p_route_up_to_500(monkeypatch, route):
+    if route == "fallback":
+        monkeypatch.setattr(oracle, "_HILBERT", ())
+    for p in primes_between(3, 500):
+        assert supersingular_j_set(p).js == ss_p_route(p), p
+
+
+def test_every_start_reaches_the_ss_p_set(monkeypatch):
+    # each H_d of the table alone, at every prime up to 500 where it is inert
+    want = {p: ss_p_route(p) for p in primes_between(3, 500)}
+    for entry in oracle._HILBERT:
+        d = entry[0]
+        monkeypatch.setattr(oracle, "_HILBERT", (entry,))
+        inert = [p for p in want if legendre(-d, p) == -1]
+        assert inert, d
+        for p in inert:
+            assert supersingular_j_set(p).js == want[p], (d, p)
+
+
+@pytest.mark.parametrize("p", [15073, 107209, 108529])
+def test_class_number_two_starts_at_scale(p):
+    # the least primes whose start is a root of H_15, H_51 and H_52
+    assert oracle._start(p, oracle._Fp2(p, oracle._smallest_nonresidue(p))) is not None
+    assert [d for d, _ in oracle._HILBERT if legendre(-d, p) == -1][0] in (15, 51, 52)
+    ss = supersingular_j_set(p)
+    assert ss.count == p // 12 and ss.spine_count == spine_formula(p)
+
+
+def test_primes_without_a_start_fall_back():
+    # the two primes below 10^6 at which no H_d of the table is inert
+    for p in (620929, 832129):
+        assert oracle._start(p, oracle._Fp2(p, oracle._smallest_nonresidue(p))) is None
+
+
+def test_class_number_two_starts_divide_ss_p_at_inert_primes():
+    # H_d divides ss_p; at the 17 pairs where H_d = (x - a)^2 mod p, as
+    # H_15 = (x + 1)^2 mod 7, the separable ss_p has the root a instead
+    checks = squares = 0
+    for d, coeffs in oracle._HILBERT:
+        if len(coeffs) != 2:
+            continue
+        c, b = coeffs
+        for p in primes_between(5, 1500):
+            if legendre(-d, p) != -1:
+                continue
+            ss = supersingular_polynomial(p)
+            if (b * b - 4 * c) % p:
+                assert oracle._divmod(ss, [c, b, 1], p)[1] == [], (d, p)
+            else:
+                assert oracle._divmod(ss, [b * (p + 1) // 2, 1], p)[1] == [], (d, p)
+                squares += 1
+            checks += 1
+    assert (checks, squares) == (1078, 17)
+
+
+PHI2_ENTRIES = [
+    (row, k) for row in range(3) for k in range(len(oracle._PHI2[row]))
+]
+
+
+@pytest.mark.parametrize("row, k", PHI2_ENTRIES)
+def test_error_wrong_phi2_coefficient(monkeypatch, row, k):
+    phi = [list(r) for r in oracle._PHI2]
+    phi[row][k] += 1
+    monkeypatch.setattr(oracle, "_PHI2", tuple(map(tuple, phi)))
+    for p in (1009, 1019, 10007):   # starts at H_7, H_4 and H_4
+        with pytest.raises(OracleError):
+            supersingular_j_set(p)
+
+
+def test_error_vertex_cubic_without_its_parent(monkeypatch):
+    # 8748000001 Y against 8748000000 X: Phi_2 is no longer symmetric, so a
+    # vertex's parent is not a root of the vertex's own cubic
+    phi = [list(r) for r in oracle._PHI2]
+    phi[1][0] += 1
+    monkeypatch.setattr(oracle, "_PHI2", tuple(map(tuple, phi)))
+    with pytest.raises(OracleError, match="parent"):
+        supersingular_j_set(1009)
+
+
+def test_walk_stops_at_the_eichler_count(monkeypatch):
+    # the walk gives up as soon as it passes the count, not after the whole
+    # component, which for an ordinary start can be far larger
+    monkeypatch.setattr(oracle, "_eichler_count", lambda p: 5)
+    with pytest.raises(OracleError, match="passes the Eichler-Deuring count 5"):
+        supersingular_j_set(1009)
+
+
+def test_error_non_supersingular_start(monkeypatch):
+    for p in primes_between(5, 300):
+        js = supersingular_j_set(p).js
+        ordinary = next(j for j in range(p) if (j, 0) not in js)
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_start", lambda p, field: (ordinary, 0))
+            with pytest.raises(OracleError):
+                supersingular_j_set(p)
+
+
 def test_p11_js():
     ss = supersingular_j_set(11)
     assert ss.js == ((0, 0), (1, 0))   # 1728 = 1 mod 11
@@ -82,12 +188,40 @@ def test_p2_hardcoded():
     assert spine_count(2) == 1
 
 
+def class_number(disc):
+    """Class number of the negative discriminant `disc` (reduced forms)."""
+    h = 0
+    a = 1
+    while 3 * a * a <= -disc:
+        for b in range(-a + 1, a + 1):
+            if (b * b - disc) % (4 * a):
+                continue
+            c = (b * b - disc) // (4 * a)
+            if c < a or (b < 0 and c == a) or gcd(gcd(a, abs(b)), c) != 1:
+                continue
+            h += 1
+        a += 1
+    return h
+
+
+def spine_formula(p):
+    """Supersingular j in F_p for a prime p > 3 (Delfs-Galbraith 2016)."""
+    if p % 4 == 1:
+        return class_number(-4 * p) // 2
+    if p % 8 == 7:
+        return class_number(-p)
+    return 2 * class_number(-p)
+
+
 def test_counts_match_eichler_formula():
+    # the total against Eichler-Deuring and the F_p count against class
+    # numbers, at every prime up to 2000
     eps = {1: 0, 5: 1, 7: 1, 11: 2}
-    for p in primes_between(5, 150):
+    for p in primes_between(5, 2000):
         ss = supersingular_j_set(p)
-        assert ss.count == p // 12 + eps[p % 12]
-        assert (ss.count - ss.spine_count) % 2 == 0
+        assert ss.count == p // 12 + eps[p % 12], p
+        assert ss.spine_count == spine_formula(p), p
+        assert ss.orbit_count == ss.spine_count + (ss.count - ss.spine_count) // 2
 
 
 def test_special_j_presence():
@@ -227,7 +361,7 @@ def test_error_eichler_count_mismatch(monkeypatch):
 
 
 def test_error_odd_off_spine_count(monkeypatch):
-    monkeypatch.setattr(oracle, "_roots", lambda f, p, sigma: [(1, 1)])
+    monkeypatch.setattr(oracle, "_walk", lambda p, field, start, n: [(1, 1)])
     monkeypatch.setattr(oracle, "_eichler_count", lambda p: 1)
     with pytest.raises(OracleError, match="odd"):
         supersingular_j_set(37)

@@ -2,12 +2,12 @@
 
 `reference_sweep` evaluates the Hasse polynomial at every lambda in F_{p^2}
 with numpy and maps the roots through j(lambda).  It is cubic in p, so
-tier-1 runs it for every prime up to 200 and at 499 and 1009.  The
-Legendre-form route of `hasse_reference` (roots of H_p by exact
-factorisation, mapped to j) is compared with the j-line oracle in tier-1
-for every prime up to 500 (`test_oracle.py`).  Both gates widen when opted
-in, the sweep to every prime up to 500 and the Legendre-form route to every
-prime up to 2000:
+tier-1 runs it for every prime up to 200 and at 499 and 1009.  Tier-1 also
+compares the 2-isogeny walk with the roots of ss_p(j) (the route of primes
+with no start) and with the Legendre-form route of `hasse_reference` (roots
+of H_p by exact factorisation, mapped to j) for every prime up to 500
+(`test_oracle.py`).  The gates widen when opted in, the sweep to every
+prime up to 500 and the two factorisation routes to every prime up to 2000:
 
     GROSSLAT_ORACLE_REFERENCE=1 pytest tests/test_oracle_reference.py -m oracle_reference
 
@@ -23,6 +23,7 @@ from grosslat.oracle import (
     supersingular_j_set,
 )
 from hasse_reference import deuring_polynomial, hasse_j_set, j_invariant
+from test_oracle import ss_p_route
 
 np = pytest.importorskip("numpy")
 
@@ -80,5 +81,13 @@ def test_root_finding_matches_sweep_up_to_500():
 def test_root_finding_matches_the_hasse_route_up_to_2000():
     mismatched = [
         p for p in primes_between(3, 2000) if supersingular_j_set(p) != hasse_j_set(p)
+    ]
+    assert mismatched == []
+
+
+@pytest.mark.oracle_reference
+def test_walk_matches_the_ss_p_route_up_to_2000():
+    mismatched = [
+        p for p in primes_between(3, 2000) if supersingular_j_set(p).js != ss_p_route(p)
     ]
     assert mismatched == []

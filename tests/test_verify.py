@@ -220,6 +220,7 @@ def test_ell_independence_keeps_only_the_ell_3_minima(monkeypatch):
 @pytest.mark.parametrize("floor", [10**5, 2 * 10**5])
 def test_verify_passes_at_the_least_prime_above(floor):
     p = next(q for q in range(floor + 1, 2 * floor) if is_prime(q))
-    rep = verify.verify_prime(p, oracle_cap=0)
+    rep = verify.verify_prime(p)
     assert rep.failures == []
-    assert rep.rules["oracle-type-count"]["skipped"]
+    for rule in ("oracle-type-count", "oracle-spine-count"):
+        assert rep.rules[rule] == {"ok": True, "detail": ""}
