@@ -25,9 +25,10 @@ greedy-reduced Gram, and checks once per enumeration row that no vector
 reaches below that diagonal, which makes the diagonal the minima triple.
 A caller that needs the vectors themselves (`verify`) enumerates once: one
 `reduced_vectors` list of the type's minimal-basis Gram serves
-`greedy_minima` and `attaining_rank2_sublattices`.  Its coordinates refer to
-the greedy-reduced basis, not the input one; every fact those callers read
-is the same in any basis, so no vector is lifted back.
+`greedy_minima`, `attaining_rank2_sublattices` and, read off it by gcd,
+the primitive norms.  Its coordinates refer to the greedy-reduced basis,
+not the input one; every fact those callers read is the same in any basis,
+so no vector is lifted back.
 
 Vector norms follow the squared-norm convention throughout: the "norm" of v
 is v G v^T.
@@ -402,7 +403,7 @@ class MinimalBasis:
     minima: MinimaTriple
 
 
-def minimal_basis(gram, tie_break: str = "asc") -> MinimalBasis:
+def minimal_basis(gram, tie_break: str = "asc", reduced=None) -> MinimalBasis:
     """Normalized successive minimal basis of a positive definite ternary Gram.
 
     The minima are the diagonal of the greedy-reduced Gram, checked by
@@ -410,12 +411,15 @@ def minimal_basis(gram, tie_break: str = "asc") -> MinimalBasis:
     Each list is sorted lexicographically, ascending or descending by
     `tie_break`, and the basis is the first (b1, b2, b3) in that order with
     b1, b2 independent and |det(b1, b2, b3)| = 1.  Signs are flipped so the
-    (1,2) and (1,3) inner products are nonnegative.
+    (1,2) and (1,3) inner products are nonnegative.  A caller that already
+    holds (u, g) = `greedy_reduce(gram)`, as the type walk does for its key,
+    passes it as `reduced`, and gram is not reduced again.
     """
     if tie_break not in ("asc", "desc"):
         raise ValueError(f"unknown tie_break {tie_break!r}")
     _check_positive_definite(gram)
-    return _minimal_basis(gram, *greedy_reduce(gram), tie_break)
+    u, g = greedy_reduce(gram) if reduced is None else reduced
+    return _minimal_basis(gram, u, g, tie_break)
 
 
 def _index_one_completion(d1_pool, d2_pool, d3_pool):
@@ -438,8 +442,8 @@ def _index_one_completion(d1_pool, d2_pool, d3_pool):
 
 
 def _minimal_basis(gram, u, g, tie_break: str = "asc") -> MinimalBasis:
-    """`minimal_basis` from (u, g) = `greedy_reduce(gram)`, for a caller that
-    already holds it, as the type walk does for its key."""
+    """`minimal_basis` from (u, g) = `greedy_reduce(gram)`, with no check
+    of `gram` or `tie_break`."""
     minima = MinimaTriple(g[0][0], g[1][1], g[2][2])
     pools = _norm_pools(u, g)
     desc = tie_break == "desc"

@@ -9,11 +9,13 @@ as the vertices of the supersingular 2-isogeny graph, which is connected
 1. Start at a j known to be supersingular: by Deuring's reduction
    criterion, a root of a Hilbert class polynomial H_d (class number one or
    two) with (-d/p) = -1, so 1728 when p = 3 mod 4 and 0 when p = 2 mod 3.
-2. The 2-isogenous j' of a j are the roots of the cubic Phi_2(j, Y).  The
-   start's cubic is split by Cantor-Zassenhaus over F_{p^2}.  Every later
-   vertex was reached from a parent, which is a root of its cubic since
-   Phi_2 is symmetric: dividing by Y - parent leaves a quadratic, solved
-   with one square root in F_{p^2} (two in F_p).
+2. The 2-isogenous j' of a j are the roots of the cubic Phi_2(j, Y).
+   Every vertex but the start was reached from a parent, which is a root
+   of its cubic since Phi_2 is symmetric: dividing by Y - parent leaves a
+   quadratic, solved with one square root in F_{p^2} (two in F_p).  For
+   the starts 1728, 0, -3375, 8000 and 16581375 a root of the cubic is a
+   known integer, divided out the same way; only the cubic of any other
+   start is split by Cantor-Zassenhaus over F_{p^2}.
 3. The breadth-first search stops when no new j appears.  A count other
    than Eichler-Deuring's, a division with a remainder or a quadratic with
    no root in F_{p^2} raises OracleError.
@@ -494,29 +496,32 @@ _PHI2 = (
 
 # Monic Hilbert class polynomials H_d of the imaginary quadratic orders of
 # discriminant -d with class number one or two, as (d, coefficients below
-# the leading 1, constant term first): H_4 = x - 1728 and
+# the leading 1, constant term first, neighbour): H_4 = x - 1728 and
 # H_15 = x^2 + 191025 x - 121287375.  By Deuring's reduction criterion the
-# roots of H_d mod p are supersingular when (-d/p) = -1.
+# roots of H_d mod p are supersingular when (-d/p) = -1.  The neighbour,
+# or None, is an integer root of Phi_2(j_d, Y) for the rational root j_d
+# of H_d: Phi_2(1728, 1728) = Phi_2(0, 54000) = Phi_2(-3375, -3375)
+# = Phi_2(8000, 8000) = Phi_2(16581375, -3375) = 0 over Z.
 _HILBERT = (
-    (4, (-1728,)),
-    (3, (0,)),
-    (7, (3375,)),
-    (8, (-8000,)),
-    (11, (32768,)),
-    (19, (884736,)),
-    (28, (-16581375,)),
-    (43, (884736000,)),
-    (67, (147197952000,)),
-    (163, (262537412640768000,)),
-    (15, (-121287375, 191025)),
-    (20, (-681472000, -1264000)),
-    (24, (14670139392, -4834944)),
-    (35, (-134217728000, 117964800)),
-    (40, (9103145472000, -425692800)),
-    (51, (6262062317568, 5541101568)),
-    (52, (-567663552000000, -6896880000)),
-    (88, (15798135578688000000, -6294842640000)),
-    (91, (-3845689020776448, 10359073013760)),
+    (4, (-1728,), 1728),
+    (3, (0,), 54000),
+    (7, (3375,), -3375),
+    (8, (-8000,), 8000),
+    (11, (32768,), None),
+    (19, (884736,), None),
+    (28, (-16581375,), -3375),
+    (43, (884736000,), None),
+    (67, (147197952000,), None),
+    (163, (262537412640768000,), None),
+    (15, (-121287375, 191025), None),
+    (20, (-681472000, -1264000), None),
+    (24, (14670139392, -4834944), None),
+    (35, (-134217728000, 117964800), None),
+    (40, (9103145472000, -425692800), None),
+    (51, (6262062317568, 5541101568), None),
+    (52, (-567663552000000, -6896880000), None),
+    (88, (15798135578688000000, -6294842640000), None),
+    (91, (-3845689020776448, 10359073013760), None),
 )
 
 
@@ -653,28 +658,35 @@ class _Fp2:
 
 
 def _start(p: int, field: _Fp2):
-    """A certified supersingular j: a root of the first H_d with (-d/p) = -1,
-    or None when no H_d of the table qualifies."""
-    for d, coeffs in _HILBERT:
+    """(j, neighbour): a certified supersingular j, a root of the first H_d
+    with (-d/p) = -1, and the table's root of Phi_2(j, Y) mod p or None; or
+    None when no H_d of the table qualifies."""
+    for d, coeffs, neighbour in _HILBERT:
         if legendre(-d, p) != -1:
             continue
+        if neighbour is not None:
+            neighbour = neighbour % p, 0
         if len(coeffs) == 1:
-            return -coeffs[0] % p, 0
+            return (-coeffs[0] % p, 0), neighbour
         c, b = coeffs
         # a quadratic over F_p has its roots in F_(p^2)
-        return field.quadratic_roots((b % p, 0), (c % p, 0))[0]
+        return field.quadratic_roots((b % p, 0), (c % p, 0))[0], neighbour
     return None
 
 
-def _walk(p: int, field: _Fp2, start, expected: int):
-    """The j connected to `start` in the 2-isogeny graph, breadth first.
+def _walk(p: int, field: _Fp2, seed, expected: int):
+    """The j connected to the start in the 2-isogeny graph, breadth first.
 
-    Phi_2 is symmetric, so a vertex's parent is a root of its cubic
-    Phi_2(j, Y); dividing by Y - parent leaves a quadratic for the other
-    two neighbours.  Only the start's cubic is split by Cantor-Zassenhaus.
-    Raises OracleError if a division leaves a remainder, a quadratic has
-    no root in F_{p^2}, or the walk passes `expected` vertices.
+    `seed` is the (start, neighbour) of `_start`.  Phi_2 is symmetric, so a
+    vertex's parent is a root of its cubic Phi_2(j, Y); dividing by
+    Y - parent leaves a quadratic for the other two neighbours.  A listed
+    neighbour is the start's parent in that sense: the start's cubic is
+    divided by Y - neighbour like any other.  Only the cubic of a start
+    with no listed neighbour is split by Cantor-Zassenhaus.  Raises
+    OracleError if a division leaves a remainder, a quadratic has no root
+    in F_{p^2}, or the walk passes `expected` vertices.
     """
+    start, neighbour = seed
     sigma = field.sigma
     (a00, a01, a02, a03), (a10, a11, a12), (a20, a21, a22) = (
         [c % p for c in row] for row in _PHI2
@@ -695,10 +707,16 @@ def _walk(p: int, field: _Fp2, start, expected: int):
 
     seen = {start}
     todo = deque()
-    for r in field.cubic_roots(cubic(start), random.Random(p)):
-        if r not in seen:
-            seen.add(r)
-            todo.append((r, start))
+    if neighbour is None:
+        for r in field.cubic_roots(cubic(start), random.Random(p)):
+            if r not in seen:
+                seen.add(r)
+                todo.append((r, start))
+    else:
+        todo.append((start, neighbour))
+        if neighbour != start:
+            seen.add(neighbour)
+            todo.append((neighbour, start))
     while todo:
         j, parent = todo.popleft()
         b, c, rem = field.deflate(cubic(j), parent)
@@ -735,11 +753,11 @@ def supersingular_j_set(p: int) -> SupersingularSet:
     sigma = _smallest_nonresidue(p)
     expected = _eichler_count(p)
     field = _Fp2(p, sigma)
-    start = _start(p, field)
-    if start is None:
+    seed = _start(p, field)
+    if seed is None:
         js = _roots(supersingular_polynomial(p), p, sigma)
     else:
-        js = _walk(p, field, start, expected)
+        js = _walk(p, field, seed, expected)
     js = tuple(sorted(js))
     total = len(js)
     if total != expected:

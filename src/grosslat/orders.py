@@ -34,8 +34,8 @@ from math import isqrt
 
 from .exact import canonical_lattice, is_perfect_square, is_prime, legendre
 from .lattice import (
-    LatticeError, _minimal_basis, adj3, det3, greedy_reduce, half_form,
-    kneser_neighbours,
+    LatticeError, adj3, det3, greedy_reduce, half_form, kneser_neighbours,
+    minimal_basis,
 )
 from .quat import QuaternionAlgebra, inner4
 
@@ -260,7 +260,7 @@ def default_ell(p: int) -> int:
     return 3 if p == 2 else 2
 
 
-def enumerate_types(p: int, ell: int):
+def enumerate_types(p: int, ell: int, keys_only: bool = False):
     """All isomorphism types of maximal orders in B_p, sorted by minima.
 
     Breadth-first search over ell-neighbours seeded by the Gross Gram of the
@@ -271,8 +271,17 @@ def enumerate_types(p: int, ell: int):
     Gram, which in dimension 3 is its successive minima triple (see
     `lattice.greedy_reduce`), a complete type invariant, and is discarded
     when that key was already seen.  Only a new key pays for a minimal
-    basis, from the key's own reduction (`lattice._minimal_basis`), which
-    checks that its diagonal is the minima (LatticeError otherwise).
+    basis, from the key's own reduction (`minimal_basis` with `reduced`),
+    which checks that its diagonal is the minima (LatticeError otherwise).
+
+    With `keys_only` the walk returns the sorted keys alone and builds no
+    minimal basis: a new key's neighbours come from its greedy-reduced Gram,
+    an isometric Gram of the same type, so the same keys are reached.
+    `half_form`, `kneser_neighbours` and `greedy_reduce` raise as before,
+    but no key is certified to be the minima, which is the row-by-row check
+    inside `minimal_basis`.  `verify` walks this way at ell = 3 only, where
+    `ell-independence` compares the keys with the certified minima of the
+    ell = 2 records.
     """
     if not is_prime(p):
         raise OrderError(f"{p} is not prime")
@@ -288,11 +297,13 @@ def enumerate_types(p: int, ell: int):
         if key in seen:
             continue
         seen.add(key)
-        mb = _minimal_basis(walk_gram, u, g)
-        records.append(TypeRecord(walk_gram, key, mb.gram, mb.coords))
-        # from the reduced Gram, so entries do not grow along the walk
-        queue.extend(
-            adj3(m) for m in kneser_neighbours(half_form(mb.gram, p), ell)
-        )
+        if not keys_only:
+            mb = minimal_basis(walk_gram, reduced=(u, g))
+            records.append(TypeRecord(walk_gram, key, mb.gram, mb.coords))
+            g = mb.gram
+        # from a reduced Gram, so entries do not grow along the walk
+        queue.extend(adj3(m) for m in kneser_neighbours(half_form(g, p), ell))
+    if keys_only:
+        return tuple(sorted(seen))
     records.sort(key=lambda r: r.minima)
     return tuple(records)

@@ -28,8 +28,8 @@ OPT_IN = {
 SELECTED = {
     "verify_large": (
         "verify_prime with every rule live, the two oracle count rules "
-        "included, at the least primes above 10^5 and 2 * 10^5; "
-        "run with -m verify_large"
+        "included, at the least primes above 10^5, 2 * 10^5, 5 * 10^5 and "
+        "10^6; run with -m verify_large"
     ),
 }
 

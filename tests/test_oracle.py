@@ -87,7 +87,7 @@ def test_every_start_reaches_the_ss_p_set(monkeypatch):
 def test_class_number_two_starts_at_scale(p):
     # the least primes whose start is a root of H_15, H_51 and H_52
     assert oracle._start(p, oracle._Fp2(p, oracle._smallest_nonresidue(p))) is not None
-    assert [d for d, _ in oracle._HILBERT if legendre(-d, p) == -1][0] in (15, 51, 52)
+    assert [d for d, *_ in oracle._HILBERT if legendre(-d, p) == -1][0] in (15, 51, 52)
     ss = supersingular_j_set(p)
     assert ss.count == p // 12 and ss.spine_count == spine_formula(p)
 
@@ -102,7 +102,7 @@ def test_class_number_two_starts_divide_ss_p_at_inert_primes():
     # H_d divides ss_p; at the 17 pairs where H_d = (x - a)^2 mod p, as
     # H_15 = (x + 1)^2 mod 7, the separable ss_p has the root a instead
     checks = squares = 0
-    for d, coeffs in oracle._HILBERT:
+    for d, coeffs, _ in oracle._HILBERT:
         if len(coeffs) != 2:
             continue
         c, b = coeffs
@@ -124,14 +124,86 @@ PHI2_ENTRIES = [
 ]
 
 
+def start_of(p):
+    """`oracle._start(p, ...)`: (start, listed neighbour or None), or None."""
+    return oracle._start(p, oracle._Fp2(p, oracle._smallest_nonresidue(p)))
+
+
 @pytest.mark.parametrize("row, k", PHI2_ENTRIES)
 def test_error_wrong_phi2_coefficient(monkeypatch, row, k):
+    # 1009 starts at H_11 and splits its cubic by Cantor-Zassenhaus; 1013
+    # starts at H_3, and 1019 and 10007 at H_4, each with a listed neighbour
+    seeded = [start_of(p)[1] is not None for p in (1009, 1013, 1019, 10007)]
+    assert seeded == [False, True, True, True]
     phi = [list(r) for r in oracle._PHI2]
     phi[row][k] += 1
     monkeypatch.setattr(oracle, "_PHI2", tuple(map(tuple, phi)))
-    for p in (1009, 1019, 10007):   # starts at H_7, H_4 and H_4
+    for p in (1009, 1013, 1019, 10007):
         with pytest.raises(OracleError):
             supersingular_j_set(p)
+
+
+def phi2(x, y):
+    """Phi_2(x, y) over Z, written out symmetrically."""
+    return (
+        x ** 3 + y ** 3 - x * x * y * y + 1488 * (x * x * y + x * y * y)
+        - 162000 * (x * x + y * y) + 40773375 * x * y
+        + 8748000000 * (x + y) - 157464000000000
+    )
+
+
+def test_listed_neighbours_are_integer_roots_of_phi2():
+    # in integers, with no reduction mod p; _PHI2 gives the same values
+    listed = [
+        (d, -coeffs[0], nb) for d, coeffs, nb in oracle._HILBERT if nb is not None
+    ]
+    assert listed == [
+        (4, 1728, 1728), (3, 0, 54000), (7, -3375, -3375), (8, 8000, 8000),
+        (28, 16581375, -3375),
+    ]
+    for _, j, nb in listed:
+        assert phi2(j, nb) == phi2(nb, j) == 0
+        c0, c1, c2 = (
+            sum(c * j ** k for k, c in enumerate(row)) for row in oracle._PHI2
+        )
+        assert nb ** 3 + c2 * nb * nb + c1 * nb + c0 == 0
+    assert phi2(1728, 1729) != 0
+
+
+def test_seeded_walk_matches_the_cantor_zassenhaus_walk(monkeypatch):
+    # with the neighbours dropped from the table every start's cubic is
+    # split by Cantor-Zassenhaus; below 300 only 193 has no listed neighbour
+    primes = primes_between(3, 500)
+    assert [p for p in primes if p <= 300 and start_of(p)[1] is None] == [193]
+    want = {p: supersingular_j_set(p) for p in primes}
+    table = tuple((d, coeffs, None) for d, coeffs, _ in oracle._HILBERT)
+    monkeypatch.setattr(oracle, "_HILBERT", table)
+    for p in primes:
+        assert start_of(p)[1] is None
+        assert supersingular_j_set(p) == want[p], p
+
+
+def test_error_wrong_listed_neighbour(monkeypatch):
+    # each entry with a neighbour alone, its neighbour off by one (1728 ->
+    # 1729), at every prime up to 500 where it is the start.  At 47,
+    # -3374 is a root of Phi_2(-3375, Y) and Phi_2(16581375, Y) mod p, so
+    # the walk there is right and must still find every j
+    want = {p: supersingular_j_set(p) for p in primes_between(3, 500)}
+    true_roots = []
+    for d, coeffs, nb in oracle._HILBERT:
+        if nb is None:
+            continue
+        monkeypatch.setattr(oracle, "_HILBERT", ((d, coeffs, nb + 1),))
+        inert = [p for p in want if legendre(-d, p) == -1]
+        assert inert, d
+        for p in inert:
+            if phi2(-coeffs[0], nb + 1) % p:
+                with pytest.raises(OracleError, match="parent"):
+                    supersingular_j_set(p)
+            else:
+                true_roots.append((d, p))
+                assert supersingular_j_set(p) == want[p]
+    assert true_roots == [(7, 47), (28, 47)]
 
 
 def test_error_vertex_cubic_without_its_parent(monkeypatch):
@@ -157,7 +229,7 @@ def test_error_non_supersingular_start(monkeypatch):
         js = supersingular_j_set(p).js
         ordinary = next(j for j in range(p) if (j, 0) not in js)
         with monkeypatch.context() as m:
-            m.setattr(oracle, "_start", lambda p, field: (ordinary, 0))
+            m.setattr(oracle, "_start", lambda p, field: ((ordinary, 0), None))
             with pytest.raises(OracleError):
                 supersingular_j_set(p)
 

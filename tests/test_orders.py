@@ -403,6 +403,41 @@ def test_enumerate_types_reduces_each_popped_gram_once(monkeypatch):
     assert len(calls) == 1 + 3 * len(types)
 
 
+@pytest.mark.parametrize("ell", [2, 3])
+def test_keys_only_walk_gives_the_full_walks_minima(ell):
+    # keys from greedy-reduced Grams, with no minimal basis, against the
+    # minima the full walk certifies, at every prime up to 300
+    for p in primes_between(2, 300):
+        if p != ell:
+            want = tuple(t.minima for t in enumerate_types(p, ell))
+            assert enumerate_types(p, ell, keys_only=True) == want, p
+
+
+def test_keys_only_walk_keeps_the_neighbour_checks(monkeypatch):
+    # no minimal basis is built, but a seed that is not a Gross Gram of B_p
+    # still fails half_form, and an odd neighbour still fails
+    # kneser_neighbours
+    def no_basis(*args, **kwargs):
+        raise AssertionError("minimal_basis called in a keys-only walk")
+
+    monkeypatch.setattr(orders, "minimal_basis", no_basis)
+    assert enumerate_types(37, 3, keys_only=True) == ((8, 19, 39), (15, 20, 23))
+    with monkeypatch.context() as m:
+        seed = ((3, 0, 0), (0, 4, 0), (0, 0, 5))
+        m.setattr(orders, "standard_gross_gram", lambda p: seed)
+        with pytest.raises(LatticeError, match="not divisible by 2p"):
+            enumerate_types(37, 2, keys_only=True)
+    real = lattice.half_form
+
+    def odd(gram, p):
+        (a, x, y), (_, b, z), (_, _, c) = real(gram, p)
+        return (a + 1, x, y), (x, b, z), (y, z, c)
+
+    monkeypatch.setattr(orders, "half_form", odd)
+    with pytest.raises(LatticeError, match="odd diagonal"):
+        enumerate_types(37, 2, keys_only=True)
+
+
 @pytest.mark.parametrize("p", [11, 13, 37, 101])
 def test_enumerate_types_ell_independent(p):
     assert [t.minima for t in enumerate_types(p, 2)] == [

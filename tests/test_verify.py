@@ -59,20 +59,33 @@ def count_enumerations(monkeypatch):
 
 @pytest.mark.parametrize("p", [11, 101])
 def test_verify_enumerates_each_type_once(p, monkeypatch):
-    # one vector list to max(D3, 8), not to 2p, and one primitive-norm pass
-    # to 8 per type
+    # one vector list to max(D3, 8), not to 2p, per type; the primitive
+    # norms to 8 are read off that list, with no second pass
     types = enumerate_types(p, 2)
     calls = count_enumerations(monkeypatch)
     rep = verify.verify_prime(p)
     assert not rep.failures
     assert calls == [
-        call
-        for rec in types
-        for call in (
-            ("reduced_vectors", rec.gram, max(rec.minima[2], 8)),
-            ("primitive_norms", rec.gram, 8),
-        )
+        ("reduced_vectors", rec.gram, max(rec.minima[2], 8)) for rec in types
     ]
+
+
+def test_verify_reads_primitive_norms_off_the_vector_list(monkeypatch):
+    # the norms classify_type gets from verify equal primitive_norms(g, 8)
+    # for every type of every prime up to 300
+    seen = []
+    real = classify.classify_type
+
+    def recorded(p, norms, minima, gram):
+        seen.append((p, gram, norms))
+        return real(p, norms, minima, gram)
+
+    monkeypatch.setattr(classify, "classify_type", recorded)
+    report = verify.run_verify(2, 300, oracle_cap=0)
+    assert not report.failures
+    assert len(seen) == 534
+    for p, gram, norms in seen:
+        assert norms == lattice.primitive_norms(gram, 8), (p, gram)
 
 
 def test_types_and_cm_enumerate_each_type_once(monkeypatch, capsys):
@@ -109,9 +122,10 @@ def test_verify_leaves_no_walk_alive(monkeypatch):
     walked = []
     real = verify.enumerate_types
 
-    def tracked(p, ell):
-        types = real(p, ell)
-        walked.extend(weakref.ref(rec) for rec in types)
+    def tracked(p, ell, keys_only=False):
+        types = real(p, ell, keys_only=keys_only)
+        if not keys_only:   # a keys-only walk hands over key tuples alone
+            walked.extend(weakref.ref(rec) for rec in types)
         return types
 
     monkeypatch.setattr(verify, "enumerate_types", tracked)
@@ -128,8 +142,8 @@ def edit_type(monkeypatch, p, minima, edit):
     as `edit(record)`; every other record and the ell = 3 walk stay."""
     real = verify.enumerate_types
 
-    def walked(q, ell):
-        types = real(q, ell)
+    def walked(q, ell, keys_only=False):
+        types = real(q, ell, keys_only=keys_only)
         if ell != default_ell(q):
             return types
         assert minima in [rec.minima for rec in types]
@@ -192,14 +206,17 @@ def test_size_reduced_reads_integer_bounds(monkeypatch):
 
 
 def test_ell_independence_keeps_only_the_ell_3_minima(monkeypatch):
-    # the ell = 3 records are gone by the time the closed-form rules run,
-    # which follow ell-independence; the ell = 2 records are still in use
+    # the ell = 3 walk hands over its keys alone, so no ell = 3 record is
+    # alive when the closed-form rules run, which follow ell-independence;
+    # the ell = 2 records are still in use
     walked = {}
+    modes = {}
     real = verify.enumerate_types
 
-    def tracked(p, ell):
-        types = real(p, ell)
-        walked[ell] = [weakref.ref(rec) for rec in types]
+    def tracked(p, ell, keys_only=False):
+        types = real(p, ell, keys_only=keys_only)
+        modes[ell] = keys_only
+        walked[ell] = [] if keys_only else [weakref.ref(rec) for rec in types]
         return types
 
     seen = []
@@ -213,11 +230,12 @@ def test_ell_independence_keeps_only_the_ell_3_minima(monkeypatch):
     monkeypatch.setattr(verify, "closed_form_gram", closed)
     rep = verify.verify_prime(11)
     assert not rep.failures
+    assert modes == {2: False, 3: True}
     assert seen == [[2, 0], [2, 0]]
 
 
 @pytest.mark.verify_large
-@pytest.mark.parametrize("floor", [10**5, 2 * 10**5])
+@pytest.mark.parametrize("floor", [10**5, 2 * 10**5, 5 * 10**5, 10**6])
 def test_verify_passes_at_the_least_prime_above(floor):
     p = next(q for q in range(floor + 1, 2 * floor) if is_prime(q))
     rep = verify.verify_prime(p)
