@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage or precondition
 error.  All JSON output carries a top-level "schema": 1 and is emitted with
-sorted keys so identical inputs give identical bytes.  Integers that could
-exceed 2^63 are serialized as decimal strings.
+sorted keys so identical inputs give identical bytes.  `_dump` writes every
+integer of absolute value 2^63 or more as a decimal string, in every JSON
+output.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import io
 import json
 import sys
 from bisect import bisect_right
+from json.encoder import encode_basestring_ascii
 
 from . import classify as cl
 from .cm import EXTENDED_DS, CmError, closed_form_gram, cm_row, cm_rows, recompute_ne
@@ -27,44 +29,51 @@ from .verify import run_verify
 BIG = 2 ** 63
 
 
-def _jint(n: int):
-    return n if abs(n) < BIG else str(n)
-
-
-def _jmat(gram):
-    return [[_jint(x) for x in row] for row in gram]
-
-
-# A list or dict holding only these is encoded in one call to json's C
-# encoder, which json.dumps does not use when it indents.
-_SCALARS = frozenset({str, int, float, bool, type(None)})
-
-
 def _dump(obj) -> str:
-    """json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1)."""
+    """json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1),
+    with every int of |n| >= 2^63 written as a decimal string."""
     return _encode(obj, "\n")
+
+
+def _scalar(x) -> str:
+    """One JSON scalar: bool and None as literals, an int by repr or as a
+    decimal string at |n| >= 2^63, a str ASCII-escaped as json.dumps
+    escapes it; anything else, floats included, by json.dumps."""
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if type(x) is int:
+        return repr(x) if -BIG < x < BIG else f'"{x}"'
+    if type(x) is str:
+        return encode_basestring_ascii(x)
+    return json.dumps(x)
 
 
 def _encode(obj, nl: str) -> str:
     """`obj` as indented JSON, `nl` being the newline and indent before its
     closing bracket.  Dict keys are strings."""
     if isinstance(obj, dict):
-        brackets, values = "{}", obj.values()
+        brackets = "{}"
     elif isinstance(obj, (list, tuple)):
-        brackets, values = "[]", obj
+        brackets = "[]"
     else:
-        return json.dumps(obj)
+        return _scalar(obj)
     if not obj:
         return brackets
     inner = nl + " "
-    if set(map(type, values)) <= _SCALARS:
-        body = json.dumps(obj, sort_keys=True, separators=("," + inner, ": "))[1:-1]
-    elif brackets == "{}":
-        body = ("," + inner).join(
-            json.dumps(k) + ": " + _encode(v, inner) for k, v in sorted(obj.items())
+    sep = "," + inner
+    if brackets == "{}":
+        body = sep.join(
+            encode_basestring_ascii(k) + ": " + _encode(v, inner)
+            for k, v in sorted(obj.items())
         )
+    elif set(map(type, obj)) == {int} and -BIG < min(obj) and max(obj) < BIG:
+        body = sep.join(map(repr, obj))
     else:
-        body = ("," + inner).join(_encode(v, inner) for v in obj)
+        body = sep.join(_encode(v, inner) for v in obj)
     return brackets[0] + inner + body + nl + brackets[1]
 
 
@@ -78,19 +87,17 @@ def _type_payload(p: int, ell: int, disc_bound: int):
         out.append(
             {
                 "index": idx,
-                "minima": [_jint(d) for d in rec.minima],
-                "gram": _jmat(rec.gram),
+                "minima": rec.minima,
+                "gram": rec.gram,
                 "spine": c.spine,
                 "special_j": c.special_j,
                 "embedding": c.embedding,
                 "orthogonal": c.orthogonal,
                 "well_rounded": c.well_rounded,
-                "embedded_discriminants": [
-                    _jint(d) for d in norms[:bisect_right(norms, disc_bound)]
-                ],
+                "embedded_discriminants": norms[:bisect_right(norms, disc_bound)],
             }
         )
-    return {"schema": 1, "p": _jint(p), "ell": ell, "types": out}
+    return {"schema": 1, "p": p, "ell": ell, "types": out}
 
 
 CSV_COLUMNS = [
@@ -144,12 +151,11 @@ def cmd_gramgross(args) -> int:
         return 2
     payload = {
         "schema": 1,
-        "p": _jint(args.p),
-        "d1": _jint(args.d1),
-        "matrices": [_jmat(c.gram) for c in cands],
+        "p": args.p,
+        "d1": args.d1,
+        "matrices": [c.gram for c in cands],
         "provenance": [
-            {"x": _jint(c.x), "d2": _jint(c.d2), "y": _jint(c.y),
-             "d3": _jint(c.d3), "n": _jint(c.n), "z": _jint(c.z)}
+            {"x": c.x, "d2": c.d2, "y": c.y, "d3": c.d3, "n": c.n, "z": c.z}
             for c in cands
         ],
     }
@@ -258,13 +264,13 @@ def cmd_oracle(args) -> int:
     ss = supersingular_j_set(p)
     payload = {
         "schema": 1,
-        "p": _jint(p),
+        "p": p,
         "count": ss.count,
         "spine_count": ss.spine_count,
         "orbit_count": ss.orbit_count,
-        "nonresidue": _jint(ss.nonresidue),
+        "nonresidue": ss.nonresidue,
         "j_list": [
-            {"re": _jint(re), "im": _jint(im), "in_fp": im == 0}
+            {"re": re, "im": im, "in_fp": im == 0}
             for re, im in ss.js
         ],
     }

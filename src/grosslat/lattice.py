@@ -13,9 +13,10 @@ ternary form for any prime ell prime to its half-discriminant.  On the
 Gross-Lucianovic half form of a Gross lattice (`half_form`, half-discriminant
 p) their adjugates are the Gross Grams of the ell-neighbouring maximal
 orders, so type enumeration walks Grams with no quaternion arithmetic at
-every ell, ell = 2 included.  The HNF of each neighbour's generators
-depends only on residues of its line mod ell and ell^2, so it is memoised
-on them, and each neighbour costs only its Gram H m H^T / ell^2.
+every ell, ell = 2 included, one `gross_neighbours` step per type.  The HNF
+of each neighbour's generators depends only on residues of its line mod ell
+and ell^2, so it is memoised on them, and each neighbour costs only its
+Gram H m H^T / ell^2.
 
 Two questions need no vector list.  `primitive_norms` reads the norms of
 the primitive vectors, the optimally embedded discriminants of a type, off
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd, isqrt
 
 from .exact import hnf, is_prime
@@ -97,35 +99,34 @@ def greedy_reduce(gram):
     x = g01, y = g02, z = g12, and the basis as three coordinate rows.  A
     swap of rows i, j exchanges g_ii with g_jj and g_ik with g_jk; b_i <-
     b_i - q b_j changes g_ii, g_ij and g_ik.  Nearest integers round ties
-    down: round(t/n) = (2t + n) // 2n for n > 0.  Raises LatticeError when
-    the rounds do not settle.
+    down: round(t/n) = (2t + n) // 2n for n > 0.
+
+    A round stops the loop when its third-row step moves nothing.  The
+    swaps leave a <= b <= c, the Gauss steps never raise max(a, b) and end
+    with x rounding to 0 against a, so the next round would find the same
+    Gram and move nothing either.  Raises LatticeError when no round of the
+    first _GREEDY_ROUNDS stops the loop.
     """
     (a, x, y), (_, b, z), (_, _, c) = gram
     u0, u1, u2 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
     for _ in range(_GREEDY_ROUNDS):
-        changed = False
         # the first row of least norm to the front
         if b < a and b <= c:
             a, b, y, z, u0, u1 = b, a, z, y, u1, u0
-            changed = True
         elif c < a and c < b:
             a, c, x, z, u0, u2 = c, a, z, x, u2, u0
-            changed = True
         if b > c:
             b, c, x, y, u1, u2 = c, b, y, x, u2, u1
-            changed = True
         # Gauss-reduce the first two rows
         for _ in range(_GREEDY_ROUNDS):
             if a > b:
                 a, b, y, z, u0, u1 = b, a, z, y, u1, u0
-                changed = True
             q = (2 * x + a) // (2 * a)
             if q:
                 b += q * (q * a - 2 * x)
                 x -= q * a
                 z -= q * y
                 u1 = (u1[0] - q * u0[0], u1[1] - q * u0[1], u1[2] - q * u0[2])
-                changed = True
             # x now rounds to 0 against a, whether or not a step was taken
             if b >= a:
                 break
@@ -143,18 +144,18 @@ def greedy_reduce(gram):
                 n = r + s1 * (s1 * b - w)
                 if n < best:
                     best, c0, c1 = n, s0, s1
-        if c0 or c1:
-            # b_2 <- b_2 - c0 b_0 - c1 b_1
-            c = best
-            y, z = y - c0 * a - c1 * x, z - c0 * x - c1 * b
-            u2 = (
-                u2[0] - c0 * u0[0] - c1 * u1[0],
-                u2[1] - c0 * u0[1] - c1 * u1[1],
-                u2[2] - c0 * u0[2] - c1 * u1[2],
-            )
-            changed = True
-        if not changed:
+        if not (c0 or c1):
+            # a <= b <= c after the swaps, and the Gauss steps never raise
+            # max(a, b): the next round would move nothing
             break
+        # b_2 <- b_2 - c0 b_0 - c1 b_1
+        c = best
+        y, z = y - c0 * a - c1 * x, z - c0 * x - c1 * b
+        u2 = (
+            u2[0] - c0 * u0[0] - c1 * u1[0],
+            u2[1] - c0 * u0[1] - c1 * u1[1],
+            u2[2] - c0 * u0[2] - c1 * u1[2],
+        )
     else:
         raise LatticeError("greedy reduction did not converge")
     return (u0, u1, u2), ((a, x, y), (x, b, z), (y, z, c))
@@ -265,19 +266,29 @@ def primitive_norms(gram, bound: int):
     `reduced_vectors`, collecting norms only: z is primitive exactly when
     gcd(z0, gcd(z1, z2)) = 1, so a row with gcd(z1, z2) = 1 adds every norm
     it reaches with no per-vector gcd, and on the row z1 = z2 = 0 only the
-    first basis vector is primitive.
+    first basis vector is primitive.  Along a row the norms have the
+    constant second difference 2 g00, so a full row is summed up by
+    `itertools.accumulate` from its first norm.
     """
     _check_positive_definite(gram)
     if bound <= 0:
         return []
     g = greedy_reduce(gram)[1]
     g00 = g[0][0]
+    step = 2 * g00
     out = {g00} if g00 <= bound else set()
     for z1, z2, b, q in _rows(g, bound):
         h = gcd(z1, z2)
         leaves = _interval(g00, b, q - bound)
         if h == 1:
-            out.update([(g00 * z0 + 2 * b) * z0 + q for z0 in leaves])
+            if leaves:
+                # n(z0 + 1) - n(z0) = g00 (2 z0 + 1) + 2b grows by 2 g00
+                lo = leaves.start
+                d = g00 * (2 * lo + 1) + 2 * b
+                out.update(accumulate(
+                    range(d, d + step * (len(leaves) - 1), step),
+                    initial=(g00 * lo + 2 * b) * lo + q,
+                ))
         elif h:  # h = 0 is the row of e_0's multiples, done above
             out.update(
                 [(g00 * z0 + 2 * b) * z0 + q for z0 in leaves if gcd(z0, h) == 1]
@@ -490,20 +501,6 @@ def _minimal_basis(gram, u, g, tie_break: str = "asc") -> MinimalBasis:
 
 # -- Kneser ell-neighbours of an even ternary form ----------------------------
 
-def adj3(rows):
-    """Adjugate (transposed cofactor matrix) of a 3x3 integer matrix."""
-    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
-    return (
-        (b1 * c2 - b2 * c1, a2 * c1 - a1 * c2, a1 * b2 - a2 * b1),
-        (b2 * c0 - b0 * c2, a0 * c2 - a2 * c0, a2 * b0 - a0 * b2),
-        (b0 * c1 - b1 * c0, a1 * c0 - a0 * c1, a0 * b1 - a1 * b0),
-    )
-
-
-def _odd_diagonal(m) -> bool:
-    return any(m[i][i] % 2 for i in range(3))
-
-
 def half_form(gram, p: int):
     """Even Gram adj(gram) / 2p of the Gross-Lucianovic form of a Gross lattice.
 
@@ -511,21 +508,40 @@ def half_form(gram, p: int):
     diagonal and det 2p, so q(x) = x M x^T / 2 has half-discriminant p, and
     adj(M) = gram.  Raises LatticeError when any of the three fails.
     """
-    m = []
-    for row in adj3(gram):
-        out = []
-        for x in row:
-            q, rem = divmod(x, 2 * p)
-            if rem:
-                raise LatticeError(f"adj(gram) is not divisible by 2p = {2 * p}")
-            out.append(q)
-        m.append(tuple(out))
-    m = tuple(m)
-    if _odd_diagonal(m):
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = gram
+    p2 = 2 * p
+    # the nine entries of adj(gram), each divided by 2p
+    m00, r00 = divmod(b1 * c2 - b2 * c1, p2)
+    m01, r01 = divmod(a2 * c1 - a1 * c2, p2)
+    m02, r02 = divmod(a1 * b2 - a2 * b1, p2)
+    m10, r10 = divmod(b2 * c0 - b0 * c2, p2)
+    m11, r11 = divmod(a0 * c2 - a2 * c0, p2)
+    m12, r12 = divmod(a2 * b0 - a0 * b2, p2)
+    m20, r20 = divmod(b0 * c1 - b1 * c0, p2)
+    m21, r21 = divmod(a1 * c0 - a0 * c1, p2)
+    m22, r22 = divmod(a0 * b1 - a1 * b0, p2)
+    if r00 or r01 or r02 or r10 or r11 or r12 or r20 or r21 or r22:
+        raise LatticeError(f"adj(gram) is not divisible by 2p = {p2}")
+    if m00 % 2 or m11 % 2 or m22 % 2:
         raise LatticeError("adj(gram) / 2p has an odd diagonal entry")
-    if det3(m) != 2 * p:
-        raise LatticeError(f"adj(gram) / 2p has det {det3(m)}, expected {2 * p}")
-    return m
+    d = (
+        m00 * (m11 * m22 - m12 * m21)
+        - m01 * (m10 * m22 - m12 * m20)
+        + m02 * (m10 * m21 - m11 * m20)
+    )
+    if d != p2:
+        raise LatticeError(f"adj(gram) / 2p has det {d}, expected {p2}")
+    return (m00, m01, m02), (m10, m11, m12), (m20, m21, m22)
+
+
+@lru_cache(maxsize=16)
+def _points(ell: int):
+    """One vector per line of F_ell^3, in the order `_isotropic_lines`
+    tries them."""
+    points = [(1, a, b) for a in range(ell) for b in range(ell)]
+    points += [(0, 1, b) for b in range(ell)]
+    points.append((0, 0, 1))
+    return tuple(points)
 
 
 def _isotropic_lines(m, ell: int):
@@ -533,18 +549,16 @@ def _isotropic_lines(m, ell: int):
     q(x) = x m x^T / 2 vanishes mod ell."""
     (m00, m01, m02), (_, m11, m12), (_, _, m22) = m
     h0, h1, h2 = m00 // 2, m11 // 2, m22 // 2
-    points = [(1, a, b) for a in range(ell) for b in range(ell)]
-    points += [(0, 1, b) for b in range(ell)]
-    points.append((0, 0, 1))
     out = []
-    for v0, v1, v2 in points:
+    for v in _points(ell):
+        v0, v1, v2 = v
         q = (
             (h0 * v0 + m01 * v1 + m02 * v2) * v0
             + (h1 * v1 + m12 * v2) * v1
             + h2 * v2 * v2
         )
         if q % ell == 0:
-            out.append(((v0, v1, v2), q))
+            out.append((v, q))
     return out
 
 
@@ -602,13 +616,33 @@ def kneser_neighbours(m, ell: int):
 
     Duals of ell-neighbours are ell-neighbours, so on the half form of a
     Gross lattice (`half_form`) the adjugates of the neighbours are the
-    Gross Grams of the ell-neighbouring maximal orders, for ell = 2 too.
+    Gross Grams of the ell-neighbouring maximal orders, for ell = 2 too;
+    `gross_neighbours` walks that way in one step.
     """
     if not is_prime(ell):
         raise LatticeError(f"ell = {ell} is not a prime")
-    if _odd_diagonal(m):
+    if m[0][0] % 2 or m[1][1] % 2 or m[2][2] % 2:
         raise LatticeError("m has an odd diagonal entry: not an even Gram")
-    d = det3(m)
+    return _neighbours(m, det3(m), ell, False)
+
+
+def gross_neighbours(gram, p: int, ell: int):
+    """Gross Grams of the ell-neighbours of the maximal order of B_p whose
+    Gross Gram is `gram`.
+
+    The list `[adj(n) for n in kneser_neighbours(half_form(gram, p), ell)]`,
+    with every check of `half_form` and of the neighbours, in one step:
+    the half form's even diagonal and det 2p are checked once, by
+    `half_form`, and each adjugate is read off the cofactors that the
+    neighbour's det check computes.  `ell` must be a prime; it is not
+    checked here, because `orders.enumerate_types` has checked it once.
+    """
+    return _neighbours(half_form(gram, p), 2 * p, ell, True)
+
+
+def _neighbours(m, d: int, ell: int, adjugates: bool):
+    """`kneser_neighbours(m, ell)` for an even m of det d and a prime ell,
+    or the adjugates of the neighbours when `adjugates` is set."""
     if d // 2 % ell == 0:
         raise LatticeError(f"ell = {ell} divides det(m)/2 = {d // 2}")
     lines = _isotropic_lines(m, ell)
@@ -655,14 +689,23 @@ def kneser_neighbours(m, ell: int):
             raise LatticeError("non-integer Gram entry in an ell-neighbour")
         if n00 % 2 or n11 % 2 or n22 % 2:
             raise LatticeError("ell-neighbour has an odd diagonal entry")
-        nd = (
-            n00 * (n11 * n22 - n12 * n12)
-            - n01 * (n01 * n22 - n12 * n02)
-            + n02 * (n01 * n12 - n11 * n02)
-        )
+        # the cofactors of the first row, which give both the det and, with
+        # three more, the adjugate
+        k00 = n11 * n22 - n12 * n12
+        k01 = n01 * n22 - n12 * n02
+        k02 = n01 * n12 - n11 * n02
+        nd = n00 * k00 - n01 * k01 + n02 * k02
         if nd != d:
             raise LatticeError(f"ell-neighbour has det {nd}, expected {d}")
-        out.append(((n00, n01, n02), (n01, n11, n12), (n02, n12, n22)))
+        if adjugates:
+            k12 = n01 * n02 - n00 * n12
+            out.append((
+                (k00, -k01, k02),
+                (-k01, n00 * n22 - n02 * n02, k12),
+                (k02, k12, n00 * n11 - n01 * n01),
+            ))
+        else:
+            out.append(((n00, n01, n02), (n01, n11, n12), (n02, n12, n22)))
     return out
 
 

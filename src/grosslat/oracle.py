@@ -13,9 +13,9 @@ as the vertices of the supersingular 2-isogeny graph, which is connected
    Every vertex but the start was reached from a parent, which is a root
    of its cubic since Phi_2 is symmetric: dividing by Y - parent leaves a
    quadratic, solved with one square root in F_{p^2} (two in F_p).  For
-   the starts 1728, 0, -3375, 8000 and 16581375 a root of the cubic is a
-   known integer, divided out the same way; only the cubic of any other
-   start is split by Cantor-Zassenhaus over F_{p^2}.
+   the starts 1728, 0, -3375 and 8000 a root of the cubic is a known
+   integer, divided out the same way; only the cubic of any other start is
+   split by Cantor-Zassenhaus over F_{p^2}.
 3. The breadth-first search stops when no new j appears.  A count other
    than Eichler-Deuring's, a division with a remainder or a quadratic with
    no root in F_{p^2} raises OracleError.
@@ -501,7 +501,7 @@ _PHI2 = (
 # roots of H_d mod p are supersingular when (-d/p) = -1.  The neighbour,
 # or None, is an integer root of Phi_2(j_d, Y) for the rational root j_d
 # of H_d: Phi_2(1728, 1728) = Phi_2(0, 54000) = Phi_2(-3375, -3375)
-# = Phi_2(8000, 8000) = Phi_2(16581375, -3375) = 0 over Z.
+# = Phi_2(8000, 8000) = 0 over Z.
 _HILBERT = (
     (4, (-1728,), 1728),
     (3, (0,), 54000),
@@ -509,7 +509,6 @@ _HILBERT = (
     (8, (-8000,), 8000),
     (11, (32768,), None),
     (19, (884736,), None),
-    (28, (-16581375,), -3375),
     (43, (884736000,), None),
     (67, (147197952000,), None),
     (163, (262537412640768000,), None),

@@ -18,7 +18,8 @@ The Gross lattice of O is the Gross-Lucianovic ternary form of O, so the
 ell-neighbours of maximal orders are the Kneser ell-neighbours of their
 Gross lattices (Birch 1991; Greenberg-Voight 2014).  Type enumeration
 therefore walks Gross Grams alone, through the ell-neighbours of their half
-forms (`lattice.half_form`, `lattice.kneser_neighbours`), and deduplicates
+forms (`lattice.gross_neighbours`, one step over `lattice.half_form` and the
+Kneser arithmetic of `lattice.kneser_neighbours`), and deduplicates
 by the successive minima triple, a complete isomorphism invariant, read off
 the diagonal of the greedy-reduced Gram.  By
 Gross-Lucianovic every positive form of half-discriminant p is the form of a
@@ -34,8 +35,7 @@ from math import isqrt
 
 from .exact import canonical_lattice, is_perfect_square, is_prime, legendre
 from .lattice import (
-    LatticeError, adj3, det3, greedy_reduce, half_form, kneser_neighbours,
-    minimal_basis,
+    LatticeError, det3, greedy_reduce, gross_neighbours, minimal_basis,
 )
 from .quat import QuaternionAlgebra, inner4
 
@@ -266,7 +266,8 @@ def enumerate_types(p: int, ell: int, keys_only: bool = False):
     Breadth-first search over ell-neighbours seeded by the Gross Gram of the
     standard maximal order, written down by `standard_gross_gram` with no
     order built.  The nodes are Gross Grams G, and the neighbours of G are
-    the adjugates of the Kneser ell-neighbours of its half form adj(G) / 2p.
+    the adjugates of the Kneser ell-neighbours of its half form adj(G) / 2p,
+    from `lattice.gross_neighbours`, which relies on the check of ell here.
     A node is keyed by the diagonal of its greedy-reduced
     Gram, which in dimension 3 is its successive minima triple (see
     `lattice.greedy_reduce`), a complete type invariant, and is discarded
@@ -277,7 +278,7 @@ def enumerate_types(p: int, ell: int, keys_only: bool = False):
     With `keys_only` the walk returns the sorted keys alone and builds no
     minimal basis: a new key's neighbours come from its greedy-reduced Gram,
     an isometric Gram of the same type, so the same keys are reached.
-    `half_form`, `kneser_neighbours` and `greedy_reduce` raise as before,
+    `gross_neighbours` and `greedy_reduce` raise as before,
     but no key is certified to be the minima, which is the row-by-row check
     inside `minimal_basis`.  `verify` walks this way at ell = 3 only, where
     `ell-independence` compares the keys with the certified minima of the
@@ -302,7 +303,7 @@ def enumerate_types(p: int, ell: int, keys_only: bool = False):
             records.append(TypeRecord(walk_gram, key, mb.gram, mb.coords))
             g = mb.gram
         # from a reduced Gram, so entries do not grow along the walk
-        queue.extend(adj3(m) for m in kneser_neighbours(half_form(g, p), ell))
+        queue.extend(gross_neighbours(g, p, ell))
     if keys_only:
         return tuple(sorted(seen))
     records.sort(key=lambda r: r.minima)

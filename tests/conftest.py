@@ -16,8 +16,10 @@ OPT_IN = {
         "Gram walk against the order walk, its greedy dedupe key against "
         "the full-enumeration minima, its closed-form seed against the "
         "standard order's Gross Gram, its Kneser neighbours against the "
-        "seven-row HNF reference, and minimal_basis and primitive_norms against the "
-        "vector-list routes, at ell = 2 and 3 for every prime <= 2000, "
+        "seven-row HNF reference, gross_neighbours against the composed "
+        "half_form and kneser_neighbours route, and minimal_basis and "
+        "primitive_norms against the vector-list routes, at ell = 2 and 3 for "
+        "every prime <= 2000, "
         "and the direct CM route against the walk up to each odd prime "
         "row's default_p_max; set GROSSLAT_WALK_REFERENCE=1",
     ),

@@ -9,6 +9,8 @@ norm exactly D1, D2 or D3 and takes the minima from the greedy diagonal.
 `primitive_norms_reference` reduces a sorted `reduced_vectors` list to the
 set of its primitive norms, as `embedded_discriminants` did;
 `lattice.primitive_norms` collects the norms in the enumeration itself.
+`primitive_norms_per_leaf` is that pass as it was before a full row's norms
+were summed up by `itertools.accumulate`: one norm per leaf of every row.
 """
 
 from math import gcd
@@ -17,7 +19,10 @@ from grosslat.lattice import (
     LatticeError,
     MinimaTriple,
     MinimalBasis,
+    _check_positive_definite,
     _independent2,
+    _interval,
+    _rows,
     det3,
     gram_inner,
     greedy_minima,
@@ -72,3 +77,23 @@ def embedded_discriminants(vecs, bound):
 def primitive_norms_reference(gram, bound):
     """`lattice.primitive_norms` from the sorted reduced_vectors list."""
     return embedded_discriminants(reduced_vectors(gram, bound), bound)
+
+
+def primitive_norms_per_leaf(gram, bound):
+    """`lattice.primitive_norms` with each row's norms listed leaf by leaf."""
+    _check_positive_definite(gram)
+    if bound <= 0:
+        return []
+    g = greedy_reduce(gram)[1]
+    g00 = g[0][0]
+    out = {g00} if g00 <= bound else set()
+    for z1, z2, b, q in _rows(g, bound):
+        h = gcd(z1, z2)
+        leaves = _interval(g00, b, q - bound)
+        if h == 1:
+            out.update([(g00 * z0 + 2 * b) * z0 + q for z0 in leaves])
+        elif h:
+            out.update(
+                [(g00 * z0 + 2 * b) * z0 + q for z0 in leaves if gcd(z0, h) == 1]
+            )
+    return sorted(out)

@@ -1,10 +1,13 @@
-"""The list-based greedy reduction that `lattice.greedy_reduce` replaced.
+"""The greedy reductions that `lattice.greedy_reduce` replaced.
 
-It keeps the Gram as nested lists and the basis as lists of coordinates,
-and applies each step through `_apply_swap` and `_apply_addmul`.  The
-scalar version in the package applies the same steps in the same order, so
-the two must return identical (u, g); `tests/test_lattice.py` compares
-them.
+`greedy_reduce_reference` keeps the Gram as nested lists and the basis as
+lists of coordinates, and applies each step through `_apply_swap` and
+`_apply_addmul`.  `greedy_reduce_until_idle` is the scalar loop as it was
+before it stopped at the first round whose third-row step moves nothing: it
+runs one more round, until no step of a whole round changed anything.  The
+package applies the same steps in the same order and skips only that idle
+round, so all three must return identical (u, g); `tests/test_lattice.py`
+compares them.
 """
 
 from grosslat.lattice import LatticeError
@@ -87,3 +90,58 @@ def greedy_reduce_reference(gram):
     return tuple(tuple(r) for r in u), tuple(tuple(r) for r in g)
 
 
+
+
+def greedy_reduce_until_idle(gram):
+    """`lattice.greedy_reduce`, ending only after a round that changes nothing."""
+    (a, x, y), (_, b, z), (_, _, c) = gram
+    u0, u1, u2 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    for _ in range(10000):
+        changed = False
+        if b < a and b <= c:
+            a, b, y, z, u0, u1 = b, a, z, y, u1, u0
+            changed = True
+        elif c < a and c < b:
+            a, c, x, z, u0, u2 = c, a, z, x, u2, u0
+            changed = True
+        if b > c:
+            b, c, x, y, u1, u2 = c, b, y, x, u2, u1
+            changed = True
+        for _ in range(10000):
+            if a > b:
+                a, b, y, z, u0, u1 = b, a, z, y, u1, u0
+                changed = True
+            q = (2 * x + a) // (2 * a)
+            if q:
+                b += q * (q * a - 2 * x)
+                x -= q * a
+                z -= q * y
+                u1 = (u1[0] - q * u0[0], u1[1] - q * u0[1], u1[2] - q * u0[2])
+                changed = True
+            if b >= a:
+                break
+        d2 = a * b - x * x
+        a0 = (2 * (y * b - z * x) + d2) // (2 * d2)
+        b0 = (2 * (z * a - y * x) + d2) // (2 * d2)
+        best, c0, c1 = c, 0, 0
+        for s0 in (a0 - 1, a0, a0 + 1):
+            r = c + s0 * (s0 * a - 2 * y)
+            w = 2 * (z - s0 * x)
+            for s1 in (b0 - 1, b0, b0 + 1):
+                n = r + s1 * (s1 * b - w)
+                if n < best:
+                    best, c0, c1 = n, s0, s1
+        if c0 or c1:
+            c = best
+            y, z = y - c0 * a - c1 * x, z - c0 * x - c1 * b
+            u2 = (
+                u2[0] - c0 * u0[0] - c1 * u1[0],
+                u2[1] - c0 * u0[1] - c1 * u1[1],
+                u2[2] - c0 * u0[2] - c1 * u1[2],
+            )
+            changed = True
+        if not changed:
+            break
+    else:
+        raise LatticeError("greedy reduction did not converge")
+    return (u0, u1, u2), ((a, x, y), (x, b, z), (y, z, c))

@@ -1,4 +1,5 @@
-"""The Kneser neighbour construction that `lattice.kneser_neighbours` replaced.
+"""The Kneser neighbour construction that `lattice.kneser_neighbours` replaced,
+and the three calls that `lattice.gross_neighbours` replaced.
 
 Per isotropic line it spans ell L' by seven rows, ell^2 e_i for every i,
 ell (e_i - c_i e_t) for i != t and the lifted line vector, takes their HNF
@@ -8,10 +9,51 @@ the two redundant rows ell^2 e_i (i != t) and builds the Gram from the six
 entries of m; a lattice has one HNF, so the two must return identical
 neighbour lists.  `tests/test_lattice.py` and `tests/test_walk_reference.py`
 compare them.
+
+The walk used to expand a Gross Gram G as
+`[adj3(n) for n in kneser_neighbours(half_form(G, p), ell)]`, with
+`half_form` dividing `adj3(G)` by 2p entry by entry.  `gross_neighbours`
+does the same in one step, with each check made once and each adjugate read
+off the cofactors of the neighbour's det check; `gross_neighbours_reference`
+and `half_form_reference` keep the composed route.
 """
 
 from grosslat.exact import hnf, is_prime
-from grosslat.lattice import LatticeError, det3, gram_inner
+from grosslat.lattice import LatticeError, det3, gram_inner, kneser_neighbours
+
+
+def adj3(rows):
+    """Adjugate (transposed cofactor matrix) of a 3x3 integer matrix."""
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
+    return (
+        (b1 * c2 - b2 * c1, a2 * c1 - a1 * c2, a1 * b2 - a2 * b1),
+        (b2 * c0 - b0 * c2, a0 * c2 - a2 * c0, a2 * b0 - a0 * b2),
+        (b0 * c1 - b1 * c0, a1 * c0 - a0 * c1, a0 * b1 - a1 * b0),
+    )
+
+
+def half_form_reference(gram, p):
+    """`lattice.half_form` by `adj3` and one divmod per entry."""
+    m = []
+    for row in adj3(gram):
+        out = []
+        for x in row:
+            q, rem = divmod(x, 2 * p)
+            if rem:
+                raise LatticeError(f"adj(gram) is not divisible by 2p = {2 * p}")
+            out.append(q)
+        m.append(tuple(out))
+    m = tuple(m)
+    if _odd_diagonal(m):
+        raise LatticeError("adj(gram) / 2p has an odd diagonal entry")
+    if det3(m) != 2 * p:
+        raise LatticeError(f"adj(gram) / 2p has det {det3(m)}, expected {2 * p}")
+    return m
+
+
+def gross_neighbours_reference(gram, p, ell):
+    """`lattice.gross_neighbours` as the walk composed it before."""
+    return [adj3(n) for n in kneser_neighbours(half_form_reference(gram, p), ell)]
 
 
 def _odd_diagonal(m) -> bool:

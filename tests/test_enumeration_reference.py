@@ -8,7 +8,10 @@ must give the same basis, Gram and minima.
 
 `lattice.primitive_norms` collects primitive norms in one enumeration pass;
 `primitive_norms_reference` reduces a sorted `reduced_vectors` list to them.
-They must agree at the bounds 3, 8, D3 and 2p.
+They must agree at the bounds 3, 8, D3 and 2p.  The pass sums a full row's
+norms up by `itertools.accumulate`; `primitive_norms_per_leaf`, the pass
+that listed them leaf by leaf, must give the same norms at the bounds 3, 8
+and 2p, at every p <= 300 and at p = 10007.
 
 Each type's walk Gram is compared, and the same Gram under a seeded random
 unimodular change of basis.  Tier-1 covers every type at every prime
@@ -24,7 +27,9 @@ import pytest
 from grosslat.exact import primes_between
 from grosslat.lattice import minimal_basis, primitive_norms
 from grosslat.orders import enumerate_types
-from enumeration_reference import minimal_basis_reference, primitive_norms_reference
+from enumeration_reference import (
+    minimal_basis_reference, primitive_norms_per_leaf, primitive_norms_reference,
+)
 from test_lattice import change_basis, random_unimodular
 
 
@@ -68,6 +73,23 @@ def test_minimal_basis_matches_the_full_enumeration_to_500(ell):
 def test_primitive_norms_match_the_vector_list_to_500(ell):
     for p in primes_for(ell, 500):
         assert_primitive_norms_match(p, ell)
+
+
+def assert_primitive_norms_match_per_leaf(p, ell):
+    for rec, gram in grams_of(p, ell):
+        for bound in (3, 8, 2 * p):
+            assert primitive_norms(gram, bound) == primitive_norms_per_leaf(
+                gram, bound
+            ), (p, ell, gram, bound)
+
+
+def test_primitive_norms_match_the_per_leaf_pass_to_300():
+    for p in primes_between(2, 300):
+        assert_primitive_norms_match_per_leaf(p, 3 if p == 2 else 2)
+
+
+def test_primitive_norms_match_the_per_leaf_pass_at_10007():
+    assert_primitive_norms_match_per_leaf(10007, 2)
 
 
 @pytest.mark.walk_reference

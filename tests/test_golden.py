@@ -5,9 +5,11 @@ change to the exact arithmetic behind them shows up as a byte difference.
 Outputs too large to keep as a file are checked by their SHA-256; they
 include every input of the benchmark in bench/workloads.py.
 
-`cli._dump` encodes each list or dict of scalars in one call to json's C
-encoder; `json.dumps(..., indent=1)`, which does not use it, is its
-reference on every golden payload and on edge cases.
+`cli._dump` spells each scalar itself and joins a list of small ints in one
+call, and it writes every int of absolute value 2^63 or more as a decimal
+string, so the payloads hold raw ints.  Its reference is
+`json.dumps(..., indent=1)` of the same object with those ints converted to
+strings first, on every golden payload and on edge cases.
 """
 
 import hashlib
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from grosslat.cli import _dump, _jint, main
+from grosslat.cli import _dump, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -67,8 +69,29 @@ def test_cli_output_matches_recorded_digest(command, capsys):
     assert hashlib.sha256(out).hexdigest() == DIGESTS[command]
 
 
+BIG = 2 ** 63
+
+
+def jint(n):
+    """An int as JSON output holds it: a decimal string at |n| >= 2^63."""
+    return n if abs(n) < BIG else str(n)
+
+
+def big_ints_as_strings(obj):
+    """`obj` with every int (not bool) of |n| >= 2^63 made a string."""
+    if isinstance(obj, dict):
+        return {k: big_ints_as_strings(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [big_ints_as_strings(v) for v in obj]
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return jint(obj)
+    return obj
+
+
 def reference_dump(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1)
+    return json.dumps(
+        big_ints_as_strings(obj), sort_keys=True, separators=(",", ": "), indent=1
+    )
 
 
 @pytest.mark.parametrize(
@@ -93,11 +116,24 @@ DUMP_EDGE_CASES = [
     "é\n\"",
     [None, True, False, 0, "", 1.25],
     {"b": [], "a": {}, "c": [[]], "d": [{}], "e": [[], {}, [[]]]},
-    {"big": _jint(2 ** 63), "small": _jint(2 ** 63 - 1), "neg": _jint(-2 ** 63)},
-    [_jint(2 ** 63 + k) for k in range(3)],
+    {"big": jint(2 ** 63), "small": jint(2 ** 63 - 1), "neg": jint(-2 ** 63)},
+    [jint(2 ** 63 + k) for k in range(3)],
     [1, [2, 3], {"k": [4, None]}, [], (5, 6)],
     {"n_equals_a": (3, 4), "z": None, "y": {"x": [True, {"w": []}]}},
     [[[[1]]], [[2, [3]]]],
+    # raw ints at the 2^63 edge, which `_dump` itself writes as strings
+    [BIG - 1, 1 - BIG, BIG, -BIG],
+    [BIG - 1, 1 - BIG],
+    {"big": BIG, "small": BIG - 1, "neg": -BIG, "neg_small": 1 - BIG},
+    (BIG, (BIG - 1, -BIG), [-(BIG + 1)]),
+    BIG,
+    -BIG,
+    BIG - 1,
+    [True, 1, False, 0],
+    {"t": True, "one": 1, "f": False, "zero": 0},
+    [0.5, 1, BIG, "x"],
+    ["\u00e9\u4e2d\U0001f600", {"\u00fc": "\u00df"}],
+    ((), [], {}, ((),), (1, 2, 3)),
 ]
 
 

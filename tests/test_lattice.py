@@ -7,16 +7,17 @@ from math import gcd, isqrt
 import pytest
 
 import grosslat.lattice as lattice
+import grosslat.orders as orders
 from grosslat.lattice import (
     LatticeError,
     MinimaTriple,
-    adj3,
     attaining_rank2_sublattices,
     basis_pair_rank2_sublattices,
     det3,
     gram_inner,
     greedy_minima,
     greedy_reduce,
+    gross_neighbours,
     half_form,
     kneser_neighbours,
     minima_triple,
@@ -29,13 +30,14 @@ from grosslat.classify import special_j
 from grosslat.exact import hnf, legendre, primes_between
 from grosslat.orders import (
     GrossLattice,
+    enumerate_types,
     gross_lattice,
     pizer_gross_gram,
     standard_maximal_order,
 )
 from enumeration_reference import embedded_discriminants, minima_pass
-from greedy_reference import greedy_reduce_reference
-from kneser_reference import kneser_neighbours_reference
+from greedy_reference import greedy_reduce_reference, greedy_reduce_until_idle
+from kneser_reference import adj3, kneser_neighbours_reference
 from quat_elements import element, lattice_basis_elements, one
 from test_walk_reference import basis_elements, order_walk, walk_half_forms
 from walks import types_of, walk
@@ -402,13 +404,14 @@ def test_minima_triple_must_be_sorted():
 
 
 def test_greedy_reduce_reports_non_convergence(monkeypatch):
-    # the first round moves the shortest row to the front, so a second
-    # round is needed to see that nothing changes
+    # the first round's third-row step takes b_2 - b_1, of norm 1, so only
+    # the second round's third-row step moves nothing and ends the loop
+    gram = ((1, 0, 0), (0, 1, 1), (0, 1, 2))
     monkeypatch.setattr(lattice, "_GREEDY_ROUNDS", 1)
     with pytest.raises(LatticeError, match="did not converge"):
-        greedy_reduce(((5, 0, 0), (0, 6, 0), (0, 0, 3)))
+        greedy_reduce(gram)
     monkeypatch.setattr(lattice, "_GREEDY_ROUNDS", 2)
-    assert greedy_reduce(((5, 0, 0), (0, 6, 0), (0, 0, 3)))[1] == diagonal(3, 5, 6)
+    assert greedy_reduce(gram)[1] == EYE
 
 
 def random_positive_grams(rng, count, spread):
@@ -453,6 +456,19 @@ def test_greedy_reduce_matches_the_list_reference():
     assert len(grams) > 3900
     for gram in grams:
         assert greedy_reduce(gram) == greedy_reduce_reference(gram), gram
+
+
+def test_greedy_reduce_matches_the_loop_that_ran_until_idle():
+    # greedy_reduce stops at the first round whose third-row step moves
+    # nothing; the loop before it ran one more round, which changed nothing
+    rng = random.Random(43)
+    grams = random_positive_grams(rng, 2000, 6)
+    grams += random_positive_grams(rng, 1000, 200)
+    for p in primes_between(2, 300):
+        grams += walk_grams(p)
+    assert len(grams) > 8000
+    for gram in grams:
+        assert greedy_reduce(gram) == greedy_reduce_until_idle(gram), gram
 
 
 def diagonal(d1, d2, d3):
@@ -763,3 +779,53 @@ def test_kneser_neighbours_check_the_determinant(monkeypatch):
     patch_neighbour_hnf(monkeypatch, diagonal(3, 3, 9))
     with pytest.raises(LatticeError, match="ell-neighbour has det 198, expected 22"):
         kneser_neighbours(m, 3)
+
+
+def test_gross_neighbours_need_ell_prime_to_p():
+    with pytest.raises(LatticeError, match="ell = 11 divides det"):
+        gross_neighbours(gram_of(11), 11, 11)
+
+
+def drop_a_line(monkeypatch):
+    real = lattice._isotropic_lines
+    monkeypatch.setattr(lattice, "_isotropic_lines", lambda g, ell: real(g, ell)[1:])
+
+
+def seed(gram):
+    def patch(monkeypatch):
+        monkeypatch.setattr(orders, "standard_gross_gram", lambda p: gram)
+    return patch
+
+
+# (ell, patch, the LatticeError the p = 11 walk raises): every check of
+# gross_neighbours, on the seed's half form or on its first neighbours
+WALK_CHECKS = {
+    "divisible": (2, seed(diagonal(3, 4, 5)), "not divisible by 2p = 22"),
+    # adj(diag(2p, 2p, 1)) / 2p = diag(1, 1, 2p)
+    "even half form": (2, seed(diagonal(22, 22, 1)), "2p has an odd diagonal entry"),
+    # adj(2p I) / 2p = 2p I, with det 8p^3
+    "half form det": (2, seed(diagonal(22, 22, 22)), "has det 10648, expected 22"),
+    "line count": (3, drop_a_line, "expected 4 isotropic lines mod 3, found 3"),
+    "integral": (
+        3, lambda mp: patch_neighbour_hnf(mp, EYE), "non-integer Gram entry"
+    ),
+    "even neighbour": (
+        2,
+        lambda mp: mp.setattr(lattice, "_lift", lambda q, v, ell, t, inv: v),
+        "ell-neighbour has an odd diagonal",
+    ),
+    "neighbour det": (
+        3,
+        lambda mp: patch_neighbour_hnf(mp, diagonal(3, 3, 9)),
+        "ell-neighbour has det 198, expected 22",
+    ),
+}
+
+
+@pytest.mark.parametrize("check", sorted(WALK_CHECKS))
+def test_walk_raises_each_neighbour_check(check, monkeypatch):
+    ell, patch, message = WALK_CHECKS[check]
+    patch(monkeypatch)
+    for keys_only in (False, True):
+        with pytest.raises(LatticeError, match=message):
+            enumerate_types(11, ell, keys_only=keys_only)

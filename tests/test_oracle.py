@@ -1,5 +1,5 @@
 import random
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -159,7 +159,6 @@ def test_listed_neighbours_are_integer_roots_of_phi2():
     ]
     assert listed == [
         (4, 1728, 1728), (3, 0, 54000), (7, -3375, -3375), (8, 8000, 8000),
-        (28, 16581375, -3375),
     ]
     for _, j, nb in listed:
         assert phi2(j, nb) == phi2(nb, j) == 0
@@ -186,8 +185,8 @@ def test_seeded_walk_matches_the_cantor_zassenhaus_walk(monkeypatch):
 def test_error_wrong_listed_neighbour(monkeypatch):
     # each entry with a neighbour alone, its neighbour off by one (1728 ->
     # 1729), at every prime up to 500 where it is the start.  At 47,
-    # -3374 is a root of Phi_2(-3375, Y) and Phi_2(16581375, Y) mod p, so
-    # the walk there is right and must still find every j
+    # -3374 is a root of Phi_2(-3375, Y) mod p, so the walk there is right
+    # and must still find every j
     want = {p: supersingular_j_set(p) for p in primes_between(3, 500)}
     true_roots = []
     for d, coeffs, nb in oracle._HILBERT:
@@ -203,7 +202,19 @@ def test_error_wrong_listed_neighbour(monkeypatch):
             else:
                 true_roots.append((d, p))
                 assert supersingular_j_set(p) == want[p]
-    assert true_roots == [(7, 47), (28, 47)]
+    assert true_roots == [(7, 47)]
+
+
+def test_no_start_is_a_square_multiple_of_an_earlier_one():
+    # for odd p prime to k, (-k^2 d / p) = (-d / p): an entry whose d is a
+    # square multiple of an earlier entry's d is inert only where that one
+    # is, so it is never the start
+    ds = [d for d, *_ in oracle._HILBERT]
+    assert len(set(ds)) == len(ds)
+    for i, d in enumerate(ds):
+        for e in ds[:i]:
+            q, r = divmod(d, e)
+            assert r or isqrt(q) ** 2 != q, (e, d)
 
 
 def test_error_vertex_cubic_without_its_parent(monkeypatch):

@@ -415,8 +415,8 @@ def test_keys_only_walk_gives_the_full_walks_minima(ell):
 
 def test_keys_only_walk_keeps_the_neighbour_checks(monkeypatch):
     # no minimal basis is built, but a seed that is not a Gross Gram of B_p
-    # still fails half_form, and an odd neighbour still fails
-    # kneser_neighbours
+    # still fails half_form, so does one whose half form has an odd
+    # diagonal, and an odd neighbour still fails the neighbour checks
     def no_basis(*args, **kwargs):
         raise AssertionError("minimal_basis called in a keys-only walk")
 
@@ -427,14 +427,15 @@ def test_keys_only_walk_keeps_the_neighbour_checks(monkeypatch):
         m.setattr(orders, "standard_gross_gram", lambda p: seed)
         with pytest.raises(LatticeError, match="not divisible by 2p"):
             enumerate_types(37, 2, keys_only=True)
-    real = lattice.half_form
-
-    def odd(gram, p):
-        (a, x, y), (_, b, z), (_, _, c) = real(gram, p)
-        return (a + 1, x, y), (x, b, z), (y, z, c)
-
-    monkeypatch.setattr(orders, "half_form", odd)
-    with pytest.raises(LatticeError, match="odd diagonal"):
+    with monkeypatch.context() as m:
+        # adj(diag(2p, 2p, 1)) / 2p = diag(1, 1, 2p)
+        seed = ((74, 0, 0), (0, 74, 0), (0, 0, 1))
+        m.setattr(orders, "standard_gross_gram", lambda p: seed)
+        with pytest.raises(LatticeError, match="2p has an odd diagonal"):
+            enumerate_types(37, 2, keys_only=True)
+    # an unlifted line at ell = 2 gives a neighbour of odd norm
+    monkeypatch.setattr(lattice, "_lift", lambda q, v, ell, t, inv: v)
+    with pytest.raises(LatticeError, match="ell-neighbour has an odd diagonal"):
         enumerate_types(37, 2, keys_only=True)
 
 

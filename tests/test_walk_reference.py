@@ -23,7 +23,12 @@ ell = 2 and 3.
 line's residue data; `tests/kneser_reference.py` is the construction it
 replaced, seven rows through `exact.hnf` per line.  Tier-1 requires identical
 neighbour lists from both on every half form the ell = 2 and 3 walks expand,
-for every prime p <= 300, and on the ell = 2 walk at p = 10007.
+for every prime p <= 300, and on the ell = 2 walk at p = 10007.  The walk
+expands a type with `lattice.gross_neighbours`, one step;
+`gross_neighbours_reference` there is the route it replaced, `adj3` of each
+`kneser_neighbours` Gram of `half_form_reference`.  Tier-1 requires
+identical lists on each type's walk and normalized Gram at ell = 2 and 3
+for every prime p <= 300 and at ell = 2 at p = 10007.
 
 `cm.locate_embedding_type` builds the type embedding -d, for the odd prime
 CM rows d = 3, 7, 11, 19, 43, 67, 163, from Pizer's order of (-d, -p)
@@ -54,8 +59,8 @@ from grosslat.cm import (
 )
 from grosslat.exact import canonical_lattice, is_prime, primes_between
 from grosslat.lattice import (
-    adj3,
     greedy_reduce,
+    gross_neighbours,
     half_form,
     kneser_neighbours,
     minima_triple,
@@ -72,7 +77,10 @@ from grosslat.orders import (
     standard_maximal_order,
 )
 from enumeration_reference import minima_pass, primitive_norms_reference
-from kneser_reference import kneser_neighbours_reference
+from kneser_reference import (
+    adj3, gross_neighbours_reference, half_form_reference,
+    kneser_neighbours_reference,
+)
 from quat_elements import conj4, is_ring, mul4, nrd4, vector_element
 from walks import walk
 
@@ -270,6 +278,27 @@ def test_neighbours_match_the_reference_on_the_walk_at_10007():
     assert_neighbours_match_the_reference(forms)
 
 
+def assert_gross_neighbours_match_the_composed_steps(primes, ells=(2, 3)):
+    for p in primes:
+        for ell in ells:
+            if ell == p:
+                continue
+            for rec in walk(p, ell):
+                for gram in (rec.walk_gram, rec.gram):
+                    assert half_form(gram, p) == half_form_reference(gram, p)
+                    assert gross_neighbours(gram, p, ell) == (
+                        gross_neighbours_reference(gram, p, ell)
+                    ), (p, ell, gram)
+
+
+def test_gross_neighbours_match_the_composed_steps_to_300():
+    assert_gross_neighbours_match_the_composed_steps(primes_between(2, 300))
+
+
+def test_gross_neighbours_match_the_composed_steps_at_10007():
+    assert_gross_neighbours_match_the_composed_steps([10007], (2,))
+
+
 def test_gram_walk_records_reduce_from_their_walk_gram():
     for p in (2, 11, 101):
         for ell in (2, 3):
@@ -350,6 +379,11 @@ def test_greedy_key_is_the_minima_on_every_visited_gram_up_to_2000():
         for ell in (2, 3):
             if ell != p:
                 assert_greedy_key_is_the_minima(p, ell)
+
+
+@pytest.mark.walk_reference
+def test_gross_neighbours_match_the_composed_steps_to_2000():
+    assert_gross_neighbours_match_the_composed_steps(primes_between(2, 2000))
 
 
 @pytest.mark.walk_reference
