@@ -81,8 +81,9 @@ def _type_payload(p: int, ell: int, disc_bound: int):
     types = enumerate_types(p, ell)
     out = []
     for idx, rec in enumerate(types):
-        # one pass per type: special_j reads norms 3 and 4 from it
-        norms = primitive_norms(rec.gram, max(disc_bound, 4))
+        # one pass per type, on the normalized Gram the walk has reduced:
+        # special_j reads norms 3 and 4 from it
+        norms = primitive_norms(rec.gram, max(disc_bound, 4), reduced=True)
         c = cl.classify_type(p, norms, rec.minima, rec.gram)
         out.append(
             {

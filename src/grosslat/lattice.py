@@ -98,8 +98,20 @@ def greedy_reduce(gram):
     The Gram is carried as its six entries, a = g00, b = g11, c = g22,
     x = g01, y = g02, z = g12, and the basis as three coordinate rows.  A
     swap of rows i, j exchanges g_ii with g_jj and g_ik with g_jk; b_i <-
-    b_i - q b_j changes g_ii, g_ij and g_ik.  Nearest integers round ties
-    down: round(t/n) = (2t + n) // 2n for n > 0.
+    b_i - q b_j changes g_ii, g_ij and g_ik.  Babai's nearest integers
+    round ties up: round(t/n) = (2t + n) // 2n for n > 0.
+
+    The third-row step takes the least norm of b_2 - s0 b_0 - s1 b_1 below
+    c over the window s0 in a0 - 1..a0 + 1, s1 in b0 - 1..b0 + 1 around
+    Babai's rounding (a0, b0) of the real minimiser (alpha, beta), the
+    first such point in (s0, s1) order.  For fixed s0 the norm is strictly
+    convex in s1, with vertex (z - s0 x) / b, so the first least point of
+    its row is the nearest integer to the vertex with ties going to the
+    smaller one, and the step evaluates three points, not nine, with the
+    same (u, g).  That integer never leaves the window, so it needs no
+    clamp: the vertex is beta - (s0 - alpha) x / b, where |s0 - alpha| <=
+    3/2 and, after the Gauss steps, |x| <= a/2 <= b/2, so it lies within
+    3/4 of beta and 5/4 of b0, and its nearest integer within 1 of b0.
 
     A round stops the loop when its third-row step moves nothing.  The
     swaps leave a <= b <= c, the Gauss steps never raise max(a, b) and end
@@ -136,14 +148,16 @@ def greedy_reduce(gram):
         a0 = (2 * (y * b - z * x) + d2) // (2 * d2)
         b0 = (2 * (z * a - y * x) + d2) // (2 * d2)
         best, c0, c1 = c, 0, 0
+        two_b = 2 * b
         for s0 in (a0 - 1, a0, a0 + 1):
-            r = c + s0 * (s0 * a - 2 * y)
+            # the row's first least point: the nearest integer to the vertex
+            # w / 2b, ties going to the smaller one
             w = 2 * (z - s0 * x)
-            for s1 in (b0 - 1, b0, b0 + 1):
-                # s0 = s1 = 0 gives n = c, never below best
-                n = r + s1 * (s1 * b - w)
-                if n < best:
-                    best, c0, c1 = n, s0, s1
+            s1 = -((b - w) // two_b)
+            # s0 = s1 = 0 gives n = c, never below best
+            n = c + s0 * (s0 * a - 2 * y) + s1 * (s1 * b - w)
+            if n < best:
+                best, c0, c1 = n, s0, s1
         if not (c0 or c1):
             # a <= b <= c after the swaps, and the Gauss steps never raise
             # max(a, b): the next round would move nothing
@@ -240,7 +254,7 @@ def short_vectors(gram, bound: int):
     return out
 
 
-def reduced_vectors(gram, bound: int):
+def reduced_vectors(gram, bound: int, reduced: bool = False):
     """All nonzero z with norm <= bound in the greedy-reduced basis of gram.
 
     Returns (norm, z) pairs sorted by (norm, z), one per +/- pair, with z in
@@ -248,16 +262,21 @@ def reduced_vectors(gram, bound: int):
     behind `gram`.  Norms, primitivity (gcd of z) and the number of
     sublattices spanned by attaining pairs do not depend on the basis, so a
     caller reading only those skips `short_vectors`' lift of every vector.
+    A caller whose `gram` is already reduced and known to be positive
+    definite, such as a type's normalized Gram from the walk, passes
+    `reduced=True`: z then refers to the basis behind `gram`, which is
+    neither checked nor reduced again.
     """
-    _check_positive_definite(gram)
+    if not reduced:
+        _check_positive_definite(gram)
     if bound <= 0:
         return []
-    out = _enumerate_reduced(greedy_reduce(gram)[1], bound)
+    out = _enumerate_reduced(gram if reduced else greedy_reduce(gram)[1], bound)
     out.sort()
     return out
 
 
-def primitive_norms(gram, bound: int):
+def primitive_norms(gram, bound: int, reduced: bool = False):
     """The sorted norms <= bound of the primitive vectors of gram.
 
     These are the absolute discriminants d of the imaginary quadratic orders
@@ -268,12 +287,14 @@ def primitive_norms(gram, bound: int):
     it reaches with no per-vector gcd, and on the row z1 = z2 = 0 only the
     first basis vector is primitive.  Along a row the norms have the
     constant second difference 2 g00, so a full row is summed up by
-    `itertools.accumulate` from its first norm.
+    `itertools.accumulate` from its first norm.  With `reduced`, as in
+    `reduced_vectors`, the pass runs on `gram` itself.
     """
-    _check_positive_definite(gram)
+    if not reduced:
+        _check_positive_definite(gram)
     if bound <= 0:
         return []
-    g = greedy_reduce(gram)[1]
+    g = gram if reduced else greedy_reduce(gram)[1]
     g00 = g[0][0]
     step = 2 * g00
     out = {g00} if g00 <= bound else set()
@@ -298,8 +319,12 @@ def primitive_norms(gram, bound: int):
 
 def _from_reduced(u, z):
     """z0 u_0 + z1 u_1 + z2 u_2 with its first nonzero coordinate positive."""
-    return _canon_sign(tuple(
-        z[0] * u[0][t] + z[1] * u[1][t] + z[2] * u[2][t] for t in range(3)
+    z0, z1, z2 = z
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = u
+    return _canon_sign((
+        z0 * a0 + z1 * b0 + z2 * c0,
+        z0 * a1 + z1 * b1 + z2 * c1,
+        z0 * a2 + z1 * b2 + z2 * c2,
     ))
 
 
@@ -347,8 +372,12 @@ def greedy_minima(vecs):
             break
     if v2 is None:
         return None
-    for n, v in vecs:
-        if det3((v1, v2, v)) != 0:
+    # v lies off the plane of v1, v2 exactly when det(v1, v2, v) = v . c,
+    # for their cross product c, is nonzero
+    (p0, p1, p2), (q0, q1, q2) = v1, v2
+    c0, c1, c2 = p1 * q2 - p2 * q1, p2 * q0 - p0 * q2, p0 * q1 - p1 * q0
+    for n, (w0, w1, w2) in vecs:
+        if c0 * w0 + c1 * w1 + c2 * w2:
             return d1, d2, n, v1, v2
     return None
 
@@ -589,6 +618,9 @@ def _neighbour_hnf(w, t: int, cs, ell: int):
     ell L' is spanned by w, ell^2 e_t and ell (e_i - c_i e_t); the rows
     ell^2 e_i = ell (ell e_i - ell c_i e_t) + c_i ell^2 e_t already lie in
     that span.  The rows depend on the key alone, and a lattice has one HNF.
+    ell L' has full rank and index ell^3 in L, so the HNF is upper
+    triangular with positive pivots of product ell^3; `_neighbours` reads
+    only that triangle.
     """
     rows = [w, tuple(ell * ell if j == t else 0 for j in range(3))]
     for i, c in cs:
@@ -611,8 +643,9 @@ def kneser_neighbours(m, ell: int):
     for i != t, where b = v m and b_t is a unit mod ell.  Their HNF H
     depends only on v, t and the residues b_i/b_t mod ell, so it is
     memoised on them (`_neighbour_hnf`); the Gram of L' is H m H^T / ell^2,
-    from the six entries of m.  One Gram per line, in line order; each
-    neighbour is checked to be integral and even, with det(m).
+    from the six entries of m and the six of the upper triangular H.  One
+    Gram per line, in line order; each neighbour is checked to be integral
+    and even, with det(m).
 
     Duals of ell-neighbours are ell-neighbours, so on the half form of a
     Gross lattice (`half_form`) the adjugates of the neighbours are the
@@ -666,25 +699,22 @@ def _neighbours(m, d: int, ell: int, adjugates: bool):
             t, bt, i, bi, j, bj = 2, b2, 0, b0, 1, b1
         inv = pow(bt, -1, ell)
         cs = ((i, bi * inv % ell), (j, bj * inv % ell))
-        (h00, h01, h02), (h10, h11, h12), (h20, h21, h22) = _neighbour_hnf(
+        # ell L' has full rank, so its HNF H is upper triangular
+        (h00, h01, h02), (_, h11, h12), (_, _, h22) = _neighbour_hnf(
             _lift(q, v, ell, t, inv), t, cs, ell
         )
-        # the rows of H m, then the upper triangle of H m H^T
+        # the entries of H m that the upper triangle of H m H^T reads
         r00 = h00 * m00 + h01 * m01 + h02 * m02
         r01 = h00 * m01 + h01 * m11 + h02 * m12
         r02 = h00 * m02 + h01 * m12 + h02 * m22
-        r10 = h10 * m00 + h11 * m01 + h12 * m02
-        r11 = h10 * m01 + h11 * m11 + h12 * m12
-        r12 = h10 * m02 + h11 * m12 + h12 * m22
-        r20 = h20 * m00 + h21 * m01 + h22 * m02
-        r21 = h20 * m01 + h21 * m11 + h22 * m12
-        r22 = h20 * m02 + h21 * m12 + h22 * m22
+        r11 = h11 * m11 + h12 * m12
+        r12 = h11 * m12 + h12 * m22
         n00, e00 = divmod(r00 * h00 + r01 * h01 + r02 * h02, ell2)
-        n01, e01 = divmod(r00 * h10 + r01 * h11 + r02 * h12, ell2)
-        n02, e02 = divmod(r00 * h20 + r01 * h21 + r02 * h22, ell2)
-        n11, e11 = divmod(r10 * h10 + r11 * h11 + r12 * h12, ell2)
-        n12, e12 = divmod(r10 * h20 + r11 * h21 + r12 * h22, ell2)
-        n22, e22 = divmod(r20 * h20 + r21 * h21 + r22 * h22, ell2)
+        n01, e01 = divmod(r01 * h11 + r02 * h12, ell2)
+        n02, e02 = divmod(r02 * h22, ell2)
+        n11, e11 = divmod(r11 * h11 + r12 * h12, ell2)
+        n12, e12 = divmod(r12 * h22, ell2)
+        n22, e22 = divmod(h22 * h22 * m22, ell2)
         if e00 or e01 or e02 or e11 or e12 or e22:
             raise LatticeError("non-integer Gram entry in an ell-neighbour")
         if n00 % 2 or n11 % 2 or n22 % 2:

@@ -38,11 +38,21 @@ class PrimeReport:
     gramgross_sizes: dict = field(default_factory=dict)   # (p, d1) -> size
     n_equals_a: list = field(default_factory=list)
 
-    def check(self, rule: str, ok: bool, detail: str = ""):
+    def check(self, rule: str, ok: bool, *detail):
+        """Record one check of `rule`; its first failure stays.
+
+        `detail` holds the parts of the failure text, joined by `str` only
+        when the check fails, so a passing check formats nothing, and a
+        check of a rule that has already passed, and was not skipped,
+        changes nothing unless it fails.
+        """
         prev = self.rules.get(rule)
-        if prev is not None and not prev["ok"]:
+        if prev is not None and (ok or not prev["ok"]) and "skipped" not in prev:
             return
-        self.rules[rule] = {"ok": bool(ok), "detail": detail if not ok else ""}
+        self.rules[rule] = (
+            {"ok": True, "detail": ""} if ok
+            else {"ok": False, "detail": "".join(map(str, detail))}
+        )
 
     def skip(self, rule: str, why: str):
         self.rules[rule] = {"ok": True, "detail": "", "skipped": why}
@@ -78,53 +88,55 @@ def verify_prime(p: int, oracle_cap: int | None = None) -> PrimeReport:
     classifications = []
     gramgross = {}   # D1 -> gram_gross(p, D1), made and checked once
     for rec in types:
-        d1, d2, d3 = rec.minima
+        minima = rec.minima
+        d1, d2, d3 = minima
         g = rec.gram
-        # the one vector list of this type, to D3 and at least norm 8: all
-        # that brute-minima and the rank-2 rules read.  Its primitive norms
-        # to 8 (z is primitive when gcd(z) = 1), `primitive_norms(g, 8)`,
-        # serve special_j and the loop discriminants 4, 7 and 8
-        vecs = reduced_vectors(g, max(d3, 8))
+        # the one vector list of this type, to D3 and at least norm 8, on
+        # the normalized Gram the walk has reduced: all that brute-minima
+        # and the rank-2 rules read.  Its primitive norms to 8 (z is
+        # primitive when gcd(z) = 1), `primitive_norms(g, 8)`, serve
+        # special_j and the loop discriminants 4, 7 and 8
+        vecs = reduced_vectors(g, max(d3, 8), reduced=True)
         norms = sorted({n for n, z in vecs if n <= 8 and gcd(*z) == 1})
-        c = cl.classify_type(p, norms, rec.minima, g)
+        c = cl.classify_type(p, norms, minima, g)
         classifications.append(c)
 
-        rep.check("det-4p2", det3(g) == 4 * p * p, f"type {rec.minima}")
-        rep.check("norms-mod4", _norms_mod4(g), f"type {rec.minima}")
+        # each detail is the parts of its text, "type (d1, d2, d3)" first
+        rep.check("det-4p2", det3(g) == 4 * p * p, "type ", minima)
+        rep.check("norms-mod4", _norms_mod4(g), "type ", minima)
+        minor12 = rank2_det(g, 0, 1)
         minors_ok = True
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            m = rank2_det(g, i, j)
+        for m in (minor12, rank2_det(g, 0, 2), rank2_det(g, 1, 2)):
             if m <= 0 or m % four_p:
                 minors_ok = False
-        rep.check("minors-mod4p", minors_ok, f"type {rec.minima}")
+        rep.check("minors-mod4p", minors_ok, "type ", minima)
         rep.check(
-            "spine-iff-minor12",
-            (rank2_det(g, 0, 1) == four_p) == c.spine,
-            f"type {rec.minima}",
+            "spine-iff-minor12", (minor12 == four_p) == c.spine, "type ", minima
         )
         prod = d1 * d2 * d3
         rep.check(
             "product-bound",
             4 * p * p <= prod <= 8 * p * p,
-            f"type {rec.minima}: product {prod}",
+            "type ", minima, ": product ", prod,
         )
         if c.spine:
             rep.check(
-                "spine-d1-bound", 3 * d1 * d1 <= 16 * p, f"type {rec.minima}"
+                "spine-d1-bound", 3 * d1 * d1 <= 16 * p, "type ", minima
             )
-        viol = cl.validate_bounds(p, rec.minima, c.spine)
-        rep.check("theorem-bounds", not viol, f"type {rec.minima}: {viol}")
+        viol = cl.validate_bounds(p, minima, c.spine)
+        rep.check("theorem-bounds", not viol, "type ", minima, ": ", viol)
         x, y, z = g[0][1], g[0][2], g[1][2]
         # |mu21| = |x|/D1, |mu31| = |y|/D1 and |delta| = |z|/D2 at most 1/2
         rep.check(
             "size-reduced",
             2 * abs(x) <= d1 and 2 * abs(y) <= d1 and 2 * abs(z) <= d2,
-            f"type {rec.minima}: x={x} y={y} z={z} D1={d1} D2={d2}",
+            "type ", minima, ": x=", x, " y=", y, " z=", z,
+            " D1=", d1, " D2=", d2,
         )
         rep.check(
             "gram-bounds",
             0 <= 2 * x <= d1 and 0 <= 2 * y <= d1 and 2 * abs(z) <= d2,
-            f"type {rec.minima}: x={x} y={y} z={z}",
+            "type ", minima, ": x=", x, " y=", y, " z=", z,
         )
         if p == 2:
             rep.check(
@@ -134,14 +146,14 @@ def verify_prime(p: int, oracle_cap: int | None = None) -> PrimeReport:
             rep.check(
                 "no-orth-wr",
                 not c.orthogonal and not c.well_rounded,
-                f"type {rec.minima}",
+                "type ", minima,
             )
         if c.spine and p != 3:
             alt = minimal_basis(rec.walk_gram, "desc")
             rep.check(
                 "tiebreak-unique",
                 alt.gram == g,
-                f"type {rec.minima}: desc gram {alt.gram}",
+                "type ", minima, ": desc gram ", alt.gram,
             )
         bf = greedy_minima(vecs)
         if c.spine and c.special_j in ("j1728", "none"):
@@ -151,7 +163,7 @@ def verify_prime(p: int, oracle_cap: int | None = None) -> PrimeReport:
             rep.check(
                 "rank2-sublattice-unique",
                 len(subs) == 1,
-                f"type {rec.minima}: {len(subs)} sublattices",
+                "type ", minima, ": ", len(subs), " sublattices",
             )
         elif c.special_j in ("j0", "both") and p != 2:
             # j = 0: the minimal basis carries exactly two such sublattices
@@ -159,15 +171,15 @@ def verify_prime(p: int, oracle_cap: int | None = None) -> PrimeReport:
             rep.check(
                 "rank2-sublattice-two-for-j0",
                 len(pairs) == 2,
-                f"type {rec.minima}: {len(pairs)} basis-pair sublattices",
+                "type ", minima, ": ", len(pairs), " basis-pair sublattices",
             )
         rep.check(
             "brute-minima",
-            bf is not None and (bf[0], bf[1], bf[2]) == tuple(rec.minima),
-            f"type {rec.minima}",
+            bf is not None and (bf[0], bf[1], bf[2]) == tuple(minima),
+            "type ", minima,
         )
         if any(d in norms for d in (4, 7, 8)):
-            rep.check("loop-implies-spine", c.spine, f"type {rec.minima}")
+            rep.check("loop-implies-spine", c.spine, "type ", minima)
         if c.spine:
             key = (p, d1)
             cands = gramgross.get(d1)
@@ -177,10 +189,10 @@ def verify_prime(p: int, oracle_cap: int | None = None) -> PrimeReport:
                 sound = all(
                     not candidate_invariant_violations(cand, p) for cand in cands
                 )
-                rep.check("gramgross-sound", sound, f"(p, D1) = {key}")
+                rep.check("gramgross-sound", sound, "(p, D1) = ", key)
             self_n = next((cand.n for cand in cands if cand.gram == g), None)
             rep.check(
-                "gramgross-contains", self_n is not None, f"type {rec.minima}"
+                "gramgross-contains", self_n is not None, "type ", minima
             )
             if self_n is not None and d1 > 3:
                 a = ceil_div(4 * p * d1 - d1 * d1, 16 * p)
@@ -188,7 +200,7 @@ def verify_prime(p: int, oracle_cap: int | None = None) -> PrimeReport:
         rep.check(
             "embedding-labels",
             (c.embedding != cl.EMBED_NA) == c.spine,
-            f"type {rec.minima}",
+            "type ", minima,
         )
 
     # per-prime aggregates
@@ -198,12 +210,12 @@ def verify_prime(p: int, oracle_cap: int | None = None) -> PrimeReport:
         rep.check(
             "oracle-type-count",
             len(types) == ss.orbit_count,
-            f"{len(types)} types vs {ss.orbit_count} orbits",
+            len(types), " types vs ", ss.orbit_count, " orbits",
         )
         rep.check(
             "oracle-spine-count",
             spine_types == ss.spine_count,
-            f"{spine_types} vs {ss.spine_count}",
+            spine_types, " vs ", ss.spine_count,
         )
     else:
         rep.skip("oracle-type-count", f"p > oracle cap {oracle_cap}")
@@ -217,7 +229,7 @@ def verify_prime(p: int, oracle_cap: int | None = None) -> PrimeReport:
         "special-j-occurrence",
         j0_count == (1 if (p % 3 == 2 or p == 3) else 0)
         and j1728_count == (1 if (p % 4 == 3 or p == 2) else 0),
-        f"j0 x{j0_count}, j1728 x{j1728_count}",
+        "j0 x", j0_count, ", j1728 x", j1728_count,
     )
 
     if p > 3:
@@ -237,13 +249,13 @@ def verify_prime(p: int, oracle_cap: int | None = None) -> PrimeReport:
     grams = [rec.gram for rec in types]
     if p == 2:
         rep.check(
-            "closed-form-p2", grams == [closed_form_gram("0", 2)], f"{grams}"
+            "closed-form-p2", grams == [closed_form_gram("0", 2)], grams
         )
     elif p == 3:
         rep.check(
             "closed-form-p3",
             len(grams) == 1 and grams[0] in P3_GRAMS,
-            f"{grams}",
+            grams,
         )
     else:
         if p % 3 == 2:

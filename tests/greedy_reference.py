@@ -4,10 +4,12 @@
 lists of coordinates, and applies each step through `_apply_swap` and
 `_apply_addmul`.  `greedy_reduce_until_idle` is the scalar loop as it was
 before it stopped at the first round whose third-row step moves nothing: it
-runs one more round, until no step of a whole round changed anything.  The
-package applies the same steps in the same order and skips only that idle
-round, so all three must return identical (u, g); `tests/test_lattice.py`
-compares them.
+runs one more round, until no step of a whole round changed anything, and
+its third-row step tries all nine points of the window (a0 - 1..a0 + 1) x
+(b0 - 1..b0 + 1).  The package applies the same steps in the same order,
+skips only that idle round and tries one point per s0, the first least one
+of its row, so all three must return identical (u, g);
+`tests/test_lattice.py` compares them.
 """
 
 from grosslat.lattice import LatticeError
@@ -30,7 +32,7 @@ def _apply_swap(g, u, i, j):
 
 
 def _nearest(t: int, n: int) -> int:
-    # nearest integer to t/n for n > 0, ties rounded down
+    # nearest integer to t/n for n > 0, ties rounded up
     return (2 * t + n) // (2 * n)
 
 
@@ -92,8 +94,14 @@ def greedy_reduce_reference(gram):
 
 
 
-def greedy_reduce_until_idle(gram):
-    """`lattice.greedy_reduce`, ending only after a round that changes nothing."""
+def greedy_reduce_until_idle(gram, rows=None):
+    """`lattice.greedy_reduce`, ending only after a round that changes nothing,
+    with the nine-point third-row step.
+
+    Given a list `rows`, each third-row step appends to it, for each s0 in
+    order, (b, w, b0, norms, c): the norm of the row s1 = b0 - 1, b0, b0 + 1
+    is c + s0 (s0 a - 2y) + s1 (s1 b - w), and `norms` lists those three.
+    """
     (a, x, y), (_, b, z), (_, _, c) = gram
     u0, u1, u2 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
     for _ in range(10000):
@@ -127,8 +135,10 @@ def greedy_reduce_until_idle(gram):
         for s0 in (a0 - 1, a0, a0 + 1):
             r = c + s0 * (s0 * a - 2 * y)
             w = 2 * (z - s0 * x)
-            for s1 in (b0 - 1, b0, b0 + 1):
-                n = r + s1 * (s1 * b - w)
+            norms = [r + s1 * (s1 * b - w) for s1 in (b0 - 1, b0, b0 + 1)]
+            if rows is not None:
+                rows.append((b, w, b0, norms, c))
+            for s1, n in zip((b0 - 1, b0, b0 + 1), norms):
                 if n < best:
                     best, c0, c1 = n, s0, s1
         if c0 or c1:

@@ -22,6 +22,7 @@ from grosslat.lattice import (
     kneser_neighbours,
     minima_triple,
     minimal_basis,
+    primitive_norms,
     rank2_det,
     reduced_vectors,
     short_vectors,
@@ -361,6 +362,29 @@ def test_rank2_sublattices_need_the_third_minimum():
         attaining_rank2_sublattices(vecs)
 
 
+def test_enumerating_on_the_walks_reduced_gram_reads_the_same_facts():
+    # `types` and `verify` pass each type's normalized Gram with
+    # reduced=True, which skips its second greedy reduction; norms,
+    # primitivity, minima and the sublattice count are basis-invariant
+    checked = 0
+    for p in primes_between(2, 300) + [10007]:
+        for rec in types_of(p):
+            g = rec.gram
+            for bound in (8, 2 * p):
+                assert primitive_norms(g, bound, reduced=True) == (
+                    primitive_norms(g, bound)
+                ), (p, g, bound)
+            moved = reduced_vectors(g, max(rec.minima[2], 8))
+            kept = reduced_vectors(g, max(rec.minima[2], 8), reduced=True)
+            assert [n for n, _ in kept] == [n for n, _ in moved], (p, g)
+            assert greedy_minima(kept)[:3] == greedy_minima(moved)[:3], (p, g)
+            assert len(attaining_rank2_sublattices(kept)) == len(
+                attaining_rank2_sublattices(moved)
+            ), (p, g)
+            checked += 1
+    assert checked == 534 + 456
+
+
 def test_greedy_reduction_is_unimodular_and_attains_minima():
     rng = random.Random(23)
     for _ in range(40):
@@ -460,15 +484,78 @@ def test_greedy_reduce_matches_the_list_reference():
 
 def test_greedy_reduce_matches_the_loop_that_ran_until_idle():
     # greedy_reduce stops at the first round whose third-row step moves
-    # nothing; the loop before it ran one more round, which changed nothing
+    # nothing and tries three points there; the loop before it ran one more
+    # round, which changed nothing, and tried nine.  The walks at 10007 and
+    # 10039 reduce 9999 Grams: 456 and 453 types, each with its walk and
+    # normalized Gram and ell + 1 neighbours at ell = 2 and at ell = 3
     rng = random.Random(43)
     grams = random_positive_grams(rng, 2000, 6)
     grams += random_positive_grams(rng, 1000, 200)
     for p in primes_between(2, 300):
         grams += walk_grams(p)
     assert len(grams) > 8000
+    near_10007 = walk_grams(10007) + walk_grams(10039)
+    assert len(near_10007) == (456 + 453) * (5 + 6)
+    grams += near_10007
     for gram in grams:
         assert greedy_reduce(gram) == greedy_reduce_until_idle(gram), gram
+
+
+def nearest_to_vertex(b, w):
+    """The nearest integer to w / 2b, ties going to the smaller one."""
+    return -((b - w) // (2 * b))
+
+
+def test_greedy_three_point_step_matches_the_nine_points_on_ties():
+    # a row whose two least points tie below c: w / 2b is a half-integer,
+    # and the nine-point loop keeps the smaller s1, which it meets first
+    rng = random.Random(47)
+    ties = []
+    for gram in random_positive_grams(rng, 3000, 6):
+        rows = []
+        greedy_reduce_until_idle(gram, rows)
+        for b, w, b0, norms, c in rows:
+            least = min(norms)
+            if least < c and norms.count(least) == 2:
+                assert w % (2 * b) == b
+                assert norms[nearest_to_vertex(b, w) - b0 + 1] == least
+                ties.append(gram)
+                break
+    assert len(ties) > 50
+    for gram in ties:
+        assert greedy_reduce(gram) == greedy_reduce_until_idle(gram), gram
+
+
+def test_greedy_three_point_step_needs_no_clamp():
+    # after the Gauss steps |x| <= a/2 <= b/2, so each row's vertex lies
+    # within 5/4 of b0 and its nearest integer within 1.  The Grams with
+    # a = b = 2k and x = -k are Gauss-reduced at that bound; on them the
+    # vertex itself leaves the window b0 - 1..b0 + 1, its nearest integer
+    # does not, and three points give the nine points' (u, g)
+    rng = random.Random(53)
+    grams = random_positive_grams(rng, 2000, 6)
+    edge = [
+        ((2 * k, -k, y), (-k, 2 * k, z), (y, z, c))
+        for k in (1, 2, 3)
+        for y in range(-3 * k, 3 * k + 1)
+        for z in range(-3 * k, 3 * k + 1)
+        for c in range(2 * k, 2 * k + 12)
+    ]
+    grams += [g for g in edge if det3(g) > 0]
+    farthest = 0
+    at_edge = 0
+    for gram in grams:
+        rows = []
+        greedy_reduce_until_idle(gram, rows)
+        for b, w, b0, norms, c in rows:
+            farthest = max(farthest, abs(Fraction(w, 2 * b) - b0))
+            s1 = nearest_to_vertex(b, w)
+            assert b0 - 1 <= s1 <= b0 + 1, (gram, b, w, b0)
+            if s1 != b0 and norms[s1 - b0 + 1] < c:
+                at_edge += 1
+        assert greedy_reduce(gram) == greedy_reduce_until_idle(gram), gram
+    assert 1 < farthest <= Fraction(5, 4)
+    assert at_edge > 1000
 
 
 def diagonal(d1, d2, d3):
@@ -697,6 +784,31 @@ def test_neighbour_hnf_memo_stays_small():
     info = memo.cache_info()
     assert info.hits + info.misses == sum(ell + 1 for _, ell in forms)
     assert 100 <= info.currsize <= 300, info
+
+
+def test_neighbour_hnfs_are_upper_triangular(monkeypatch):
+    # the Kneser step reads only the upper triangle of each memoised HNF:
+    # every HNF the walks of every p <= 300 at ell = 2 and 3 and of 10007
+    # at ell = 2 fill is triangular, with positive pivots of product ell^3
+    filled = []
+    real = lattice._neighbour_hnf.__wrapped__
+
+    def recorded(w, t, cs, ell):
+        h = real(w, t, cs, ell)
+        filled.append((h, ell))
+        return h
+
+    monkeypatch.setattr(lattice, "_neighbour_hnf", lru_cache(maxsize=None)(recorded))
+    forms = walk_half_forms(primes_between(2, 300)) + walk_half_forms([10007], (2,))
+    for m, ell in forms:
+        kneser_neighbours(m, ell)
+    assert 100 <= len(filled) <= 300
+    for h, ell in filled:
+        assert len(h) == 3
+        (h00, _, _), (h10, h11, _), (h20, h21, h22) = h
+        assert h10 == h20 == h21 == 0, h
+        assert min(h00, h11, h22) > 0, h
+        assert h00 * h11 * h22 == ell ** 3, h
 
 
 def test_kneser_neighbours_stay_in_the_genus_of_a_gross_lattice():

@@ -37,16 +37,16 @@ def test_verify_reads_minimal_bases_from_the_type_records(p, monkeypatch):
 
 
 def count_enumerations(monkeypatch):
-    """Record (name, Gram, bound) of every reduced_vectors and primitive_norms
-    call, wherever the function is named."""
+    """Record (name, Gram, bound, reduced) of every reduced_vectors and
+    primitive_norms call, wherever the function is named."""
     calls = []
 
     def counted(name):
         real = getattr(lattice, name)
 
-        def wrapper(gram, bound):
-            calls.append((name, gram, bound))
-            return real(gram, bound)
+        def wrapper(gram, bound, reduced=False):
+            calls.append((name, gram, bound, reduced))
+            return real(gram, bound, reduced=reduced)
 
         return wrapper
 
@@ -59,14 +59,16 @@ def count_enumerations(monkeypatch):
 
 @pytest.mark.parametrize("p", [11, 101])
 def test_verify_enumerates_each_type_once(p, monkeypatch):
-    # one vector list to max(D3, 8), not to 2p, per type; the primitive
-    # norms to 8 are read off that list, with no second pass
+    # one vector list to max(D3, 8), not to 2p, per type, on the Gram the
+    # walk has reduced; the primitive norms to 8 are read off that list,
+    # with no second pass
     types = enumerate_types(p, 2)
     calls = count_enumerations(monkeypatch)
     rep = verify.verify_prime(p)
     assert not rep.failures
     assert calls == [
-        ("reduced_vectors", rec.gram, max(rec.minima[2], 8)) for rec in types
+        ("reduced_vectors", rec.gram, max(rec.minima[2], 8), True)
+        for rec in types
     ]
 
 
@@ -89,12 +91,15 @@ def test_verify_reads_primitive_norms_off_the_vector_list(monkeypatch):
 
 
 def test_types_and_cm_enumerate_each_type_once(monkeypatch, capsys):
-    # types: one primitive-norm pass per type, and no vector list
+    # types: one primitive-norm pass per type, on the Gram the walk has
+    # reduced, and no vector list
     types = enumerate_types(101, 2)
     calls = count_enumerations(monkeypatch)
     assert cli.main(["types", "--p", "101"]) == 0
     capsys.readouterr()
-    assert calls == [("primitive_norms", rec.gram, 2 * 101) for rec in types]
+    assert calls == [
+        ("primitive_norms", rec.gram, 2 * 101, True) for rec in types
+    ]
     # cm writes down the Gross Gram of Pizer's order of (-7, -101) with no
     # walk, and certifies the embedding of -7 with no enumeration; 101 = 3
     # mod 7 is inert in Q(sqrt(-7))
@@ -203,6 +208,200 @@ def test_size_reduced_reads_integer_bounds(monkeypatch):
     assert rep.rules["size-reduced"]["detail"] == (
         "type (3, 7, 7): x=1 y=1 z=-4 D1=3 D2=7"
     )
+
+
+# -- failure details ----------------------------------------------------------
+
+def f_string_detail(rule, p, minima, gram, facts):
+    """The failure text of `rule`, from the f-string verify_prime once built
+    for every check, passing or not; `facts` holds the values of the text
+    that are not read off the type's minima and Gram."""
+    d1, d2, d3 = minima
+    x, y, z = gram[0][1], gram[0][2], gram[1][2]
+    texts = {
+        "product-bound": lambda: f"type {minima}: product {d1 * d2 * d3}",
+        "theorem-bounds": lambda: f"type {minima}: {facts['viol']}",
+        "size-reduced": lambda: (
+            f"type {minima}: x={x} y={y} z={z} D1={d1} D2={d2}"
+        ),
+        "gram-bounds": lambda: f"type {minima}: x={x} y={y} z={z}",
+        "tiebreak-unique": lambda: f"type {minima}: desc gram {facts['desc']}",
+        "rank2-sublattice-unique": lambda: (
+            f"type {minima}: {facts['subs']} sublattices"
+        ),
+        "rank2-sublattice-two-for-j0": lambda: (
+            f"type {minima}: {facts['pairs']} basis-pair sublattices"
+        ),
+        "gramgross-sound": lambda: f"(p, D1) = {(p, d1)}",
+        "oracle-type-count": lambda: (
+            f"{facts['types']} types vs {facts['orbits']} orbits"
+        ),
+        "oracle-spine-count": lambda: f"{facts['spine']} vs {facts['ss_spine']}",
+        "special-j-occurrence": lambda: (
+            f"j0 x{facts['j0']}, j1728 x{facts['j1728']}"
+        ),
+        "closed-form-p2": lambda: f"{facts['grams']}",
+        "closed-form-p3": lambda: f"{facts['grams']}",
+    }
+    if rule == "no-orth-wr" and p == 2:
+        return "p=2 case"
+    return texts.get(rule, lambda: f"type {minima}")()
+
+
+def gram_gross_below_its_bound(monkeypatch):
+    # gram_gross refuses D1 past 3 D1^2 <= 16p, which spine-d1-bound flags
+    real = verify.gram_gross
+    monkeypatch.setattr(
+        verify, "gram_gross",
+        lambda p, d1: real(p, d1) if 3 * d1 * d1 <= 16 * p else [],
+    )
+
+
+def unsound_candidates(monkeypatch):
+    monkeypatch.setattr(
+        verify, "candidate_invariant_violations", lambda cand, p: ["edited"]
+    )
+
+
+def embedding_na(monkeypatch):
+    real = classify.classify_type
+
+    def classified(p, norms, minima, gram):
+        c = real(p, norms, minima, gram)
+        if minima == (4, 11, 12):
+            return replace(c, embedding=classify.EMBED_NA)
+        return c
+
+    monkeypatch.setattr(classify, "classify_type", classified)
+
+
+def one_more_orbit(monkeypatch):
+    real = verify.supersingular_j_set
+    monkeypatch.setattr(
+        verify, "supersingular_j_set",
+        lambda p: replace(real(p), orbit_count=real(p).orbit_count + 1),
+    )
+
+
+def type_of(p, minima):
+    return next(rec for rec in types_of(p) if rec.minima == minima)
+
+
+# (p, minima, edit of that type's record, further patch or None, the rules
+# that fail, the facts of their texts that the test does not compute): each
+# rule with a detail fails in at least one case
+DETAIL_CASES = {
+    "det": (
+        11, (4, 11, 12),
+        lambda rec: replace(rec, gram=((4, 0, 2), (0, 11, 0), (2, 0, 13))),
+        None, ["det-4p2", "minors-mod4p"], {},
+    ),
+    "odd norm": (
+        11, (4, 11, 12),
+        lambda rec: replace(rec, gram=((4, 1, 2), (1, 11, 0), (2, 0, 12))),
+        None, ["norms-mod4", "gramgross-contains"], {},
+    ),
+    "non-spine minima": (
+        11, (4, 11, 12), lambda rec: replace(rec, minima=(4, 10, 10)), None,
+        [
+            "spine-iff-minor12", "product-bound", "theorem-bounds",
+            "brute-minima", "loop-implies-spine", "oracle-spine-count",
+        ],
+        {"spine": 1, "ss_spine": 2},
+    ),
+    "short list": (
+        11, (4, 11, 12), lambda rec: replace(rec, minima=(4, 11, 11)), None,
+        ["brute-minima", "rank2-sublattice-unique"], {"subs": 0},
+    ),
+    "large D1": (
+        11, (4, 11, 12), lambda rec: replace(rec, minima=(8, 11, 12)),
+        gram_gross_below_its_bound, ["spine-d1-bound"], {},
+    ),
+    "size": (
+        5, (3, 7, 7),
+        lambda rec: replace(rec, gram=((3, 1, 1), (1, 7, -4), (1, -4, 7))),
+        None, ["size-reduced", "gram-bounds"], {},
+    ),
+    "orthogonal": (
+        23, (8, 12, 23),
+        lambda rec: replace(rec, gram=((8, 0, 0), (0, 12, 0), (0, 0, 23))),
+        None, ["no-orth-wr"], {},
+    ),
+    "p = 2 not well rounded": (
+        2, (3, 3, 3), lambda rec: replace(rec, minima=(3, 3, 4)), None,
+        ["no-orth-wr"], {},
+    ),
+    "walk gram of the other type": (
+        11, (4, 11, 12),
+        lambda rec: replace(rec, walk_gram=type_of(11, (3, 15, 15)).walk_gram),
+        None, ["tiebreak-unique"], {},
+    ),
+    "j0 basis": (
+        11, (3, 15, 15),
+        lambda rec: replace(rec, basis=rec.basis[:2] + rec.basis[1:2]),
+        None, ["rank2-sublattice-two-for-j0"], {"pairs": 1},
+    ),
+    "two j = 1728 types": (
+        11, (3, 15, 15), lambda rec: type_of(11, (4, 11, 12)), None,
+        ["special-j-occurrence"], {"j0": 0, "j1728": 2},
+    ),
+    "unsound candidates": (
+        11, (3, 15, 15), lambda rec: rec, unsound_candidates,
+        ["gramgross-sound"], {},
+    ),
+    "embedding label": (
+        11, (4, 11, 12), lambda rec: rec, embedding_na, ["embedding-labels"], {},
+    ),
+    "orbit count": (
+        11, (4, 11, 12), lambda rec: rec, one_more_orbit,
+        ["oracle-type-count"], {"types": 2, "orbits": 3},
+    ),
+    "closed form at 2": (
+        2, (3, 3, 3),
+        lambda rec: replace(rec, gram=((3, 1, 1), (1, 3, 1), (1, 1, 3))),
+        None, ["closed-form-p2"], {"grams": [((3, 1, 1), (1, 3, 1), (1, 1, 3))]},
+    ),
+    "closed form at 3": (
+        3, (3, 4, 4),
+        lambda rec: replace(rec, gram=((3, 0, 0), (0, 4, -1), (0, -1, 4))),
+        None, ["closed-form-p3"], {"grams": [((3, 0, 0), (0, 4, -1), (0, -1, 4))]},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DETAIL_CASES))
+def test_failure_details_keep_their_text(case, monkeypatch):
+    p, minima, edit, patch, rules, facts = DETAIL_CASES[case]
+    rec = edit(type_of(p, minima))
+    facts = dict(
+        facts,
+        viol=classify.validate_bounds(p, rec.minima, rec.minima[2] >= p),
+        desc=lattice.minimal_basis(rec.walk_gram, "desc").gram,
+    )
+    edit_type(monkeypatch, p, minima, edit)
+    if patch:
+        patch(monkeypatch)
+    rep = verify.verify_prime(p)
+    for rule in rules:
+        assert rule in rep.failures, (case, rule)
+        assert rep.rules[rule]["detail"] == f_string_detail(
+            rule, p, rec.minima, rec.gram, facts
+        ), (case, rule)
+
+
+def test_every_rule_with_a_detail_fails_in_a_detail_case():
+    # the rules of verify_prime whose failure text is more than a constant
+    covered = {rule for case in DETAIL_CASES.values() for rule in case[4]}
+    assert covered == {
+        "det-4p2", "norms-mod4", "minors-mod4p", "spine-iff-minor12",
+        "product-bound", "spine-d1-bound", "theorem-bounds", "size-reduced",
+        "gram-bounds", "no-orth-wr", "tiebreak-unique",
+        "rank2-sublattice-unique", "rank2-sublattice-two-for-j0",
+        "brute-minima", "loop-implies-spine", "gramgross-sound",
+        "gramgross-contains", "embedding-labels", "oracle-type-count",
+        "oracle-spine-count", "special-j-occurrence", "closed-form-p2",
+        "closed-form-p3",
+    }
 
 
 def test_ell_independence_keeps_only_the_ell_3_minima(monkeypatch):
