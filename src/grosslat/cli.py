@@ -204,7 +204,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_cm(args) -> int:
-    if args.row:
+    # `--row ""` names no row: it is an unknown label, not `--all`
+    if args.row is not None:
         try:
             rows = [cm_row(args.row)]
         except KeyError:

@@ -37,19 +37,29 @@ def hnf(rows):
         if r == len(m):
             break
         while True:
-            nz = [i for i in range(r, len(m)) if m[i][c]]
-            if not nz:
+            # the pivot: the first row from r on with the least nonzero
+            # |entry| in column c
+            i0, least = r, 0
+            for i in range(r, len(m)):
+                t = m[i][c]
+                if t:
+                    if t < 0:
+                        t = -t
+                    if not least or t < least:
+                        i0, least = i, t
+            if not least:
                 break
-            i0 = min(nz, key=lambda i: (abs(m[i][c]), i))
             if i0 != r:
                 m[r], m[i0] = m[i0], m[r]
             clean = True
-            piv = m[r][c]
+            pivot_row = m[r]
+            piv = pivot_row[c]
             for i in range(r + 1, len(m)):
-                if m[i][c]:
-                    q = m[i][c] // piv
-                    m[i] = [x - q * y for x, y in zip(m[i], m[r])]
-                    if m[i][c]:
+                # |m[i][c]| >= |piv|, so q = 0 exactly when m[i][c] = 0
+                q = m[i][c] // piv
+                if q:
+                    row = m[i] = [x - q * y for x, y in zip(m[i], pivot_row)]
+                    if row[c]:
                         clean = False
             if clean:
                 break

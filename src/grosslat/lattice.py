@@ -26,10 +26,11 @@ greedy-reduced Gram, and checks once per enumeration row that no vector
 reaches below that diagonal, which makes the diagonal the minima triple.
 A caller that needs the vectors themselves (`verify`) enumerates once: one
 `reduced_vectors` list of the type's minimal-basis Gram serves
-`greedy_minima`, `attaining_rank2_sublattices` and, read off it by gcd,
-the primitive norms.  Its coordinates refer to the greedy-reduced basis,
-not the input one; every fact those callers read is the same in any basis,
-so no vector is lifted back.
+`greedy_minima`, `attaining_rank2_sublattices`,
+`minimal_basis_from_vectors` and, read off it by gcd, the primitive norms.
+Its coordinates refer to the greedy-reduced basis, not the input one;
+every fact those callers read is the same in any basis, so no vector is
+lifted back.
 
 Vector norms follow the squared-norm convention throughout: the "norm" of v
 is v G v^T.
@@ -116,8 +117,25 @@ def greedy_reduce(gram):
     A round stops the loop when its third-row step moves nothing.  The
     swaps leave a <= b <= c, the Gauss steps never raise max(a, b) and end
     with x rounding to 0 against a, so the next round would find the same
-    Gram and move nothing either.  Raises LatticeError when no round of the
-    first _GREEDY_ROUNDS stops the loop.
+    Gram and move nothing either.  A round also stops it right after a
+    step by (c0, c1) that leaves c >= b.  That step lowers y b - z x by
+    exactly c0 d2 and z a - y x by exactly c1 d2, with a, b, x and d2 =
+    ab - x^2 unchanged, so the next round's Babai point is (a0 - c0, b0 -
+    c1): its window holds the same points b_2 - s0 b_0 - s1 b_1 of the
+    coset, with the same norms, and their least is the new c.  With a <= b
+    <= c no swap fires, x still rounds to 0 against a, and the strict <
+    finds nothing below c, so that round would be idle too.  When the
+    step leaves c < b, the loop goes on and the next round re-sorts.
+
+    A round that finds a <= 0 or d2 <= 0 after its swaps raises
+    LatticeError: the gram is not positive definite.  d2 is the
+    determinant of the first two rows' Gram, which the Gauss steps keep,
+    so with a > 0 and d2 > 0 they run on a positive definite binary form.
+    The loop cannot stop on a Gram that is not positive definite: at the
+    stop c is at most the norm at the Babai point, which exceeds the least
+    real norm det / d2 of the coset by at most (a + b + 2|x|) / 4 <= 3b / 4,
+    so det / d2 >= c - 3b / 4 > 0.  Raises LatticeError when no round of
+    the first _GREEDY_ROUNDS stops the loop.
     """
     (a, x, y), (_, b, z), (_, _, c) = gram
     u0, u1, u2 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
@@ -129,6 +147,10 @@ def greedy_reduce(gram):
             a, c, x, z, u0, u2 = c, a, z, x, u2, u0
         if b > c:
             b, c, x, y, u1, u2 = c, b, y, x, u2, u1
+        # the first two rows' determinant, which the Gauss steps keep
+        d2 = a * b - x * x
+        if a <= 0 or d2 <= 0:
+            raise LatticeError("gram is not positive definite")
         # Gauss-reduce the first two rows
         for _ in range(_GREEDY_ROUNDS):
             if a > b:
@@ -144,7 +166,6 @@ def greedy_reduce(gram):
                 break
         # reduce the third row against the plane of the first two: b_2 -
         # s0 b_0 - s1 b_1 has norm c + s0 (s0 a - 2y) + s1 (s1 b - 2 (z - s0 x))
-        d2 = a * b - x * x
         a0 = (2 * (y * b - z * x) + d2) // (2 * d2)
         b0 = (2 * (z * a - y * x) + d2) // (2 * d2)
         best, c0, c1 = c, 0, 0
@@ -170,6 +191,9 @@ def greedy_reduce(gram):
             u2[1] - c0 * u0[1] - c1 * u1[1],
             u2[2] - c0 * u0[2] - c1 * u1[2],
         )
+        if c >= b:
+            # the rows are still sorted: the next round would move nothing
+            break
     else:
         raise LatticeError("greedy reduction did not converge")
     return (u0, u1, u2), ((a, x, y), (x, b, z), (y, z, c))
@@ -485,13 +509,51 @@ def _minimal_basis(gram, u, g, tie_break: str = "asc") -> MinimalBasis:
     """`minimal_basis` from (u, g) = `greedy_reduce(gram)`, with no check
     of `gram` or `tie_break`."""
     minima = MinimaTriple(g[0][0], g[1][1], g[2][2])
-    pools = _norm_pools(u, g)
+    mb = _completed_basis(gram, _norm_pools(u, g), minima, tie_break)
+    if mb is None:
+        raise LatticeError("no index-1 completion among minima-attaining vectors")
+    return mb
+
+
+def minimal_basis_from_vectors(gram, vecs, minima, tie_break: str = "asc"):
+    """`minimal_basis` of `gram` read off its own vector list, or None.
+
+    `vecs` is a `reduced_vectors(gram, bound, reduced=True)` list, so its
+    coordinates refer to the basis behind `gram`, and `minima` is
+    `greedy_minima(vecs)`.  The pools are the vectors of the list whose
+    norms are minima's first three entries, each with its first nonzero
+    coordinate positive, as `minimal_basis` lifts them; the completion,
+    the basis Gram, the sign rule and the minima check are `minimal_basis`'s
+    own.  Beside the pools `minimal_basis` lists, these hold only multiples
+    of the first basis vector and vectors of norm D3 in the plane of the
+    first two, which no index-1 completion takes, so on a Gram whose
+    diagonal is its minima the two give the same basis.  No second
+    reduction or enumeration runs.  None when `minima` is None, so the list
+    does not reach the third minimum, or when no index-1 completion exists.
+    """
+    if minima is None:
+        return None
+    d1, d2, d3 = minima[:3]
+    pools = {d1: [], d2: [], d3: []}
+    for n, z in vecs:
+        if n > d3:
+            break
+        pool = pools.get(n)
+        if pool is not None:
+            pool.append(_canon_sign(z))
+    return _completed_basis(gram, pools, MinimaTriple(d1, d2, d3), tie_break)
+
+
+def _completed_basis(gram, pools, minima, tie_break: str):
+    """The basis of the first index-1 completion from {norm: vectors} pools,
+    each sorted by `tie_break`, with its Gram and signs; None when there is
+    none, LatticeError when its norms are not `minima`."""
     desc = tie_break == "desc"
     chosen = _index_one_completion(
         *(sorted(pools[n], reverse=desc) for n in minima)
     )
     if chosen is None:
-        raise LatticeError("no index-1 completion among minima-attaining vectors")
+        return None
     b1, b2, b3 = chosen
     (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = chosen
     # the six entries b_i gram b_j^T, i <= j, of the basis Gram

@@ -18,7 +18,7 @@ from .lattice import (
     basis_pair_rank2_sublattices,
     det3,
     greedy_minima,
-    minimal_basis,
+    minimal_basis_from_vectors,
     rank2_det,
     reduced_vectors,
 )
@@ -92,10 +92,10 @@ def verify_prime(p: int, oracle_cap: int | None = None) -> PrimeReport:
         d1, d2, d3 = minima
         g = rec.gram
         # the one vector list of this type, to D3 and at least norm 8, on
-        # the normalized Gram the walk has reduced: all that brute-minima
-        # and the rank-2 rules read.  Its primitive norms to 8 (z is
-        # primitive when gcd(z) = 1), `primitive_norms(g, 8)`, serve
-        # special_j and the loop discriminants 4, 7 and 8
+        # the normalized Gram the walk has reduced: all that brute-minima,
+        # tiebreak-unique and the rank-2 rules read.  Its primitive norms
+        # to 8 (z is primitive when gcd(z) = 1), `primitive_norms(g, 8)`,
+        # serve special_j and the loop discriminants 4, 7 and 8
         vecs = reduced_vectors(g, max(d3, 8), reduced=True)
         norms = sorted({n for n, z in vecs if n <= 8 and gcd(*z) == 1})
         c = cl.classify_type(p, norms, minima, g)
@@ -148,14 +148,17 @@ def verify_prime(p: int, oracle_cap: int | None = None) -> PrimeReport:
                 not c.orthogonal and not c.well_rounded,
                 "type ", minima,
             )
+        bf = greedy_minima(vecs)
         if c.spine and p != 3:
-            alt = minimal_basis(rec.walk_gram, "desc")
+            # the desc tie-break's basis from the same list, in the
+            # normalized Gram's coordinates; None when there is none
+            alt = minimal_basis_from_vectors(g, vecs, bf, "desc")
+            desc = alt.gram if alt else None
             rep.check(
                 "tiebreak-unique",
-                alt.gram == g,
-                "type ", minima, ": desc gram ", alt.gram,
+                desc == g,
+                "type ", minima, ": desc gram ", desc,
             )
-        bf = greedy_minima(vecs)
         if c.spine and c.special_j in ("j1728", "none"):
             # Prop-backed uniqueness: any attaining pair spans one sublattice;
             # a list below the third minimum has no attaining pair to read

@@ -3,13 +3,14 @@
 `greedy_reduce_reference` keeps the Gram as nested lists and the basis as
 lists of coordinates, and applies each step through `_apply_swap` and
 `_apply_addmul`.  `greedy_reduce_until_idle` is the scalar loop as it was
-before it stopped at the first round whose third-row step moves nothing: it
-runs one more round, until no step of a whole round changed anything, and
-its third-row step tries all nine points of the window (a0 - 1..a0 + 1) x
-(b0 - 1..b0 + 1).  The package applies the same steps in the same order,
-skips only that idle round and tries one point per s0, the first least one
-of its row, so all three must return identical (u, g);
-`tests/test_lattice.py` compares them.
+before it stopped early: it runs until no step of a whole round changed
+anything, and its third-row step tries all nine points of the window
+(a0 - 1..a0 + 1) x (b0 - 1..b0 + 1).  The package applies the same steps in
+the same order but skips the idle last round, stopping at the first round
+whose third-row step moves nothing or right after a step that leaves the
+rows sorted, and tries one point per s0, the first least one of its row,
+so all three must return identical (u, g); `tests/test_lattice.py` compares
+them.
 """
 
 from grosslat.lattice import LatticeError
@@ -94,13 +95,15 @@ def greedy_reduce_reference(gram):
 
 
 
-def greedy_reduce_until_idle(gram, rows=None):
+def greedy_reduce_until_idle(gram, rows=None, steps=None):
     """`lattice.greedy_reduce`, ending only after a round that changes nothing,
     with the nine-point third-row step.
 
     Given a list `rows`, each third-row step appends to it, for each s0 in
     order, (b, w, b0, norms, c): the norm of the row s1 = b0 - 1, b0, b0 + 1
     is c + s0 (s0 a - 2y) + s1 (s1 b - w), and `norms` lists those three.
+    Given a list `steps`, each third-row step that moves appends (b, c)
+    after it.
     """
     (a, x, y), (_, b, z), (_, _, c) = gram
     u0, u1, u2 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
@@ -150,6 +153,8 @@ def greedy_reduce_until_idle(gram, rows=None):
                 u2[2] - c0 * u0[2] - c1 * u1[2],
             )
             changed = True
+            if steps is not None:
+                steps.append((b, c))
         if not changed:
             break
     else:

@@ -211,6 +211,15 @@ def test_cm_unknown_row(capsys):
     assert "unknown" in err
 
 
+@pytest.mark.parametrize("argv", [["--row", ""], ["--row="]])
+def test_cm_empty_row_is_an_unknown_row(argv, capsys):
+    # an empty label names no row; it must not run every row
+    code, out, err = run(capsys, "cm", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: unknown CM row ''\n"
+
+
 def test_cm_precondition_error_exits_2(capsys):
     # no row-supersingular prime in [5, 4]: a CmError, reported and not raised
     code, out, err = run(capsys, "cm", "--row", "0", "--pmax", "4")

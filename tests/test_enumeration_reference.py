@@ -15,7 +15,17 @@ and 2p, at every p <= 300 and at p = 10007.
 
 Each type's walk Gram is compared, and the same Gram under a seeded random
 unimodular change of basis.  Tier-1 covers every type at every prime
-p <= 500 at ell = 2 and 3; the gate over every p <= 2000 is opt-in:
+p <= 500 at ell = 2 and 3.
+
+`verify`'s tiebreak-unique rule reads the desc basis off the type's own
+vector list on its normalized Gram (`lattice.minimal_basis_from_vectors`),
+with no second reduction or enumeration.  On every type that is the basis
+`minimal_basis` builds on the normalized Gram in both tie-breaks, and on
+every spine type (p != 3) its Gram is the normalized Gram and the desc Gram
+`minimal_basis` reads off the walk Gram.  Tier-1 covers every p <= 300 and
+p = 10007 at the default ell.
+
+The gate over every p <= 2000 is opt-in:
 
     GROSSLAT_WALK_REFERENCE=1 pytest tests/test_enumeration_reference.py -m walk_reference
 """
@@ -24,13 +34,21 @@ import random
 
 import pytest
 
+import grosslat.lattice as lattice
+from grosslat.classify import field_of_definition
 from grosslat.exact import primes_between
-from grosslat.lattice import minimal_basis, primitive_norms
-from grosslat.orders import enumerate_types
+from grosslat.lattice import (
+    greedy_minima,
+    minimal_basis,
+    minimal_basis_from_vectors,
+    primitive_norms,
+    reduced_vectors,
+)
+from grosslat.orders import default_ell, enumerate_types
 from enumeration_reference import (
     minimal_basis_reference, primitive_norms_per_leaf, primitive_norms_reference,
 )
-from test_lattice import change_basis, random_unimodular
+from test_lattice import EYE, change_basis, random_unimodular
 
 
 def grams_of(p, ell):
@@ -90,6 +108,42 @@ def test_primitive_norms_match_the_per_leaf_pass_to_300():
 
 def test_primitive_norms_match_the_per_leaf_pass_at_10007():
     assert_primitive_norms_match_per_leaf(10007, 2)
+
+
+def assert_desc_bases_from_the_vector_lists_match(primes):
+    """The number of spine types (p != 3) whose desc basis, read off the
+    type's vector list as verify reads it, passed every comparison."""
+    spine = 0
+    for p in primes:
+        for rec in enumerate_types(p, default_ell(p)):
+            g = rec.gram
+            vecs = reduced_vectors(g, max(rec.minima[2], 8), reduced=True)
+            bf = greedy_minima(vecs)
+            for tie_break in ("asc", "desc"):
+                got = minimal_basis_from_vectors(g, vecs, bf, tie_break)
+                assert got == lattice._minimal_basis(g, EYE, g, tie_break), (
+                    p, rec.minima, tie_break,
+                )
+            if p != 3 and field_of_definition(p, rec.minima[2]):
+                desc = got.gram
+                assert desc == g == minimal_basis(rec.walk_gram, "desc").gram, (
+                    p, rec.minima,
+                )
+                spine += 1
+    return spine
+
+
+def test_desc_bases_from_the_vector_lists_match_to_300_and_at_10007():
+    assert assert_desc_bases_from_the_vector_lists_match(
+        primes_between(2, 300) + [10007]
+    ) == 344 + 77
+
+
+@pytest.mark.walk_reference
+def test_desc_bases_from_the_vector_lists_match_to_2000():
+    assert assert_desc_bases_from_the_vector_lists_match(
+        primes_between(2, 2000) + [10007]
+    ) == 4509
 
 
 @pytest.mark.walk_reference

@@ -1,6 +1,11 @@
 import random
+from functools import lru_cache
 
+import grosslat.lattice as lattice
 from grosslat.exact import hnf, is_prime, legendre, primes_between
+from grosslat.orders import enumerate_types
+from grosslat.verify import run_verify
+from hnf_reference import hnf_reference
 from quat_elements import factorize, hnf_solve
 
 
@@ -47,6 +52,52 @@ def test_hnf_idempotent_random():
         # row lattice preserved in both directions
         for r in rows:
             assert hnf_solve(h, r) is not None
+
+
+def random_row_sets(rng, count):
+    """`count` sets of 2 to 4 rows of 2 to 4 entries, with zero rows."""
+    out = []
+    for _ in range(count):
+        ncols = rng.randrange(2, 5)
+        spread = rng.choice((1, 3, 9, 60))
+        out.append([
+            (0,) * ncols if rng.random() < 0.2
+            else tuple(rng.randrange(-spread, spread + 1) for _ in range(ncols))
+            for _ in range(rng.randrange(2, 5))
+        ])
+    return out
+
+
+def test_hnf_matches_the_list_and_min_pivot_search_on_random_rows():
+    rng = random.Random(61)
+    row_sets = random_row_sets(rng, 20000)
+    assert sum(any(not any(r) for r in rows) for rows in row_sets) > 5000
+    for rows in row_sets:
+        assert hnf(rows) == hnf_reference(rows), rows
+
+
+def test_hnf_matches_the_list_and_min_pivot_search_on_the_walks(monkeypatch):
+    # every row set `lattice` hands to `hnf` in `verify 2..300` and in the
+    # ell = 2 walk at 10007, each run with the neighbour-HNF memo empty
+    seen = []
+
+    def recorded(rows):
+        seen.append([tuple(r) for r in rows])
+        return hnf(rows)
+
+    def empty_memo():
+        fresh = lru_cache(maxsize=None)(lattice._neighbour_hnf.__wrapped__)
+        monkeypatch.setattr(lattice, "_neighbour_hnf", fresh)
+
+    monkeypatch.setattr(lattice, "hnf", recorded)
+    empty_memo()
+    assert run_verify(2, 300, oracle_cap=0).ok
+    sweep = len(seen)
+    empty_memo()
+    enumerate_types(10007, 2)
+    assert (sweep, len(seen) - sweep) == (569, 42)
+    for rows in seen:
+        assert hnf(rows) == hnf_reference(rows), rows
 
 
 def test_primes_and_factorization():

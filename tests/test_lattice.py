@@ -428,14 +428,52 @@ def test_minima_triple_must_be_sorted():
 
 
 def test_greedy_reduce_reports_non_convergence(monkeypatch):
-    # the first round's third-row step takes b_2 - b_1, of norm 1, so only
-    # the second round's third-row step moves nothing and ends the loop
-    gram = ((1, 0, 0), (0, 1, 1), (0, 1, 2))
+    # the first round's third-row step takes b_2 - b_0, of norm 1 < b = 2,
+    # so the rows are no longer sorted; only the second round, which sorts
+    # them again and whose third-row step moves nothing, ends the loop
+    gram = ((1, 0, 1), (0, 2, 0), (1, 0, 2))
     monkeypatch.setattr(lattice, "_GREEDY_ROUNDS", 1)
     with pytest.raises(LatticeError, match="did not converge"):
         greedy_reduce(gram)
     monkeypatch.setattr(lattice, "_GREEDY_ROUNDS", 2)
-    assert greedy_reduce(gram)[1] == EYE
+    assert greedy_reduce(gram)[1] == diagonal(1, 1, 2)
+
+
+@pytest.mark.parametrize("gram", [
+    ((0, 0, 0), (0, 1, 0), (0, 0, 1)),          # a zero row
+    ((1, 1, 0), (1, 1, 0), (0, 0, 1)),          # b_0 - b_1 has norm 0
+    ((1, 0, 0), (0, 1, 0), (0, 0, -1)),         # indefinite
+    ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)),    # rank 2: b_0 + b_1 + b_2
+])
+def test_greedy_reduce_rejects_a_gram_that_is_not_positive_definite(
+    gram, monkeypatch
+):
+    # a round that sees a <= 0 or ab - x^2 <= 0 raises at once: a zero
+    # divisor no longer reaches the Gauss step, and an indefinite Gram no
+    # longer runs out the round bound
+    monkeypatch.setattr(lattice, "_GREEDY_ROUNDS", 2)
+    with pytest.raises(LatticeError, match="gram is not positive definite"):
+        greedy_reduce(gram)
+
+
+def test_greedy_reduce_raises_exactly_on_grams_not_positive_definite():
+    # the loop cannot stop on a Gram that is not positive definite, and a
+    # positive definite one never trips the check
+    rng = random.Random(59)
+    raised = 0
+    for _ in range(20000):
+        a, b, c = (rng.randrange(-3, 12) for _ in range(3))
+        x, y, z = (rng.randrange(-8, 9) for _ in range(3))
+        gram = ((a, x, y), (x, b, z), (y, z, c))
+        definite = a > 0 and a * b - x * x > 0 and det3(gram) > 0
+        try:
+            greedy_reduce(gram)
+        except LatticeError as e:
+            assert not definite and "not positive definite" in str(e), gram
+            raised += 1
+        else:
+            assert definite, gram
+    assert 1000 < 20000 - raised < raised
 
 
 def random_positive_grams(rng, count, spread):
@@ -484,21 +522,32 @@ def test_greedy_reduce_matches_the_list_reference():
 
 def test_greedy_reduce_matches_the_loop_that_ran_until_idle():
     # greedy_reduce stops at the first round whose third-row step moves
-    # nothing and tries three points there; the loop before it ran one more
-    # round, which changed nothing, and tried nine.  The walks at 10007 and
-    # 10039 reduce 9999 Grams: 456 and 453 types, each with its walk and
-    # normalized Gram and ell + 1 neighbours at ell = 2 and at ell = 3
+    # nothing, or right after a step that leaves c >= b, and tries three
+    # points per step; the loop before it ran on until a round changed
+    # nothing and tried nine.  The walks at 10007 and 10039 reduce 9999
+    # Grams: 456 and 453 types, each with its walk and normalized Gram and
+    # ell + 1 neighbours at ell = 2 and at ell = 3
     rng = random.Random(43)
-    grams = random_positive_grams(rng, 2000, 6)
-    grams += random_positive_grams(rng, 1000, 200)
+    grams = random_positive_grams(rng, 16000, 6)
+    grams += random_positive_grams(rng, 4000, 200)
     for p in primes_between(2, 300):
         grams += walk_grams(p)
-    assert len(grams) > 8000
+    assert len(grams) > 25000
     near_10007 = walk_grams(10007) + walk_grams(10039)
     assert len(near_10007) == (456 + 453) * (5 + 6)
     grams += near_10007
+    # Grams whose reduction takes the c >= b exit, and Grams with a step
+    # that leaves c < b, after which the next round sorts the rows again
+    exits = resorts = 0
     for gram in grams:
-        assert greedy_reduce(gram) == greedy_reduce_until_idle(gram), gram
+        steps = []
+        assert greedy_reduce(gram) == greedy_reduce_until_idle(
+            gram, steps=steps
+        ), gram
+        exits += any(c >= b for b, c in steps)
+        resorts += any(c < b for b, c in steps)
+    assert exits > 15000
+    assert resorts > 15000
 
 
 def nearest_to_vertex(b, w):
@@ -568,6 +617,22 @@ def test_minimal_basis_needs_an_index_one_completion(monkeypatch):
     monkeypatch.setattr(lattice, "_norm_pools", lambda u, g: pools)
     with pytest.raises(LatticeError, match="index-1"):
         minimal_basis(diagonal(3, 3, 3))
+
+
+def test_minimal_basis_from_vectors_is_none_without_a_basis():
+    # a list below the third minimum has no minima to read, and one whose
+    # norm-D3 vector completes b1, b2 to index 2 only has no basis
+    gram = diagonal(3, 3, 3)
+    short = [(3, (1, 0, 0)), (3, (0, 1, 0))]
+    assert greedy_minima(short) is None
+    assert lattice.minimal_basis_from_vectors(gram, short, None) is None
+    index2 = short + [(12, (0, 0, 2))]
+    minima = greedy_minima(index2)
+    assert minima[:3] == (3, 3, 12)
+    assert lattice.minimal_basis_from_vectors(gram, index2, minima) is None
+    full = reduced_vectors(gram, 3, reduced=True)
+    got = lattice.minimal_basis_from_vectors(gram, full, greedy_minima(full))
+    assert got == minimal_basis(gram)
 
 
 def test_minimal_basis_norms_must_equal_the_minima(monkeypatch):

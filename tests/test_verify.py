@@ -19,21 +19,32 @@ from walks import types_of
 @pytest.mark.parametrize("p", [11, 101])
 def test_verify_reads_minimal_bases_from_the_type_records(p, monkeypatch):
     # the walks' own minimal bases go through orders' name, which is not
-    # patched, so the calls counted below are the ones verify_prime makes
+    # patched, so a minimal_basis call counted below would be verify_prime's
+    # own; tiebreak-unique reads the desc basis off each spine type's
+    # vector list instead, on its normalized Gram
     types = enumerate_types(p, 2)
     calls = []
-    real = lattice.minimal_basis
+    listed = []
 
-    def counted(gram, tie_break="asc"):
+    def counted(gram, tie_break="asc", reduced=None):
         calls.append(tie_break)
-        return real(gram, tie_break)
 
-    monkeypatch.setattr(lattice, "minimal_basis", counted)
-    monkeypatch.setattr(verify, "minimal_basis", counted)
+    real = lattice.minimal_basis_from_vectors
+
+    def from_vectors(gram, vecs, minima, tie_break="asc"):
+        listed.append((gram, tie_break))
+        return real(gram, vecs, minima, tie_break)
+
+    for module in (lattice, verify):
+        monkeypatch.setattr(module, "minimal_basis", counted, raising=False)
+    monkeypatch.setattr(verify, "minimal_basis_from_vectors", from_vectors)
     rep = verify.verify_prime(p)
     assert not rep.failures
-    spine = sum(1 for rec in types if field_of_definition(p, rec.minima[2]))
-    assert calls == ["desc"] * spine
+    assert calls == []
+    assert listed == [
+        (rec.gram, "desc") for rec in types
+        if field_of_definition(p, rec.minima[2])
+    ]
 
 
 def count_enumerations(monkeypatch):
@@ -287,14 +298,40 @@ def type_of(p, minima):
     return next(rec for rec in types_of(p) if rec.minima == minima)
 
 
+def desc_basis_of_the_other_type(monkeypatch):
+    # tiebreak-unique of the type (4, 11, 12) at p = 11 gets the desc basis
+    # of the type (3, 15, 15) instead of its own
+    other = lattice.minimal_basis(type_of(11, (3, 15, 15)).walk_gram, "desc")
+    real = verify.minimal_basis_from_vectors
+
+    def swapped(gram, vecs, minima, tie_break="asc"):
+        if gram == type_of(11, (4, 11, 12)).gram:
+            return other
+        return real(gram, vecs, minima, tie_break)
+
+    monkeypatch.setattr(verify, "minimal_basis_from_vectors", swapped)
+
+
+def desc_gram(rec):
+    """The Gram that tiebreak-unique reads for `rec`: the desc basis's from
+    the type's vector list, or None."""
+    vecs = lattice.reduced_vectors(rec.gram, max(rec.minima[2], 8), reduced=True)
+    alt = lattice.minimal_basis_from_vectors(
+        rec.gram, vecs, lattice.greedy_minima(vecs), "desc"
+    )
+    return alt.gram if alt else None
+
+
 # (p, minima, edit of that type's record, further patch or None, the rules
 # that fail, the facts of their texts that the test does not compute): each
-# rule with a detail fails in at least one case
+# rule with a detail fails in at least one case.  In "det" and "short list"
+# the type's vector list does not reach the third minimum, so there is no
+# desc basis to read: tiebreak-unique fails with "desc gram None"
 DETAIL_CASES = {
     "det": (
         11, (4, 11, 12),
         lambda rec: replace(rec, gram=((4, 0, 2), (0, 11, 0), (2, 0, 13))),
-        None, ["det-4p2", "minors-mod4p"], {},
+        None, ["det-4p2", "minors-mod4p", "tiebreak-unique"], {},
     ),
     "odd norm": (
         11, (4, 11, 12),
@@ -311,7 +348,8 @@ DETAIL_CASES = {
     ),
     "short list": (
         11, (4, 11, 12), lambda rec: replace(rec, minima=(4, 11, 11)), None,
-        ["brute-minima", "rank2-sublattice-unique"], {"subs": 0},
+        ["brute-minima", "rank2-sublattice-unique", "tiebreak-unique"],
+        {"subs": 0},
     ),
     "large D1": (
         11, (4, 11, 12), lambda rec: replace(rec, minima=(8, 11, 12)),
@@ -331,10 +369,10 @@ DETAIL_CASES = {
         2, (3, 3, 3), lambda rec: replace(rec, minima=(3, 3, 4)), None,
         ["no-orth-wr"], {},
     ),
-    "walk gram of the other type": (
-        11, (4, 11, 12),
-        lambda rec: replace(rec, walk_gram=type_of(11, (3, 15, 15)).walk_gram),
-        None, ["tiebreak-unique"], {},
+    "desc basis of the other type": (
+        11, (4, 11, 12), lambda rec: rec, desc_basis_of_the_other_type,
+        ["tiebreak-unique"],
+        {"desc": ((3, 1, 1), (1, 15, -7), (1, -7, 15))},
     ),
     "j0 basis": (
         11, (3, 15, 15),
@@ -373,11 +411,11 @@ DETAIL_CASES = {
 def test_failure_details_keep_their_text(case, monkeypatch):
     p, minima, edit, patch, rules, facts = DETAIL_CASES[case]
     rec = edit(type_of(p, minima))
-    facts = dict(
-        facts,
-        viol=classify.validate_bounds(p, rec.minima, rec.minima[2] >= p),
-        desc=lattice.minimal_basis(rec.walk_gram, "desc").gram,
-    )
+    facts = {
+        "viol": classify.validate_bounds(p, rec.minima, rec.minima[2] >= p),
+        "desc": desc_gram(rec),
+        **facts,
+    }
     edit_type(monkeypatch, p, minima, edit)
     if patch:
         patch(monkeypatch)
