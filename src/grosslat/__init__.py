@@ -20,9 +20,7 @@ from .lattice import (
     primitive_norms,
     short_vectors,
 )
-from .oracle import (
-    OracleError, spine_count, supersingular_j_set, supersingular_polynomial,
-)
+from .oracle import OracleError, spine_count, supersingular_j_set
 from .orders import (
     GrossLattice,
     QuaternionOrder,
@@ -72,5 +70,4 @@ __all__ = [
     "spine_count",
     "standard_maximal_order",
     "supersingular_j_set",
-    "supersingular_polynomial",
 ]

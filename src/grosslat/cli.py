@@ -22,7 +22,7 @@ from .cm import EXTENDED_DS, CmError, closed_form_gram, cm_row, cm_rows, recompu
 from .exact import is_prime
 from .gramgross import PreconditionError, gram_gross
 from .lattice import primitive_norms
-from .oracle import supersingular_j_set
+from .oracle import OracleError, supersingular_j_set
 from .orders import default_ell, enumerate_types
 from .verify import run_verify
 
@@ -263,7 +263,11 @@ def cmd_oracle(args) -> int:
     if not is_prime(p):
         print(f"error: p = {p} is not prime", file=sys.stderr)
         return 2
-    ss = supersingular_j_set(p)
+    try:
+        ss = supersingular_j_set(p)
+    except OracleError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     payload = {
         "schema": 1,
         "p": p,

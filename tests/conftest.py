@@ -7,8 +7,8 @@ OPT_IN = {
     "oracle_reference": (
         "GROSSLAT_ORACLE_REFERENCE",
         "the 2-isogeny walk oracle against the numpy sweep for every prime "
-        "<= 500, and against the ss_p factorisation route and the "
-        "Legendre-form Hasse route for every prime <= 2000; "
+        "<= 500, and against the test-side ss_p factorisation reference and "
+        "the Legendre-form Hasse route for every prime <= 2000; "
         "set GROSSLAT_ORACLE_REFERENCE=1",
     ),
     "walk_reference": (

@@ -4,13 +4,14 @@ A Legendre curve y^2 = x(x-1)(x-lambda) is supersingular exactly when the
 Hasse polynomial H_p(lambda) = sum C(m,i)^2 lambda^i vanishes, m = (p-1)/2.
 Its (p-1)/2 roots lie in F_{p^2}, six lambda for each j other than 0 and
 1728, and j = 256 (l^2 - l + 1)^3 / (l^2 (l-1)^2).  `hasse_j_set` finds
-them with the package's exact root finder and maps them to the j-line, so
-it is a reference for the root set of ss_p(j) from a polynomial of about
-six times the degree and a different construction.
+them with the exact root finder of `ss_p_reference` and maps them to the
+j-line, so it is a reference for the root set of ss_p(j) from a polynomial
+of about six times the degree and a different construction.
 """
 
 from grosslat.exact import is_prime
-from grosslat.oracle import SupersingularSet, _roots, _smallest_nonresidue
+from grosslat.oracle import SupersingularSet, _smallest_nonresidue
+from ss_p_reference import _roots
 
 
 def deuring_polynomial(p: int):

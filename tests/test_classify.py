@@ -1,3 +1,4 @@
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -14,7 +15,7 @@ from grosslat.classify import (
     structural_flags,
     validate_bounds,
 )
-from grosslat.exact import hnf
+from grosslat.exact import hnf, primes_between
 from grosslat.lattice import (
     LatticeError,
     attaining_rank2_sublattices,
@@ -22,6 +23,7 @@ from grosslat.lattice import (
     primitive_norms,
     short_vectors,
 )
+from grosslat.oracle import supersingular_j_set
 from enumeration_reference import embedded_discriminants
 from test_lattice import brute_short_vectors
 from walks import types_of, walk
@@ -65,6 +67,55 @@ def test_frobenius_embedding():
     assert frobenius_embedding(113, (20, 47, 68), False) == EMBED_NA
     # p = 1 mod 4 spine types default to the Z[sqrt(-p)] side
     assert frobenius_embedding(13, (7, 8, 15), True) == EMBED_SQRT
+
+
+def two_torsion_splits(j, p):
+    """Whether x^3 + 3k x + 2k (1728 - j), k = j (1728 - j), splits into
+    linear factors over F_p (x^3 + 1 at j = 0): whether x^p = x modulo it.
+
+    Its roots are the x of the 2-torsion of a curve over F_p with invariant
+    j != 1728."""
+    k = j * (1728 - j)
+    a, b = (3 * k % p, 2 * k * (1728 - j) % p) if j else (0, 1)
+
+    def mul(u, v):
+        w = [0] * 5
+        for i, x in enumerate(u):
+            for n, y in enumerate(v):
+                w[i + n] += x * y
+        for d in (4, 3):  # x^3 = -a x - b
+            w[d - 2] -= a * w[d]
+            w[d - 3] -= b * w[d]
+        return [c % p for c in w[:3]]
+
+    r, x = [1, 0, 0], [0, 1, 0]
+    for bit in bin(p)[2:]:
+        r = mul(r, r)
+        if bit == "1":
+            r = mul(r, x)
+    return r == x
+
+
+def test_frobenius_labels_count_the_split_two_torsion_cubics():
+    # p = 3 mod 4: the F_p-endomorphism ring of a curve with j in F_p is
+    # Z[(1+sqrt(-p))/2] when its 2-torsion is rational and Z[sqrt(-p)] when
+    # not, and j = 1728 has both; so over the spine types the labels count
+    # the j in F_p other than 1728 by whether their cubic splits
+    for p in primes_between(7, 500):
+        if p % 4 != 3:
+            continue
+        labels = Counter(
+            frobenius_embedding(p, t.minima, field_of_definition(p, t.minima[2]))
+            for t in types_of(p)
+        )
+        split = Counter(
+            two_torsion_splits(j, p)
+            for j, im in supersingular_j_set(p).js if im == 0 and j != 1728 % p
+        )
+        assert (
+            labels[EMBED_HALF] + labels[EMBED_BOTH],
+            labels[EMBED_SQRT] + labels[EMBED_BOTH],
+        ) == (split[True] + 1, split[False] + 1), p
 
 
 def brute_embedded(gram, bound):

@@ -253,6 +253,17 @@ def test_oracle_rejects_composite(capsys):
     assert code == 2
 
 
+def test_oracle_reports_an_oracle_error(capsys, monkeypatch):
+    # with the start table emptied 101 has no start, as 134447041 has none
+    # with the full table: an error line and exit 2, not a traceback
+    from grosslat import oracle
+
+    monkeypatch.setattr(oracle, "_HILBERT", ())
+    code, out, err = run(capsys, "oracle", "--p", "101")
+    assert (code, out) == (2, "")
+    assert err == "error: no Hilbert class polynomial of the table is inert at p=101\n"
+
+
 def test_verify_runs_oracle_rules_above_500():
     from grosslat.verify import verify_prime
 

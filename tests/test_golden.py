@@ -59,6 +59,10 @@ DIGESTS = {
     # the benchmark's oracle_large input at seed 0
     "oracle --p 1009":
         "8bd4452edd38bfb80c0728bbcc53284514c075259add22c6914ebd2beb5c41d1",
+    # the least prime that needs a start past the first eighteen rows (H_115);
+    # recorded from the roots of ss_p, the route the walk replaced there
+    "oracle --p 620929":
+        "19770f8a495231fe80862e5aba46af0b51e571835c9730664a03d0b6022e3058",
 }
 
 

@@ -5,15 +5,12 @@ import pytest
 
 from grosslat import oracle
 from grosslat.exact import legendre, primes_between
-from grosslat.oracle import (
-    OracleError,
-    spine_count,
-    supersingular_j_set,
-    supersingular_polynomial,
-)
+from grosslat.oracle import OracleError, spine_count, supersingular_j_set
+import ss_p_reference as ssp
 from hasse_reference import (
     deuring_polynomial, fp2_mul, hasse_j_set, hasse_lambdas,
 )
+from ss_p_reference import ss_p_route, supersingular_polynomial
 
 
 def test_deuring_polynomial_small():
@@ -57,18 +54,17 @@ def test_j_line_route_matches_the_hasse_route_up_to_500():
         assert [re for re, _ in product] == supersingular_polynomial(p), p
 
 
-def ss_p_route(p):
-    """The sorted roots of ss_p(j), the route of primes with no start."""
-    sigma = oracle._smallest_nonresidue(p)
-    return tuple(sorted(oracle._roots(supersingular_polynomial(p), p, sigma)))
-
-
-@pytest.mark.parametrize("route", ["walk", "fallback"])
-def test_walk_matches_the_ss_p_route_up_to_500(monkeypatch, route):
-    if route == "fallback":
-        monkeypatch.setattr(oracle, "_HILBERT", ())
+def test_walk_matches_the_ss_p_route_up_to_500():
     for p in primes_between(3, 500):
         assert supersingular_j_set(p).js == ss_p_route(p), p
+
+
+def test_empty_start_table_raises(monkeypatch):
+    # with no H_d to start from there is no other route to the j set
+    monkeypatch.setattr(oracle, "_HILBERT", ())
+    for p in primes_between(3, 500):
+        with pytest.raises(OracleError, match="no Hilbert class polynomial"):
+            supersingular_j_set(p)
 
 
 def test_every_start_reaches_the_ss_p_set(monkeypatch):
@@ -92,14 +88,31 @@ def test_class_number_two_starts_at_scale(p):
     assert ss.count == p // 12 and ss.spine_count == spine_formula(p)
 
 
-def test_primes_without_a_start_fall_back():
-    # the two primes below 10^6 at which no H_d of the table is inert
-    for p in (620929, 832129):
-        assert oracle._start(p, oracle._Fp2(p, oracle._smallest_nonresidue(p))) is None
+@pytest.mark.parametrize("p, d, counts", [
+    (620929, 115, (51744, 208, 25976)),
+    (832129, 123, (69344, 238, 34791)),
+])
+def test_walk_at_the_primes_the_short_table_missed(p, d, counts):
+    # below 10^6 only these two have no inert H_d among the first eighteen
+    # rows; the counts are Eichler-Deuring's and the class-number formulas'
+    inert = [e for e, *_ in oracle._HILBERT if legendre(-e, p) == -1]
+    assert inert[0] == d
+    ss = supersingular_j_set(p)
+    assert (ss.count, ss.spine_count, ss.orbit_count) == counts
+    assert ss.count == p // 12 and ss.spine_count == spine_formula(p)
+
+
+def test_first_prime_without_a_start_raises(monkeypatch):
+    # 134447041 is the least prime at which no H_d of the table is inert
+    p = 134447041
+    assert start_of(p) is None
+    monkeypatch.setattr(oracle, "_walk", None)   # nothing past the start runs
+    with pytest.raises(OracleError, match="no Hilbert class polynomial"):
+        supersingular_j_set(p)
 
 
 def test_class_number_two_starts_divide_ss_p_at_inert_primes():
-    # H_d divides ss_p; at the 17 pairs where H_d = (x - a)^2 mod p, as
+    # H_d divides ss_p; at the 76 pairs where H_d = (x - a)^2 mod p, as
     # H_15 = (x + 1)^2 mod 7, the separable ss_p has the root a instead
     checks = squares = 0
     for d, coeffs, _ in oracle._HILBERT:
@@ -111,12 +124,12 @@ def test_class_number_two_starts_divide_ss_p_at_inert_primes():
                 continue
             ss = supersingular_polynomial(p)
             if (b * b - 4 * c) % p:
-                assert oracle._divmod(ss, [c, b, 1], p)[1] == [], (d, p)
+                assert ssp._divmod(ss, [c, b, 1], p)[1] == [], (d, p)
             else:
-                assert oracle._divmod(ss, [b * (p + 1) // 2, 1], p)[1] == [], (d, p)
+                assert ssp._divmod(ss, [b * (p + 1) // 2, 1], p)[1] == [], (d, p)
                 squares += 1
             checks += 1
-    assert (checks, squares) == (1078, 17)
+    assert (checks, squares) == (2131, 76)
 
 
 PHI2_ENTRIES = [
@@ -269,6 +282,11 @@ def test_p2_hardcoded():
     ss = supersingular_j_set(2)
     assert ss.js == ((0, 0),) and ss.spine_count == 1
     assert spine_count(2) == 1
+    # the non-residue is 0 at p = 2 alone, also where every j lies in F_p
+    assert ss.nonresidue == 0
+    small = [supersingular_j_set(p) for p in (3, 5, 7, 11, 13)]
+    assert all(s.spine_count == s.count for s in small)
+    assert [s.nonresidue for s in small] == [2, 2, 3, 2, 2]
 
 
 def class_number(disc):
@@ -379,25 +397,25 @@ def _random_poly(rng, p, degree):
 def test_modulus_reduction_matches_long_division():
     p = 1009
     rng = random.Random(7)
-    for n in (1, oracle._PLAIN_DEGREE - 1, oracle._PLAIN_DEGREE, 40, 97):
+    for n in (1, ssp._PLAIN_DEGREE - 1, ssp._PLAIN_DEGREE, 40, 97):
         f = _random_poly(rng, p, n)
-        ring = oracle._Modulus(f, p)
+        ring = ssp._Modulus(f, p)
         a = [rng.randrange(p) for _ in range(n)]
         b = [rng.randrange(p) for _ in range(n)]
-        want = oracle._divmod(oracle._mul_plain(a, b), f, p)[1]
-        assert oracle._trim(ring.mul(a, b)) == want
+        want = ssp._divmod(ssp._mul_plain(a, b), f, p)[1]
+        assert ssp._trim(ring.mul(a, b)) == want
         want = [1]
         for _ in range(37):
-            want = oracle._divmod(oracle._mul_plain(want, a), f, p)[1]
-        assert oracle._trim(ring.pow(a, 37)) == want
+            want = ssp._divmod(ssp._mul_plain(want, a), f, p)[1]
+        assert ssp._trim(ring.pow(a, 37)) == want
         long = [rng.randrange(p) for _ in range(5 * n + 3)]
-        assert oracle._trim(ring.reduce(long)) == oracle._divmod(long, f, p)[1]
+        assert ssp._trim(ring.reduce(long)) == ssp._divmod(long, f, p)[1]
 
 
 def _euclid(a, b, p):
-    a, b = oracle._trim(list(a)), oracle._trim(list(b))
+    a, b = ssp._trim(list(a)), ssp._trim(list(b))
     while b:
-        a, b = b, oracle._divmod(a, b, p)[1]
+        a, b = b, ssp._divmod(a, b, p)[1]
     inv = pow(a[-1], -1, p)
     return [c * inv % p for c in a]
 
@@ -409,32 +427,32 @@ def test_lehmer_gcd_matches_euclid():
         g = _random_poly(rng, p, rng.randrange(0, 40))
         u = _random_poly(rng, p, rng.randrange(0, 300))
         v = _random_poly(rng, p, rng.randrange(0, 300)) if trial % 4 else [0] * 7 + [1]
-        a = [c % p for c in oracle._mul_plain(g, u)]
-        b = [c % p for c in oracle._mul_plain(g, v)]
-        assert oracle._gcd(a, b, p) == _euclid(a, b, p)
+        a = [c % p for c in ssp._mul_plain(g, u)]
+        b = [c % p for c in ssp._mul_plain(g, v)]
+        assert ssp._gcd(a, b, p) == _euclid(a, b, p)
 
 
 def test_trace_split_of_two_quadratics():
     p, sigma = 13, 2
     q1, q2 = [2, 0, 1], [3, 1, 1]  # x^2 + 2 and x^2 + x + 3, irreducible mod 13
-    g = [c % p for c in oracle._mul_plain(q1, q2)]
-    ring = oracle._Modulus(g, p)
+    g = [c % p for c in ssp._mul_plain(q1, q2)]
+    ring = ssp._Modulus(g, p)
     xp = ring.pow([0, 1], p)
-    assert oracle._trace_split(g, xp, ring, sigma) in (q1, q2)
+    assert ssp._trace_split(g, xp, ring, sigma) in (q1, q2)
     # equal traces (both 0): no split from the traces
-    g = [c % p for c in oracle._mul_plain(q1, [5, 0, 1])]
-    ring = oracle._Modulus(g, p)
-    assert oracle._trace_split(g, ring.pow([0, 1], p), ring, sigma) is None
+    g = [c % p for c in ssp._mul_plain(q1, [5, 0, 1])]
+    ring = ssp._Modulus(g, p)
+    assert ssp._trace_split(g, ring.pow([0, 1], p), ring, sigma) is None
 
 
 def test_wide_slots_pack_and_unpack():
     p = 2 ** 45 - 55  # slot bound beyond 8 bytes: the int.to_bytes path
     a, b = [3, 5, 2 ** 40], [p - 1, 7, 11]
-    w = oracle._slot_width(3 * (p - 1) ** 2 + 1)
+    w = ssp._slot_width(3 * (p - 1) ** 2 + 1)
     assert w > 8
-    assert list(oracle._unpack(oracle._pack(a, w), 3, w)) == a
-    prod = oracle._pack(a, w) * oracle._pack(b, w)
-    assert list(oracle._unpack(prod, 5, w)) == oracle._mul_plain(a, b)
+    assert list(ssp._unpack(ssp._pack(a, w), 3, w)) == a
+    prod = ssp._pack(a, w) * ssp._pack(b, w)
+    assert list(ssp._unpack(prod, 5, w)) == ssp._mul_plain(a, b)
 
 
 def test_error_eichler_count_mismatch(monkeypatch):
@@ -453,23 +471,23 @@ def test_error_odd_off_spine_count(monkeypatch):
 def test_error_quadratic_without_root():
     # (x - 1)(x - 2) splits over F_13, so disc / sigma is a non-residue
     with pytest.raises(OracleError, match="no root"):
-        oracle._quadratic_roots([2, 13 - 3, 1], 13, 2, False)
+        ssp._quadratic_roots([2, 13 - 3, 1], 13, 2, False)
     # x^2 - 2 has no root in F_13
     with pytest.raises(OracleError, match="no root"):
-        oracle._quadratic_roots([13 - 2, 0, 1], 13, 2, True)
+        ssp._quadratic_roots([13 - 2, 0, 1], 13, 2, True)
     with pytest.raises(OracleError, match="degree-1 factor"):
-        oracle._quadratic_roots([5, 1], 13, 2, False)
+        ssp._quadratic_roots([5, 1], 13, 2, False)
 
 
 def test_error_nonzero_division_remainder():
     with pytest.raises(OracleError, match="remainder"):
-        oracle._divexact([1, 0, 1], [1, 1], 13)
+        ssp._divexact([1, 0, 1], [1, 1], 13)
 
 
 def test_error_factor_that_does_not_split():
     # x^3 - 2 is irreducible over F_13 (2 is not a cube), so no linear split
     with pytest.raises(OracleError, match="does not split"):
-        oracle._equal_degree_factors([11, 0, 0, 1], None, 13, 2, random.Random(0))
+        ssp._equal_degree_factors([11, 0, 0, 1], None, 13, 2, random.Random(0))
 
 
 def test_error_no_nonresidue(monkeypatch):

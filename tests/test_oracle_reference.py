@@ -3,11 +3,12 @@
 `reference_sweep` evaluates the Hasse polynomial at every lambda in F_{p^2}
 with numpy and maps the roots through j(lambda).  It is cubic in p, so
 tier-1 runs it for every prime up to 200 and at 499 and 1009.  Tier-1 also
-compares the 2-isogeny walk with the roots of ss_p(j) (the route of primes
-with no start) and with the Legendre-form route of `hasse_reference` (roots
-of H_p by exact factorisation, mapped to j) for every prime up to 500
-(`test_oracle.py`).  The gates widen when opted in, the sweep to every
-prime up to 500 and the two factorisation routes to every prime up to 2000:
+compares the 2-isogeny walk with the roots of ss_p(j) (`ss_p_reference`,
+the test-side factorisation route) and with the Legendre-form route of
+`hasse_reference` (roots of H_p by the same exact factorisation, mapped to
+j) for every prime up to 500 (`test_oracle.py`).  The gates widen when
+opted in, the sweep to every prime up to 500 and the two factorisation
+routes to every prime up to 2000:
 
     GROSSLAT_ORACLE_REFERENCE=1 pytest tests/test_oracle_reference.py -m oracle_reference
 
@@ -23,7 +24,7 @@ from grosslat.oracle import (
     supersingular_j_set,
 )
 from hasse_reference import deuring_polynomial, hasse_j_set, j_invariant
-from test_oracle import ss_p_route
+from ss_p_reference import ss_p_route
 
 np = pytest.importorskip("numpy")
 
