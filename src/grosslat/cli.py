@@ -168,9 +168,6 @@ def cmd_verify(args) -> int:
     if args.pmin < 2 or args.pmax < args.pmin:
         print("error: need 2 <= pmin <= pmax", file=sys.stderr)
         return 2
-    if args.oracle_cap is not None and args.oracle_cap < 0:
-        print(f"error: oracle-cap = {args.oracle_cap} is negative", file=sys.stderr)
-        return 2
 
     lines = []
 
@@ -180,8 +177,7 @@ def cmd_verify(args) -> int:
         lines.append(f"p={rep.p}: {len(rep.rules)} rules, {status}")
 
     report = run_verify(
-        args.pmin, args.pmax, extended_cm=args.extended_cm,
-        oracle_cap=args.oracle_cap, progress=progress,
+        args.pmin, args.pmax, extended_cm=args.extended_cm, progress=progress,
     )
     summary = sys.stderr if args.json else sys.stdout
     for line in lines:
@@ -310,9 +306,6 @@ def _add_verify(sub):
     v.add_argument("--pmax", type=int, default=300)
     v.add_argument("--extended-cm", action="store_true",
                    help="also recompute N_E for d in {43, 67, 163}")
-    v.add_argument("--oracle-cap", type=int,
-                   help="skip the two oracle rules above this prime "
-                        "(default: run them at every prime)")
     v.add_argument("--json", action="store_true")
     v.set_defaults(func=cmd_verify)
 

@@ -156,11 +156,11 @@ def locate_embedding_type(p: int, d: int) -> TypeRecord:
 
     Direct route, for d in PIZER_DS (the odd prime rows) at an odd prime
     p != d: no walk, no order.  At an inert p the type is Pizer's maximal
-    order of (-d, -p); its record carries that order's closed-form Gross
-    Gram (`orders.pizer_gross_gram`) as `walk_gram` and its minimal basis.
-    The embedding of -d is certified by the primitive norm-d vector i of
-    that Gram's basis (CmError otherwise).  A split p raises CmError, as no
-    type embeds -d there.
+    order of (-d, -p); its record is the minima and normalized Gram of the
+    minimal basis of that order's closed-form Gross Gram
+    (`orders.pizer_gross_gram`).  The embedding of -d is certified by the
+    primitive norm-d vector i of the closed-form Gram's basis (CmError
+    otherwise).  A split p raises CmError, as no type embeds -d there.
 
     Every other (p, d), the rows d = 4, 8, 12, 16, 27, 28 included, walks
     the types at `default_ell(p)`, the ell of `types` and `verify`, and
@@ -170,13 +170,13 @@ def locate_embedding_type(p: int, d: int) -> TypeRecord:
     if d in PIZER_DS and p % 2 and p != d:
         if legendre(-d, p) != -1:
             raise _no_unique_type(0, p, d)
-        walk_gram = pizer_gross_gram(d, p)
-        if not _pizer_embeds(walk_gram, p, d):
+        gram = pizer_gross_gram(d, p)
+        if not _pizer_embeds(gram, p, d):
             raise CmError(
                 f"Pizer's order of (-{d}, -{p}) does not embed -{d} primitively"
             )
-        mb = minimal_basis(walk_gram)
-        return TypeRecord(walk_gram, mb.minima, mb.gram, mb.coords)
+        mb = minimal_basis(gram)
+        return TypeRecord(mb.minima, mb.gram)
     matches = [t for t in enumerate_types(p, default_ell(p)) if _embeds(t.gram, d)]
     if len(matches) != 1:
         raise _no_unique_type(len(matches), p, d)

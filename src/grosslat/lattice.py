@@ -483,7 +483,11 @@ def minimal_basis(gram, tie_break: str = "asc", reduced=None) -> MinimalBasis:
         raise ValueError(f"unknown tie_break {tie_break!r}")
     _check_positive_definite(gram)
     u, g = greedy_reduce(gram) if reduced is None else reduced
-    return _minimal_basis(gram, u, g, tie_break)
+    minima = MinimaTriple(g[0][0], g[1][1], g[2][2])
+    mb = _completed_basis(gram, _norm_pools(u, g), minima, tie_break)
+    if mb is None:
+        raise LatticeError("no index-1 completion among minima-attaining vectors")
+    return mb
 
 
 def _index_one_completion(d1_pool, d2_pool, d3_pool):
@@ -503,16 +507,6 @@ def _index_one_completion(d1_pool, d2_pool, d3_pool):
                     if abs(c0 * b3[0] + c1 * b3[1] + c2 * b3[2]) == 1:
                         return b1, b2, b3
     return None
-
-
-def _minimal_basis(gram, u, g, tie_break: str = "asc") -> MinimalBasis:
-    """`minimal_basis` from (u, g) = `greedy_reduce(gram)`, with no check
-    of `gram` or `tie_break`."""
-    minima = MinimaTriple(g[0][0], g[1][1], g[2][2])
-    mb = _completed_basis(gram, _norm_pools(u, g), minima, tie_break)
-    if mb is None:
-        raise LatticeError("no index-1 completion among minima-attaining vectors")
-    return mb
 
 
 def minimal_basis_from_vectors(gram, vecs, minima, tie_break: str = "asc"):
@@ -828,20 +822,22 @@ def attaining_rank2_sublattices(vecs):
     )
 
 
-def basis_pair_rank2_sublattices(gram, coords):
-    """Distinct HNFs of <b_i, b_j> over basis pairs attaining (D1, D2).
+def basis_pair_sublattice_count(gram) -> int:
+    """Number of sublattices <b_i, b_j> over basis pairs attaining (D1, D2).
 
-    `gram` and `coords` are a minimal basis's Gram matrix and rows, so the
-    Gram diagonal holds the minima.  For a j = 0 type the second and third
-    basis vectors share the norm D2, so two distinct sublattices appear;
-    for other spine types there is the single sublattice <b_1, b_2>.
+    `gram` is a minimal basis's Gram matrix, so its diagonal holds the
+    minima.  Distinct index pairs of a basis span distinct sublattices, so
+    the count is that of the index pairs {i, j} with norms (D1, D2), read
+    off the diagonal alone.  For a j = 0 type the second and third basis
+    vectors share the norm D2, so the count is 2; for other spine types it
+    is 1, the pair {b_1, b_2}.
     """
-    d1, d2 = gram[0][0], gram[1][1]
-    return sorted(
+    d = gram[0][0], gram[1][1], gram[2][2]
+    return len(
         {
-            hnf([coords[i], coords[j]])
+            frozenset((i, j))
             for i in range(3)
             for j in range(3)
-            if i != j and gram[i][i] == d1 and gram[j][j] == d2
+            if i != j and d[i] == d[0] and d[j] == d[1]
         }
     )

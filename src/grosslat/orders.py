@@ -249,10 +249,11 @@ def standard_gross_gram(p: int):
 
 @dataclass(frozen=True)
 class TypeRecord:
-    walk_gram: tuple   # Gross Gram the walk reached the type with
+    """A type's successive minima and the Gram of its normalized successive
+    minimal basis, which determines the type (Gross-Lucianovic)."""
+
     minima: tuple
     gram: tuple        # normalized minimal-basis Gram
-    basis: tuple       # minimal basis rows, coordinates w.r.t. walk_gram
 
 
 def default_ell(p: int) -> int:
@@ -274,6 +275,8 @@ def enumerate_types(p: int, ell: int, keys_only: bool = False):
     when that key was already seen.  Only a new key pays for a minimal
     basis, from the key's own reduction (`minimal_basis` with `reduced`),
     which checks that its diagonal is the minima (LatticeError otherwise).
+    The record keeps the key and that basis's Gram; the Gram the walk
+    reached the type with and the basis coordinates are not kept.
 
     With `keys_only` the walk returns the sorted keys alone and builds no
     minimal basis: a new key's neighbours come from its greedy-reduced Gram,
@@ -300,7 +303,7 @@ def enumerate_types(p: int, ell: int, keys_only: bool = False):
         seen.add(key)
         if not keys_only:
             mb = minimal_basis(walk_gram, reduced=(u, g))
-            records.append(TypeRecord(walk_gram, key, mb.gram, mb.coords))
+            records.append(TypeRecord(key, mb.gram))
             g = mb.gram
         # from a reduced Gram, so entries do not grow along the walk
         queue.extend(gross_neighbours(g, p, ell))

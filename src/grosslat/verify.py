@@ -15,7 +15,7 @@ from .exact import ceil_div, primes_between
 from .gramgross import candidate_invariant_violations, gram_gross
 from .lattice import (
     attaining_rank2_sublattices,
-    basis_pair_rank2_sublattices,
+    basis_pair_sublattice_count,
     det3,
     greedy_minima,
     minimal_basis_from_vectors,
@@ -43,11 +43,11 @@ class PrimeReport:
 
         `detail` holds the parts of the failure text, joined by `str` only
         when the check fails, so a passing check formats nothing, and a
-        check of a rule that has already passed, and was not skipped,
-        changes nothing unless it fails.
+        check of a rule that has already passed changes nothing unless it
+        fails.
         """
         prev = self.rules.get(rule)
-        if prev is not None and (ok or not prev["ok"]) and "skipped" not in prev:
+        if prev is not None and (ok or not prev["ok"]):
             return
         self.rules[rule] = (
             {"ok": True, "detail": ""} if ok
@@ -79,8 +79,8 @@ def _norms_mod4(g) -> bool:
     )
 
 
-def verify_prime(p: int, oracle_cap: int | None = None) -> PrimeReport:
-    """Every rule at p; the two oracle rules are skipped when p > oracle_cap."""
+def verify_prime(p: int) -> PrimeReport:
+    """Every rule at p."""
     rep = PrimeReport(p)
     types = enumerate_types(p, default_ell(p))
     four_p = 4 * p
@@ -170,11 +170,11 @@ def verify_prime(p: int, oracle_cap: int | None = None) -> PrimeReport:
             )
         elif c.special_j in ("j0", "both") and p != 2:
             # j = 0: the minimal basis carries exactly two such sublattices
-            pairs = basis_pair_rank2_sublattices(g, rec.basis)
+            pairs = basis_pair_sublattice_count(g)
             rep.check(
                 "rank2-sublattice-two-for-j0",
-                len(pairs) == 2,
-                "type ", minima, ": ", len(pairs), " basis-pair sublattices",
+                pairs == 2,
+                "type ", minima, ": ", pairs, " basis-pair sublattices",
             )
         rep.check(
             "brute-minima",
@@ -208,21 +208,17 @@ def verify_prime(p: int, oracle_cap: int | None = None) -> PrimeReport:
 
     # per-prime aggregates
     spine_types = sum(1 for c in classifications if c.spine)
-    if oracle_cap is None or p <= oracle_cap:
-        ss = supersingular_j_set(p)
-        rep.check(
-            "oracle-type-count",
-            len(types) == ss.orbit_count,
-            len(types), " types vs ", ss.orbit_count, " orbits",
-        )
-        rep.check(
-            "oracle-spine-count",
-            spine_types == ss.spine_count,
-            spine_types, " vs ", ss.spine_count,
-        )
-    else:
-        rep.skip("oracle-type-count", f"p > oracle cap {oracle_cap}")
-        rep.skip("oracle-spine-count", f"p > oracle cap {oracle_cap}")
+    ss = supersingular_j_set(p)
+    rep.check(
+        "oracle-type-count",
+        len(types) == ss.orbit_count,
+        len(types), " types vs ", ss.orbit_count, " orbits",
+    )
+    rep.check(
+        "oracle-spine-count",
+        spine_types == ss.spine_count,
+        spine_types, " vs ", ss.spine_count,
+    )
 
     j0_count = sum(1 for c in classifications if c.special_j in ("j0", "both"))
     j1728_count = sum(
@@ -351,14 +347,13 @@ def run_verify(
     pmin: int,
     pmax: int,
     extended_cm: bool = False,
-    oracle_cap: int | None = None,
     progress=None,
 ) -> VerifyReport:
     if pmin < 2 or pmax < pmin:
         raise ValueError("need 2 <= pmin <= pmax")
     report = VerifyReport(pmin, pmax)
     for p in primes_between(pmin, pmax):
-        rep = verify_prime(p, oracle_cap)
+        rep = verify_prime(p)
         report.primes.append(rep)
         if progress:
             progress(rep)

@@ -13,7 +13,8 @@ OPT_IN = {
     ),
     "walk_reference": (
         "GROSSLAT_WALK_REFERENCE",
-        "Gram walk against the order walk, its greedy dedupe key against "
+        "Gram walk against the order walk, each type record against the "
+        "minimal basis of its walk Gram, its greedy dedupe key against "
         "the full-enumeration minima, its closed-form seed against the "
         "standard order's Gross Gram, its Kneser neighbours against the "
         "seven-row HNF reference, gross_neighbours against the composed "

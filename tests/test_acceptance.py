@@ -18,14 +18,14 @@ from grosslat.gramgross import candidate_invariant_violations, gram_gross
 from grosslat.lattice import (
     det3,
     attaining_rank2_sublattices,
-    basis_pair_rank2_sublattices,
     minimal_basis,
     primitive_norms,
     rank2_det,
     short_vectors,
 )
 from grosslat.oracle import supersingular_j_set
-from walks import types_of
+from test_lattice import basis_pair_rank2_sublattices
+from walks import types_of, with_walk_grams
 
 P2_GRAM = ((3, 1, 1), (1, 3, -1), (1, -1, 3))
 P3_GRAMS = (
@@ -35,10 +35,12 @@ P3_GRAMS = (
 
 
 def classified(p):
+    """(type record, its walk Gram, its classification) for each type."""
     out = []
-    for rec in types_of(p):
-        norms = primitive_norms(rec.walk_gram, 4)
-        out.append((rec, cl.classify_type(p, norms, rec.minima, rec.gram)))
+    for rec, walk_gram in with_walk_grams(p):
+        norms = primitive_norms(walk_gram, 4)
+        c = cl.classify_type(p, norms, rec.minima, rec.gram)
+        out.append((rec, walk_gram, c))
     return out
 
 
@@ -85,13 +87,13 @@ def test_criterion_2_closed_forms():
 def test_criterion_3_invariant_suite():
     bad = []
     for p in primes_between(2, 200):
-        for rec, c in classified(p):
+        for rec, walk_gram, c in classified(p):
             d1, d2, d3 = rec.minima
             g = rec.gram
             x, y, z = g[0][1], g[0][2], g[1][2]
             checks = [
                 det3(g) == 4 * p * p,
-                all(n % 4 in (0, 3) for n, _ in short_vectors(rec.walk_gram, 2 * p)),
+                all(n % 4 in (0, 3) for n, _ in short_vectors(walk_gram, 2 * p)),
                 all(
                     rank2_det(g, i, j) > 0 and rank2_det(g, i, j) % (4 * p) == 0
                     for i, j in ((0, 1), (0, 2), (1, 2))
@@ -117,19 +119,19 @@ def test_criterion_3_invariant_suite():
 def test_criterion_4_gram_uniqueness():
     bad = []
     for p in primes_between(2, 200):
-        for rec, c in classified(p):
+        for rec, walk_gram, c in classified(p):
             if not c.spine:
                 continue
             if p != 3:
-                desc = minimal_basis(rec.walk_gram, "desc")
+                desc = minimal_basis(walk_gram, "desc")
                 if desc.gram != rec.gram:
                     bad.append((p, rec.minima, "tiebreak"))
             if c.special_j in ("j1728", "none"):
-                vecs = short_vectors(rec.walk_gram, rec.minima[2])
+                vecs = short_vectors(walk_gram, rec.minima[2])
                 if len(attaining_rank2_sublattices(vecs)) != 1:
                     bad.append((p, rec.minima, "rank2-unique"))
             elif p != 2:
-                mb = minimal_basis(rec.walk_gram, "asc")
+                mb = minimal_basis(walk_gram, "asc")
                 if len(basis_pair_rank2_sublattices(mb.gram, mb.coords)) != 2:
                     bad.append((p, rec.minima, "rank2-two-j0"))
     report("criterion-4 gram-uniqueness (p <= 200, p != 3)", not bad,
@@ -139,7 +141,7 @@ def test_criterion_4_gram_uniqueness():
 def test_criterion_5_gramgross():
     bad = []
     for p in primes_between(2, 200):
-        for rec, c in classified(p):
+        for rec, _, c in classified(p):
             if not c.spine:
                 continue
             cands = gram_gross(p, rec.minima[0])

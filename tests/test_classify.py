@@ -26,11 +26,11 @@ from grosslat.lattice import (
 from grosslat.oracle import supersingular_j_set
 from enumeration_reference import embedded_discriminants
 from test_lattice import brute_short_vectors
-from walks import types_of, walk
+from walks import types_of, walk, with_walk_grams
 
 
 def gram_of(p, index=0):
-    return types_of(p)[index].walk_gram
+    return with_walk_grams(p)[index][1]
 
 
 def norms_of(p, index=0, bound=4):
@@ -177,8 +177,8 @@ def test_classify_type_p11():
 def test_loop_discriminants_imply_spine():
     # 4, 7 or 8 among the embedded discriminants forces j in F_p
     for p in (11, 13, 37, 113):
-        for rec in walk(p, 2):
-            emb = primitive_norms(rec.walk_gram, 8)
+        for rec, walk_gram in with_walk_grams(p, 2):
+            emb = primitive_norms(walk_gram, 8)
             c = classify_type(p, emb, rec.minima, rec.gram)
             if any(d in emb for d in (4, 7, 8)):
                 assert c.spine
@@ -203,12 +203,11 @@ def rank2_sublattice_count(gram, d1, d2):
 def test_one_list_on_the_minimal_gram_matches_per_call_enumeration(p):
     # verify reads every vector fact of a type from one list on rec.gram;
     # norms, primitivity and sublattice counts do not see the change of
-    # basis, so one enumeration of rec.walk_gram per question agrees
-    for rec in types_of(p):
+    # basis, so one enumeration of the walk Gram per question agrees
+    for rec, old in with_walk_grams(p):
         d1, d2, d3 = rec.minima
         bound = max(2 * p, 8)
         vecs = short_vectors(rec.gram, bound)
-        old = rec.walk_gram
         assert special_j(p, {n for n, _ in vecs}) == special_j(
             p, primitive_norms(old, 4)
         )

@@ -133,13 +133,14 @@ def test_verify_usage_error(capsys):
     assert "pmin" in err
 
 
-def test_verify_rejects_negative_oracle_cap(capsys):
-    # a negative cap would turn every oracle rule into "skipped" under PASS
-    code, out, err = run(capsys, "verify", "--pmin", "11", "--pmax", "11",
-                         "--oracle-cap", "-5")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and "oracle-cap" in err
+def test_verify_has_no_oracle_cap(capsys):
+    # the oracle rules run at every prime, so --oracle-cap is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--pmin", "11", "--pmax", "11", "--oracle-cap", "7"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "unrecognized arguments: --oracle-cap 7" in out.err
 
 
 def test_verify_extended_cm_wiring(capsys, monkeypatch):
@@ -270,29 +271,6 @@ def test_verify_runs_oracle_rules_above_500():
     rules = verify_prime(503).rules
     for rule in ("oracle-type-count", "oracle-spine-count"):
         assert rules[rule] == {"ok": True, "detail": ""}
-
-
-def test_verify_oracle_cap_is_an_opt_out(capsys):
-    # no default cap: the oracle rules run above 2000, the old cap, unless
-    # --oracle-cap names a smaller prime
-    def oracle_rules(*cap):
-        code, out, _ = run(capsys, "verify", "--pmin", "2003", "--pmax", "2003",
-                           "--json", *cap)
-        assert code == 0
-        (prime,) = json.loads(out)["primes"]
-        return [prime["rules"][r] for r in ("oracle-type-count", "oracle-spine-count")]
-
-    assert oracle_rules() == [{"ok": True, "detail": ""}] * 2
-    skipped = {"ok": True, "detail": "", "skipped": "p > oracle cap 2000"}
-    assert oracle_rules("--oracle-cap", "2000") == [skipped] * 2
-
-
-def test_verify_skips_oracle_rules_above_cap():
-    from grosslat.verify import verify_prime
-
-    rules = verify_prime(11, oracle_cap=7).rules
-    assert rules["oracle-type-count"]["skipped"] == "p > oracle cap 7"
-    assert rules["oracle-spine-count"]["skipped"] == "p > oracle cap 7"
 
 
 @pytest.mark.parametrize("argv", [

@@ -34,7 +34,6 @@ import random
 
 import pytest
 
-import grosslat.lattice as lattice
 from grosslat.classify import field_of_definition
 from grosslat.exact import primes_between
 from grosslat.lattice import (
@@ -44,34 +43,34 @@ from grosslat.lattice import (
     primitive_norms,
     reduced_vectors,
 )
-from grosslat.orders import default_ell, enumerate_types
 from enumeration_reference import (
     minimal_basis_reference, primitive_norms_per_leaf, primitive_norms_reference,
 )
 from test_lattice import EYE, change_basis, random_unimodular
+from walks import walk_grams, with_walk_grams
 
 
 def grams_of(p, ell):
-    """(type record, Gram) pairs: each walk Gram and one moved copy of it."""
+    """(minima, Gram) pairs: each type's walk Gram and one moved copy of it."""
     rng = random.Random(p * 10 + ell)
     out = []
-    for rec in enumerate_types(p, ell):
-        out.append((rec, rec.walk_gram))
-        out.append((rec, change_basis(random_unimodular(rng), rec.walk_gram)))
+    for minima, gram in sorted(walk_grams(p, ell).items()):
+        out.append((minima, gram))
+        out.append((minima, change_basis(random_unimodular(rng), gram)))
     return out
 
 
 def assert_minimal_bases_match(p, ell):
-    for rec, gram in grams_of(p, ell):
+    for minima, gram in grams_of(p, ell):
         for tie_break in ("asc", "desc"):
             got = minimal_basis(gram, tie_break)
             assert got == minimal_basis_reference(gram, tie_break), (p, ell, gram)
-            assert got.minima == rec.minima
+            assert got.minima == minima
 
 
 def assert_primitive_norms_match(p, ell):
-    for rec, gram in grams_of(p, ell):
-        for bound in (3, 8, rec.minima[2], 2 * p):
+    for minima, gram in grams_of(p, ell):
+        for bound in (3, 8, minima[2], 2 * p):
             assert primitive_norms(gram, bound) == primitive_norms_reference(
                 gram, bound
             ), (p, ell, gram, bound)
@@ -94,7 +93,7 @@ def test_primitive_norms_match_the_vector_list_to_500(ell):
 
 
 def assert_primitive_norms_match_per_leaf(p, ell):
-    for rec, gram in grams_of(p, ell):
+    for _, gram in grams_of(p, ell):
         for bound in (3, 8, 2 * p):
             assert primitive_norms(gram, bound) == primitive_norms_per_leaf(
                 gram, bound
@@ -115,18 +114,18 @@ def assert_desc_bases_from_the_vector_lists_match(primes):
     type's vector list as verify reads it, passed every comparison."""
     spine = 0
     for p in primes:
-        for rec in enumerate_types(p, default_ell(p)):
+        for rec, walk_gram in with_walk_grams(p):
             g = rec.gram
             vecs = reduced_vectors(g, max(rec.minima[2], 8), reduced=True)
             bf = greedy_minima(vecs)
             for tie_break in ("asc", "desc"):
                 got = minimal_basis_from_vectors(g, vecs, bf, tie_break)
-                assert got == lattice._minimal_basis(g, EYE, g, tie_break), (
+                assert got == minimal_basis(g, tie_break, reduced=(EYE, g)), (
                     p, rec.minima, tie_break,
                 )
             if p != 3 and field_of_definition(p, rec.minima[2]):
                 desc = got.gram
-                assert desc == g == minimal_basis(rec.walk_gram, "desc").gram, (
+                assert desc == g == minimal_basis(walk_gram, "desc").gram, (
                     p, rec.minima,
                 )
                 spine += 1

@@ -12,7 +12,7 @@ from grosslat.lattice import (
     LatticeError,
     MinimaTriple,
     attaining_rank2_sublattices,
-    basis_pair_rank2_sublattices,
+    basis_pair_sublattice_count,
     det3,
     gram_inner,
     greedy_minima,
@@ -41,11 +41,11 @@ from greedy_reference import greedy_reduce_reference, greedy_reduce_until_idle
 from kneser_reference import adj3, kneser_neighbours_reference
 from quat_elements import element, lattice_basis_elements, one
 from test_walk_reference import basis_elements, order_walk, walk_half_forms
-from walks import types_of, walk
+from walks import types_of, walk, walk_grams, with_walk_grams
 
 
 def gram_of(p, index=0):
-    return types_of(p)[index].walk_gram
+    return with_walk_grams(p)[index][1]
 
 
 def brute_short_vectors(gram, bound):
@@ -138,8 +138,7 @@ def test_short_vectors_against_box_oracle():
         g = gram_of(p, idx)
         assert short_vectors(g, 2 * p) == brute_short_vectors(g, 2 * p)
     for p in (2, 3, 5, 7, 11, 13):
-        for rec in types_of(p):
-            g = rec.walk_gram
+        for rec, g in with_walk_grams(p):
             d1, _, d3 = rec.minima
             for bound in (d1 - 1, d1, d3):
                 assert short_vectors(g, bound) == brute_short_vectors(g, bound)
@@ -208,8 +207,8 @@ def reference_enumerate(g, bound):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 11, 101, 1009])
 def test_enumerator_matches_the_fraction_reference(p):
-    for rec in types_of(p):
-        _, g = greedy_reduce(rec.walk_gram)
+    for rec, walk_gram in with_walk_grams(p):
+        _, g = greedy_reduce(walk_gram)
         d1, _, d3 = rec.minima
         for bound in (0, d1 - 1, d1, d3, 2 * p):
             assert lattice._enumerate_reduced(g, bound) == reference_enumerate(
@@ -272,8 +271,8 @@ def test_reduced_vectors_agree_with_short_vectors_on_random_grams():
 
 @pytest.mark.parametrize("p", [2, 3, 11, 101, 1009])
 def test_reduced_vectors_agree_with_short_vectors_on_type_grams(p):
-    for rec in types_of(p):
-        for gram in (rec.gram, rec.walk_gram):
+    for rec, walk_gram in with_walk_grams(p):
+        for gram in (rec.gram, walk_gram):
             assert_reduced_vectors_agree(p, gram, max(2 * p, 8))
 
 
@@ -338,6 +337,7 @@ def test_rank2_sublattices():
     assert len(subs) == 1
     mb11 = minimal_basis(g11)
     assert subs[0] == hnf([mb11.coords[0], mb11.coords[1]])
+    assert basis_pair_sublattice_count(mb11.gram) == 1
     # spine, j generic (p = 13): unique, det 52
     g13 = gram_of(13)
     assert len(attaining_rank2_sublattices(short_vectors(g13, 15))) == 1
@@ -348,9 +348,47 @@ def test_rank2_sublattices():
     g5 = gram_of(5)
     mb5 = minimal_basis(g5)
     pairs = basis_pair_rank2_sublattices(mb5.gram, mb5.coords)
-    assert len(pairs) == 2
+    assert len(pairs) == 2 == basis_pair_sublattice_count(mb5.gram)
     assert rank2_det(mb5.gram, 0, 1) == rank2_det(mb5.gram, 0, 2) == 20
     assert len(attaining_rank2_sublattices(short_vectors(g5, 7))) == 3
+
+
+def basis_pair_rank2_sublattices(gram, coords):
+    """Distinct HNFs of <b_i, b_j> over basis pairs attaining (D1, D2).
+
+    `gram` and `coords` are a minimal basis's Gram matrix and rows, so the
+    Gram diagonal holds the minima.  The reference for
+    `lattice.basis_pair_sublattice_count`, which reads the count off the
+    diagonal where this spans each pair's sublattice.
+    """
+    d1, d2 = gram[0][0], gram[1][1]
+    return sorted(
+        {
+            hnf([coords[i], coords[j]])
+            for i in range(3)
+            for j in range(3)
+            if i != j and gram[i][i] == d1 and gram[j][j] == d2
+        }
+    )
+
+
+def test_basis_pair_count_matches_the_hnf_count_to_300():
+    # the diagonal count that rank2-sublattice-two-for-j0 reads against the
+    # HNFs over the coordinates of the walk Gram's minimal basis, at every
+    # j = 0 type (p != 2, as the rule) of every p <= 300: two each
+    j0 = 0
+    for p in primes_between(3, 300):
+        for rec, walk_gram in with_walk_grams(p):
+            if special_j(p, primitive_norms(rec.gram, 4)) not in ("j0", "both"):
+                continue
+            mb = minimal_basis(walk_gram)
+            assert mb.gram == rec.gram
+            pairs = basis_pair_rank2_sublattices(mb.gram, mb.coords)
+            assert basis_pair_sublattice_count(rec.gram) == len(pairs) == 2, (
+                p, rec.minima,
+            )
+            j0 += 1
+    assert j0 == sum(1 for p in primes_between(3, 300) if p % 3 == 2 or p == 3)
 
 
 def test_rank2_sublattices_need_the_third_minimum():
@@ -406,17 +444,17 @@ def test_greedy_reduction_is_unimodular_and_attains_minima():
 
 def test_minima_match_short_vector_greedy():
     for p in (2, 3, 5, 7, 11, 13, 31, 37, 43):
-        for rec in types_of(p):
-            mb = minimal_basis(rec.walk_gram)
-            vecs = short_vectors(rec.walk_gram, mb.minima.d3)
+        for _, walk_gram in with_walk_grams(p):
+            mb = minimal_basis(walk_gram)
+            vecs = short_vectors(walk_gram, mb.minima.d3)
             got = greedy_minima(vecs)
             assert (got[0], got[1], got[2]) == tuple(mb.minima)
 
 
 def test_minimal_basis_coords_are_index_one():
     for p in (11, 13, 37):
-        for rec in walk(p, 2):
-            assert abs(det3(rec.basis)) == 1
+        for walk_gram in walk_grams(p, 2).values():
+            assert abs(det3(minimal_basis(walk_gram).coords)) == 1
 
 
 EYE = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -489,7 +527,7 @@ def random_positive_grams(rng, count, spread):
     return out
 
 
-def walk_grams(p):
+def visited_grams(p):
     """Every Gram greedy_reduce sees on the ell = 2 and ell = 3 walks at p:
     each type's walk and normalized Gram and the Gross Grams of its
     ell-neighbours."""
@@ -497,8 +535,8 @@ def walk_grams(p):
     for ell in (2, 3):
         if ell == p:
             continue
-        for rec in walk(p, ell):
-            out += [rec.walk_gram, rec.gram]
+        for rec, walk_gram in with_walk_grams(p, ell):
+            out += [walk_gram, rec.gram]
             out += [adj3(m) for m in kneser_neighbours(half_form(rec.gram, p), ell)]
     return out
 
@@ -514,7 +552,7 @@ def test_greedy_reduce_matches_the_list_reference():
         if p != q and legendre(p, q) == -1
     ]
     for p in (2, 3, 11, 101, 1009):
-        grams += walk_grams(p)
+        grams += visited_grams(p)
     assert len(grams) > 3900
     for gram in grams:
         assert greedy_reduce(gram) == greedy_reduce_reference(gram), gram
@@ -531,9 +569,9 @@ def test_greedy_reduce_matches_the_loop_that_ran_until_idle():
     grams = random_positive_grams(rng, 16000, 6)
     grams += random_positive_grams(rng, 4000, 200)
     for p in primes_between(2, 300):
-        grams += walk_grams(p)
+        grams += visited_grams(p)
     assert len(grams) > 25000
-    near_10007 = walk_grams(10007) + walk_grams(10039)
+    near_10007 = visited_grams(10007) + visited_grams(10039)
     assert len(near_10007) == (456 + 453) * (5 + 6)
     grams += near_10007
     # Grams whose reduction takes the c >= b exit, and Grams with a step
@@ -640,7 +678,7 @@ def test_minimal_basis_norms_must_equal_the_minima(monkeypatch):
     pools = {3: [(1, 0, 0)], 4: [(0, 0, 1), (0, 1, 0)]}
     monkeypatch.setattr(lattice, "_norm_pools", lambda u, g: pools)
     with pytest.raises(LatticeError, match="differ from the minima"):
-        lattice._minimal_basis(diagonal(3, 4, 5), EYE, diagonal(3, 4, 4))
+        minimal_basis(diagonal(3, 4, 5), reduced=(EYE, diagonal(3, 4, 4)))
 
 
 def test_minimal_basis_checks_each_row_against_the_greedy_diagonal(monkeypatch):
@@ -654,7 +692,7 @@ def test_minimal_basis_checks_each_row_against_the_greedy_diagonal(monkeypatch):
     ):
         assert minima_triple(gram) == minima
         with pytest.raises(LatticeError, match=r"greedy diagonal \(4, 4, 5\).*" + row):
-            lattice._minimal_basis(gram, EYE, gram)
+            minimal_basis(gram, reduced=(EYE, gram))
         # a greedy_reduce that hands back its input unreduced is caught too
         with monkeypatch.context() as m:
             m.setattr(lattice, "greedy_reduce", lambda g: (EYE, g))
@@ -750,8 +788,8 @@ def test_adj3_is_the_adjugate():
 
 @pytest.mark.parametrize("p", [2, 11, 101, 1009])
 def test_half_form_inverts_to_the_gross_gram(p):
-    for rec in types_of(p):
-        for gram in (rec.walk_gram, rec.gram):
+    for rec, walk_gram in with_walk_grams(p):
+        for gram in (walk_gram, rec.gram):
             m = half_form(gram, p)
             assert adj3(m) == gram
             assert det3(m) == 2 * p and m == tuple(zip(*m))

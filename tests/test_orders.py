@@ -1,3 +1,4 @@
+from dataclasses import fields
 from fractions import Fraction
 from itertools import permutations
 from math import isqrt
@@ -353,6 +354,15 @@ def test_enumerate_types_examples():
     # ell has no default
     with pytest.raises(TypeError):
         enumerate_types(31)
+
+
+def test_type_records_hold_the_minima_and_the_gram_alone():
+    # the walk keeps neither the Gram it reached a type with nor the basis
+    # coordinates in it; tests take walk Grams from tests/walks.py
+    assert [f.name for f in fields(orders.TypeRecord)] == ["minima", "gram"]
+    assert enumerate_types(11, 2)[1] == orders.TypeRecord(
+        (4, 11, 12), ((4, 0, 2), (0, 11, 0), (2, 0, 12))
+    )
 
 
 def test_enumerate_types_checks_the_greedy_key_of_each_new_type(monkeypatch):

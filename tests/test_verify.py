@@ -13,7 +13,7 @@ import grosslat.verify as verify
 from grosslat.classify import field_of_definition
 from grosslat.exact import is_prime, primes_between
 from grosslat.orders import default_ell, enumerate_types
-from walks import types_of
+from walks import types_of, walk_grams
 
 
 @pytest.mark.parametrize("p", [11, 101])
@@ -94,7 +94,7 @@ def test_verify_reads_primitive_norms_off_the_vector_list(monkeypatch):
         return real(p, norms, minima, gram)
 
     monkeypatch.setattr(classify, "classify_type", recorded)
-    report = verify.run_verify(2, 300, oracle_cap=0)
+    report = verify.run_verify(2, 300)
     assert not report.failures
     assert len(seen) == 534
     for p, gram, norms in seen:
@@ -145,7 +145,7 @@ def test_verify_leaves_no_walk_alive(monkeypatch):
         return types
 
     monkeypatch.setattr(verify, "enumerate_types", tracked)
-    report = verify.run_verify(2, 300, oracle_cap=0)
+    report = verify.run_verify(2, 300)
     assert not report.failures
     del report
     gc.collect()
@@ -301,7 +301,7 @@ def type_of(p, minima):
 def desc_basis_of_the_other_type(monkeypatch):
     # tiebreak-unique of the type (4, 11, 12) at p = 11 gets the desc basis
     # of the type (3, 15, 15) instead of its own
-    other = lattice.minimal_basis(type_of(11, (3, 15, 15)).walk_gram, "desc")
+    other = lattice.minimal_basis(walk_grams(11, 2)[(3, 15, 15)], "desc")
     real = verify.minimal_basis_from_vectors
 
     def swapped(gram, vecs, minima, tie_break="asc"):
@@ -374,9 +374,10 @@ DETAIL_CASES = {
         ["tiebreak-unique"],
         {"desc": ((3, 1, 1), (1, 15, -7), (1, -7, 15))},
     ),
+    # D3 = 16 != D2 = 15, so one basis pair attains (D1, D2), not two
     "j0 basis": (
         11, (3, 15, 15),
-        lambda rec: replace(rec, basis=rec.basis[:2] + rec.basis[1:2]),
+        lambda rec: replace(rec, gram=((3, 1, 1), (1, 15, -7), (1, -7, 16))),
         None, ["rank2-sublattice-two-for-j0"], {"pairs": 1},
     ),
     "two j = 1728 types": (

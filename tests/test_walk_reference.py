@@ -30,6 +30,12 @@ expands a type with `lattice.gross_neighbours`, one step;
 identical lists on each type's walk and normalized Gram at ell = 2 and 3
 for every prime p <= 300 and at ell = 2 at p = 10007.
 
+A type record keeps its minima and normalized Gram alone; `walk_grams` in
+`tests/walks.py` repeats the walk's search and keeps the Gram it first
+reached each type with.  Tier-1 requires `minimal_basis` of that Gram to
+give each record's (minima, Gram), at ell = 2 and 3 for every prime
+p <= 300, so the test-side search cannot drift from the walk.
+
 `cm.locate_embedding_type` builds the type embedding -d, for the odd prime
 CM rows d = 3, 7, 11, 19, 43, 67, 163, from Pizer's order of (-d, -p)
 instead of keeping the one type of the walk whose Gram has a primitive
@@ -41,9 +47,9 @@ standard maximal order in closed form; `order_walk` starts from the order
 itself.  `tests/test_orders.py` compares the two seeds at every p <= 500.
 
 The gate over every prime up to 2000 at ell = 2 and 3, for the walk, its
-key, its seed and its neighbour construction, and over every inert prime of
-each odd prime CM row up to its `default_p_max` (6887 for d = 163), is
-opt-in:
+records, its key, its seed and its neighbour construction, and over every
+inert prime of each odd prime CM row up to its `default_p_max` (6887 for
+d = 163), is opt-in:
 
     GROSSLAT_WALK_REFERENCE=1 pytest tests/test_walk_reference.py -m walk_reference
 """
@@ -82,7 +88,7 @@ from kneser_reference import (
     kneser_neighbours_reference,
 )
 from quat_elements import conj4, is_ring, mul4, nrd4, vector_element
-from walks import walk
+from walks import walk, walk_grams
 
 
 # -- the order walk: left ideals of norm ell and their right orders -----------
@@ -233,7 +239,7 @@ def test_gram_neighbours_match_the_right_orders_per_type(ell):
 
 def assert_greedy_key_is_the_minima(p, ell):
     for rec in walk(p, ell):
-        visited = [rec.walk_gram] + [
+        visited = [walk_grams(p, ell)[rec.minima]] + [
             adj3(m) for m in kneser_neighbours(half_form(rec.gram, p), ell)
         ]
         for gram in visited:
@@ -284,7 +290,7 @@ def assert_gross_neighbours_match_the_composed_steps(primes, ells=(2, 3)):
             if ell == p:
                 continue
             for rec in walk(p, ell):
-                for gram in (rec.walk_gram, rec.gram):
+                for gram in (walk_grams(p, ell)[rec.minima], rec.gram):
                     assert half_form(gram, p) == half_form_reference(gram, p)
                     assert gross_neighbours(gram, p, ell) == (
                         gross_neighbours_reference(gram, p, ell)
@@ -299,16 +305,20 @@ def test_gross_neighbours_match_the_composed_steps_at_10007():
     assert_gross_neighbours_match_the_composed_steps([10007], (2,))
 
 
+def assert_records_reduce_from_their_walk_grams(p, ell):
+    grams = walk_grams(p, ell)
+    types = walk(p, ell)
+    assert sorted(grams) == [rec.minima for rec in types], (p, ell)
+    for rec in types:
+        mb = minimal_basis(grams[rec.minima])
+        assert (mb.minima, mb.gram) == (rec.minima, rec.gram), (p, ell)
+
+
 def test_gram_walk_records_reduce_from_their_walk_gram():
-    for p in (2, 11, 101):
+    for p in primes_between(2, 300):
         for ell in (2, 3):
-            if ell == p:
-                continue
-            for rec in walk(p, ell):
-                mb = minimal_basis(rec.walk_gram)
-                assert (mb.minima, mb.gram, mb.coords) == (
-                    rec.minima, rec.gram, rec.basis
-                )
+            if ell != p:
+                assert_records_reduce_from_their_walk_grams(p, ell)
 
 
 def test_enumerated_orders_satisfy_order_axioms():
@@ -371,6 +381,14 @@ def test_gram_walk_matches_the_order_walk_up_to_2000():
         for ell in (2, 3):
             if ell != p:
                 assert_walks_agree(p, ell)
+
+
+@pytest.mark.walk_reference
+def test_gram_walk_records_reduce_from_their_walk_grams_up_to_2000():
+    for p in primes_between(2, 2000):
+        for ell in (2, 3):
+            if ell != p:
+                assert_records_reduce_from_their_walk_grams(p, ell)
 
 
 @pytest.mark.walk_reference
