@@ -132,10 +132,10 @@ def cmd_types(args) -> int:
     if ell == p or not is_prime(ell):
         print(f"error: ell = {ell} must be a prime different from p", file=sys.stderr)
         return 2
-    if args.disc_bound < 0:
-        print(f"error: disc-bound = {args.disc_bound} is negative", file=sys.stderr)
+    disc_bound = 2 * p if args.disc_bound is None else args.disc_bound
+    if disc_bound < 0:
+        print(f"error: disc-bound = {disc_bound} is negative", file=sys.stderr)
         return 2
-    disc_bound = args.disc_bound if args.disc_bound else max(3, 2 * p)
     payload = _type_payload(p, ell, disc_bound)
     if args.csv:
         sys.stdout.write(_types_csv(payload))
@@ -285,7 +285,7 @@ def _add_types(sub):
     t.add_argument("--p", type=int, required=True)
     t.add_argument("--ell", type=int,
                    help="neighbor prime (default 2; 3 when p = 2)")
-    t.add_argument("--disc-bound", type=int, default=0,
+    t.add_argument("--disc-bound", type=int,
                    help="embedded discriminant bound (default 2p)")
     fmt = t.add_mutually_exclusive_group()
     fmt.add_argument("--csv", action="store_true")

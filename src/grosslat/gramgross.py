@@ -1,9 +1,10 @@
 """All candidate normalized Gram matrices for a spine type with given D1.
 
-Searches (x, D2) pairs with D1*D2 - x^2 = 4p, (y, D3) pairs with
-D1*D3 - y^2 = 4np over the exact n-window, then solves the determinant
-quadratic for z and keeps integer roots passing the size and 4p-divisibility
-checks.  D1 = 3 short-circuits to the closed j = 0 forms.
+Reads (x, D2) pairs with D1*D2 - x^2 = 4p and (y, D3) pairs with
+D1*D3 - y^2 = 4np, n over the exact window, off one table of the square
+roots mod D1 in [0, D1/2], then solves the determinant quadratic for z and
+keeps integer roots passing the size and 4p-divisibility checks.  D1 = 3
+short-circuits to the closed j = 0 forms.
 """
 
 from __future__ import annotations
@@ -36,12 +37,19 @@ def _candidate(d1, x, d2, y, d3, z, p):
     return GramCandidate(gram, x, d2, y, d3, n, z)
 
 
+def _square_roots(d1: int):
+    """{r: the t in [0, D1/2] with t^2 = r mod D1}, every square r mod D1."""
+    roots = {}
+    for t in range(d1 // 2 + 1):
+        roots.setdefault(t * t % d1, []).append(t)
+    return roots
+
+
 def quadratic_residue_precheck(p: int, d1: int) -> bool:
     """True iff -4p is a square mod D1; False forces an empty search."""
     if d1 < 4:
         raise PreconditionError("precheck needs D1 >= 4")
-    target = (-4 * p) % d1
-    return any((t * t) % d1 == target for t in range(d1))
+    return -4 * p % d1 in _square_roots(d1)
 
 
 def gram_gross(p: int, d1: int):
@@ -69,34 +77,21 @@ def gram_gross(p: int, d1: int):
             return [_candidate(3, 1, d2, 1, d2, z, p)]
         return []   # p = 1 mod 3: no curve with j = 0, hence no matrix
 
-    half = d1 // 2
-    pairs_x = []
-    for x in range(half + 1):
-        num = 4 * p + x * x
-        if num % d1:
-            continue
-        d2 = num // d1
-        if d2 >= d1 and d2 % 4 in (0, 3):
-            pairs_x.append((x, d2))
+    roots = _square_roots(d1)
+
+    def pairs(m):
+        # the (t, D) with D1*D - t^2 = m, D >= D1 and D = 0 or 3 mod 4
+        tds = [(t, (m + t * t) // d1) for t in roots.get(-m % d1, ())]
+        return [(t, d) for t, d in tds if d >= d1 and d % 4 in (0, 3)]
+
+    pairs_x = pairs(4 * p)
     if not pairs_x:
         return []
 
     a = ceil_div(4 * p * d1 - d1 * d1, 16 * p)
     b = (32 * p * d1 + 49 * d1) // (112 * p)
-    pairs_y = []
-    for n in range(a, b + 1):
-        for y in range(half + 1):
-            num = 4 * n * p + y * y
-            if num % d1:
-                continue
-            d3 = num // d1
-            if d3 >= d1 and d3 % 4 in (0, 3):
-                pairs_y.append((y, d3))
-    if not pairs_y:
-        return []
-
+    pairs_y = [pair for n in range(a, b + 1) for pair in pairs(4 * n * p)]
     found = {}
-    four_p = 4 * p
     for x, d2 in pairs_x:
         for y, d3 in pairs_y:
             if d2 > d3:
@@ -112,9 +107,7 @@ def gram_gross(p: int, d1: int):
                 if root % (2 * d1):
                     continue
                 z = root // (2 * d1)
-                if 2 * abs(z) > d2:
-                    continue
-                if (d2 * d3 - z * z) % four_p:
+                if 2 * abs(z) > d2 or (d2 * d3 - z * z) % (4 * p):
                     continue
                 cand = _candidate(d1, x, d2, y, d3, z, p)
                 found[cand.gram] = cand

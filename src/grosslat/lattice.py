@@ -373,12 +373,10 @@ class MinimaTriple(tuple):
         return self[2]
 
 
-def _independent2(v, w) -> bool:
-    return (
-        v[0] * w[1] - v[1] * w[0] != 0
-        or v[0] * w[2] - v[2] * w[0] != 0
-        or v[1] * w[2] - v[2] * w[1] != 0
-    )
+def _cross(v, w):
+    """v x w: zero exactly when v, w are dependent, else normal to their plane."""
+    (v0, v1, v2), (w0, w1, w2) = v, w
+    return v1 * w2 - v2 * w1, v2 * w0 - v0 * w2, v0 * w1 - v1 * w0
 
 
 def greedy_minima(vecs):
@@ -391,15 +389,14 @@ def greedy_minima(vecs):
     d1, v1 = vecs[0]
     v2 = d2 = None
     for n, v in vecs:
-        if _independent2(v1, v):
+        if any(_cross(v1, v)):
             v2, d2 = v, n
             break
     if v2 is None:
         return None
     # v lies off the plane of v1, v2 exactly when det(v1, v2, v) = v . c,
     # for their cross product c, is nonzero
-    (p0, p1, p2), (q0, q1, q2) = v1, v2
-    c0, c1, c2 = p1 * q2 - p2 * q1, p2 * q0 - p0 * q2, p0 * q1 - p1 * q0
+    c0, c1, c2 = _cross(v1, v2)
     for n, (w0, w1, w2) in vecs:
         if c0 * w0 + c1 * w1 + c2 * w2:
             return d1, d2, n, v1, v2
@@ -803,13 +800,18 @@ def rank2_det(gram, i1: int, i2: int) -> int:
 
 
 def attaining_rank2_sublattices(vecs):
-    """Distinct HNFs of <v, w> over all pairs attaining the first two minima.
+    """Distinct sublattices <v, w> over all pairs attaining the first two
+    minima, each as its sign-normalized cross product v x w; sorted.
 
     `vecs` is a `short_vectors` or `reduced_vectors` list reaching at least
     the third minimum, so `greedy_minima` reads (D1, D2) from it; a shorter
-    list raises LatticeError.  Two pairs span the same sublattice exactly
-    when their HNFs agree; a unimodular change of the basis behind `vecs`
-    changes the HNFs but not their number.  Sorted for determinism.
+    list raises LatticeError.  Equal planes give equal sublattices, so no
+    HNF is needed: the lattice M of all points of the plane of such a pair
+    lies in the whole lattice, so its two minima are at least D1 and D2 and
+    v, w attain them, and in dimension 2 such vectors form a basis: <v, w>
+    = M.  Two pairs in one plane are bases of one M, so their cross
+    products agree up to sign.  A unimodular change of the basis behind
+    `vecs` moves the cross products but not their number.
     """
     minima = greedy_minima(vecs)
     if minima is None:
@@ -817,9 +819,8 @@ def attaining_rank2_sublattices(vecs):
     d1, d2 = minima[:2]
     firsts = [v for n, v in vecs if n == d1]
     seconds = [v for n, v in vecs if n == d2]
-    return sorted(
-        {hnf([v, w]) for v in firsts for w in seconds if _independent2(v, w)}
-    )
+    crosses = [_cross(v, w) for v in firsts for w in seconds]
+    return sorted({_canon_sign(c) for c in crosses if any(c)})
 
 
 def basis_pair_sublattice_count(gram) -> int:

@@ -32,7 +32,8 @@ SELECTED = {
     "verify_large": (
         "verify_prime with every rule live, the two oracle count rules "
         "included, at the least primes above 10^5, 2 * 10^5, 5 * 10^5 and "
-        "10^6; run with -m verify_large"
+        "10^6, and gram_gross over every D1 against the scanning reference "
+        "at 100003, 1000003 and 4000037; run with -m verify_large"
     ),
 }
 

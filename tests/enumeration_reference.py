@@ -20,7 +20,7 @@ from grosslat.lattice import (
     MinimaTriple,
     MinimalBasis,
     _check_positive_definite,
-    _independent2,
+    _cross,
     _interval,
     _rows,
     det3,
@@ -50,7 +50,7 @@ def minimal_basis_reference(gram, tie_break="asc"):
             (b1, b2, b3)
             for b1 in pools[0]
             for b2 in pools[1]
-            if _independent2(b1, b2)
+            if any(_cross(b1, b2))
             for b3 in pools[2]
             if abs(det3((b1, b2, b3))) == 1
         ),

@@ -46,6 +46,19 @@ def test_types_rejects_negative_disc_bound(capsys):
     assert "disc-bound" in err
 
 
+def test_types_disc_bound_zero_embeds_nothing(capsys):
+    # 0 is a bound, not the default 2p; special_j still reads norms to 4
+    code, out, _ = run(capsys, "types", "--p", "11", "--disc-bound", "0")
+    assert code == 0
+    types = json.loads(out)["types"]
+    assert [t["embedded_discriminants"] for t in types] == [[], []]
+    assert [t["special_j"] for t in types] == ["j0", "j1728"]
+    _, out, _ = run(capsys, "types", "--p", "11")
+    assert [t["embedded_discriminants"] for t in json.loads(out)["types"]] == [
+        [3, 15, 16, 20], [4, 11, 12, 15, 20],
+    ]
+
+
 def test_types_output_is_byte_stable(capsys):
     _, first, _ = run(capsys, "types", "--p", "37")
     _, second, _ = run(capsys, "types", "--p", "37")

@@ -78,8 +78,9 @@ def test_hnf_matches_the_list_and_min_pivot_search_on_random_rows():
 
 def test_hnf_matches_the_list_and_min_pivot_search_on_the_walks(monkeypatch):
     # every row set `lattice` hands to `hnf` in `verify 2..300` and in the
-    # ell = 2 walk at 10007, each run with the neighbour-HNF memo empty;
-    # rank2-sublattice-two-for-j0 reads the Gram diagonal and spans no HNF
+    # ell = 2 walk at 10007, each run with the neighbour-HNF memo empty.
+    # Each is a miss of that memo: the rank-2 rules count planes and read
+    # the Gram diagonal, and span no HNF
     seen = []
 
     def recorded(rows):
@@ -94,9 +95,10 @@ def test_hnf_matches_the_list_and_min_pivot_search_on_the_walks(monkeypatch):
     empty_memo()
     assert run_verify(2, 300).ok
     sweep = len(seen)
+    assert lattice._neighbour_hnf.cache_info().misses == sweep
     empty_memo()
     enumerate_types(10007, 2)
-    assert (sweep, len(seen) - sweep) == (503, 42)
+    assert (sweep, len(seen) - sweep) == (192, 42)
     for rows in seen:
         assert hnf(rows) == hnf_reference(rows), rows
 

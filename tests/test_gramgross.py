@@ -1,3 +1,5 @@
+from math import isqrt
+
 import pytest
 
 from grosslat.exact import primes_between
@@ -7,6 +9,7 @@ from grosslat.gramgross import (
     gram_gross,
     quadratic_residue_precheck,
 )
+from gramgross_reference import gram_gross_reference
 
 
 def grams(p, d1):
@@ -55,6 +58,14 @@ def test_precheck_examples():
         quadratic_residue_precheck(31, 3)
 
 
+def test_precheck_matches_a_scan_of_every_residue():
+    # the table holds the t <= D1/2 only; t and D1 - t have one square
+    for p in primes_between(2, 200):
+        for d1 in range(4, 60):
+            scan = any(t * t % d1 == -4 * p % d1 for t in range(d1))
+            assert quadratic_residue_precheck(p, d1) == scan, (p, d1)
+
+
 def test_precheck_false_forces_empty():
     for p in primes_between(5, 80):
         for d1 in range(4, 20):
@@ -71,3 +82,29 @@ def test_all_candidates_sound():
                 continue
             for cand in gram_gross(p, d1):
                 assert candidate_invariant_violations(cand, p) == []
+
+
+def spine_d1s(p):
+    """Every D1 = 0 or 3 mod 4 with 3*D1^2 <= 16p."""
+    return [d1 for d1 in range(3, isqrt(16 * p // 3) + 1) if d1 % 4 in (0, 3)]
+
+
+def test_square_root_table_matches_the_scan_to_2000():
+    # the same candidates in the same order as the scan over every y <= D1/2
+    # for each n, at every D1 of every prime p <= 2000
+    calls = 0
+    for p in primes_between(2, 2000):
+        for d1 in spine_d1s(p):
+            assert gram_gross(p, d1) == gram_gross_reference(p, d1), (p, d1)
+            calls += 1
+    assert calls == 9581
+
+
+@pytest.mark.verify_large
+@pytest.mark.parametrize(
+    "p, count", [(100003, 78), (1000003, 210), (4000037, 1035)]
+)
+def test_square_root_table_matches_the_scan_at_large_primes(p, count):
+    got = [c for d1 in spine_d1s(p) for c in gram_gross(p, d1)]
+    assert got == [c for d1 in spine_d1s(p) for c in gram_gross_reference(p, d1)]
+    assert len(got) == count

@@ -40,6 +40,7 @@ from enumeration_reference import embedded_discriminants, minima_pass
 from greedy_reference import greedy_reduce_reference, greedy_reduce_until_idle
 from kneser_reference import adj3, kneser_neighbours_reference
 from quat_elements import element, lattice_basis_elements, one
+from rank2_reference import hnf_rank2_sublattices
 from test_walk_reference import basis_elements, order_walk, walk_half_forms
 from walks import types_of, walk, walk_grams, with_walk_grams
 
@@ -333,10 +334,12 @@ def test_rank2_det_examples():
 def test_rank2_sublattices():
     # spine, j = 1728: unique across every attaining pair
     g11 = gram_of(11, 1)
-    subs = attaining_rank2_sublattices(short_vectors(g11, 12))
-    assert len(subs) == 1
+    vecs11 = short_vectors(g11, 12)
+    subs = attaining_rank2_sublattices(vecs11)
     mb11 = minimal_basis(g11)
-    assert subs[0] == hnf([mb11.coords[0], mb11.coords[1]])
+    b1, b2 = mb11.coords[:2]
+    assert subs == [plane(b1, b2)]
+    assert hnf_rank2_sublattices(vecs11) == [hnf([b1, b2])]
     assert basis_pair_sublattice_count(mb11.gram) == 1
     # spine, j generic (p = 13): unique, det 52
     g13 = gram_of(13)
@@ -351,6 +354,43 @@ def test_rank2_sublattices():
     assert len(pairs) == 2 == basis_pair_sublattice_count(mb5.gram)
     assert rank2_det(mb5.gram, 0, 1) == rank2_det(mb5.gram, 0, 2) == 20
     assert len(attaining_rank2_sublattices(short_vectors(g5, 7))) == 3
+
+
+def plane(v, w):
+    """v x w with its first nonzero entry positive."""
+    c = (
+        v[1] * w[2] - v[2] * w[1],
+        v[2] * w[0] - v[0] * w[2],
+        v[0] * w[1] - v[1] * w[0],
+    )
+    return next((c if x > 0 else tuple(-y for y in c)) for x in c if x)
+
+
+def test_plane_count_matches_the_hnf_count_to_300():
+    # the planes rank2-sublattice-unique counts, on the list verify reads,
+    # against the HNFs of every attaining pair, at every type of p <= 300
+    checked = 0
+    for p in primes_between(2, 300):
+        for rec in types_of(p):
+            vecs = reduced_vectors(rec.gram, max(rec.minima[2], 8), reduced=True)
+            assert len(attaining_rank2_sublattices(vecs)) == len(
+                hnf_rank2_sublattices(vecs)
+            ), (p, rec.minima)
+            checked += 1
+    assert checked == 534
+
+
+# e1 of norm 4 and e2, e3 both of norm 11: the attaining pairs (e1, e2)
+# and (e1, e3) lie in two planes.  These are the vectors to 11 of the
+# orthogonal Gram diag(4, 11, 11)
+TWO_PLANES = [(4, (1, 0, 0)), (11, (0, 0, 1)), (11, (0, 1, 0))]
+TWO_PLANES_GRAM = ((4, 0, 0), (0, 11, 0), (0, 0, 11))
+
+
+def test_a_hand_built_list_with_two_attaining_planes_counts_two():
+    assert reduced_vectors(TWO_PLANES_GRAM, 11, reduced=True) == TWO_PLANES
+    assert attaining_rank2_sublattices(TWO_PLANES) == [(0, 0, 1), (0, 1, 0)]
+    assert len(hnf_rank2_sublattices(TWO_PLANES)) == 2
 
 
 def basis_pair_rank2_sublattices(gram, coords):

@@ -13,6 +13,7 @@ import grosslat.verify as verify
 from grosslat.classify import field_of_definition
 from grosslat.exact import is_prime, primes_between
 from grosslat.orders import default_ell, enumerate_types
+from test_lattice import TWO_PLANES_GRAM
 from walks import types_of, walk_grams
 
 
@@ -350,6 +351,13 @@ DETAIL_CASES = {
         11, (4, 11, 12), lambda rec: replace(rec, minima=(4, 11, 11)), None,
         ["brute-minima", "rank2-sublattice-unique", "tiebreak-unique"],
         {"subs": 0},
+    ),
+    # the j = 1728 spine type read as diag(4, 11, 11), whose vectors to
+    # D3 = 11 are TWO_PLANES
+    "two attaining planes": (
+        11, (4, 11, 12),
+        lambda rec: replace(rec, gram=TWO_PLANES_GRAM, minima=(4, 11, 11)),
+        None, ["rank2-sublattice-unique"], {"subs": 2},
     ),
     "large D1": (
         11, (4, 11, 12), lambda rec: replace(rec, minima=(8, 11, 12)),
