@@ -135,7 +135,9 @@ def supersingular_primes(row: CmRow, lo: int, hi: int):
 
 
 def _embeds(gram, d: int) -> bool:
-    return d in primitive_norms(gram, d)
+    """Whether d is a primitive norm of a walk record's normalized Gram,
+    which is reduced and positive definite, so it is not checked again."""
+    return d in primitive_norms(gram, d, reduced=True)
 
 
 def _no_unique_type(count: int, p: int, d: int) -> CmError:

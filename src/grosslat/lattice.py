@@ -18,6 +18,14 @@ of each neighbour's generators depends only on residues of its line mod ell
 and ell^2, so it is memoised on them, and each neighbour costs only its
 Gram H m H^T / ell^2.
 
+The old lattice L is the ell-neighbour of each neighbour L' along ell e_t,
+so the memo also keeps that reverse line in the basis of L'.
+`gross_neighbours` returns it with each neighbour, and skips the line a
+walk passes in, the one that leads back to the parent the walk came from.
+The walk expands a type from U G U^T, whose half form is
+U^-T half_form(G) U^-1, and `line_in_basis` carries the line there by
+y -> y U^T.
+
 Two questions need no vector list.  `primitive_norms` reads the norms of
 the primitive vectors, the optimally embedded discriminants of a type, off
 one enumeration pass with no per-vector tuple and no sort.  `minimal_basis`
@@ -664,16 +672,24 @@ _NEIGHBOUR_MEMO = 4096
 
 @lru_cache(maxsize=_NEIGHBOUR_MEMO)
 def _neighbour_hnf(w, t: int, cs, ell: int):
-    """HNF of ell L' in the basis of L, from the residue data of one line.
+    """HNF of ell L' in the basis of L, and the line back to L, from the
+    residue data of one line.
 
     `w` is the lifted line vector, `t` the coordinate where b = w m is a
     unit mod ell, and `cs` the pairs (i, b_i / b_t mod ell) for i != t.
     ell L' is spanned by w, ell^2 e_t and ell (e_i - c_i e_t); the rows
     ell^2 e_i = ell (ell e_i - ell c_i e_t) + c_i ell^2 e_t already lie in
     that span.  The rows depend on the key alone, and a lattice has one HNF.
-    ell L' has full rank and index ell^3 in L, so the HNF is upper
+    ell L' has full rank and index ell^3 in L, so the HNF H is upper
     triangular with positive pivots of product ell^3; `_neighbours` reads
     only that triangle.
+
+    L and L' share L_w = {x in L : B(x, w) = 0 mod ell}, and L = L_w +
+    Z e_t, since B(e_t, w) = b_t is a unit.  So L is the ell-neighbour of L'
+    along ell e_t, which lies in L_w.  In the basis H / ell of L', ell e_t
+    has the coordinates y = ell^2 e_t H^-1, solved down the triangle; y is
+    not 0 mod ell, because e_t is not in L'.  The second value is y's line
+    mod ell, as `_points` writes it.
     """
     rows = [w, tuple(ell * ell if j == t else 0 for j in range(3))]
     for i, c in cs:
@@ -681,7 +697,43 @@ def _neighbour_hnf(w, t: int, cs, ell: int):
         row[i] = ell
         row[t] = -ell * c
         rows.append(row)
-    return hnf(rows)
+    h = hnf(rows)
+    (h00, h01, h02), (_, h11, h12), (_, _, h22) = h
+    e0, e1, e2 = rows[1]  # ell^2 e_t
+    y0 = e0 // h00
+    y1 = (e1 - y0 * h01) // h11
+    return h, _line((y0, y1, (e2 - y0 * h02 - y1 * h12) // h22), ell)
+
+
+def _line(v, ell: int):
+    """v mod ell scaled so its first nonzero entry is 1, the form of the
+    vectors of `_points`; v is not 0 mod ell."""
+    v0, v1, v2 = v[0] % ell, v[1] % ell, v[2] % ell
+    unit = v0 or v1 or v2
+    if unit == 1:  # always, at ell = 2
+        return v0, v1, v2
+    if not unit:
+        raise LatticeError(f"{v} is 0 mod {ell}: no line")
+    inv = pow(unit, -1, ell)
+    return v0 * inv % ell, v1 * inv % ell, v2 * inv % ell
+
+
+def line_in_basis(y, u, ell: int):
+    """The line y of half_form(G) mod ell as a line of half_form(u G u^T),
+    for a unimodular u.
+
+    adj(u G u^T) = adj(u)^T adj(G) adj(u) and adj(u) = det(u) u^-1 with
+    det(u) = +/-1, so half_form(u G u^T) = u^-T half_form(G) u^-1: its basis
+    is u^-T times the old one, and the vector y has the coordinates y u^T
+    there.  The line comes back in the form `gross_neighbours` compares.
+    """
+    y0, y1, y2 = y
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = u
+    return _line((
+        y0 * a0 + y1 * a1 + y2 * a2,
+        y0 * b0 + y1 * b1 + y2 * b2,
+        y0 * c0 + y1 * c1 + y2 * c2,
+    ), ell)
 
 
 def kneser_neighbours(m, ell: int):
@@ -712,23 +764,34 @@ def kneser_neighbours(m, ell: int):
     return _neighbours(m, det3(m), ell, False)
 
 
-def gross_neighbours(gram, p: int, ell: int):
-    """Gross Grams of the ell-neighbours of the maximal order of B_p whose
-    Gross Gram is `gram`.
+def gross_neighbours(gram, p: int, ell: int, skip=None):
+    """(Gross Gram, reverse line) for each ell-neighbour of the maximal
+    order of B_p whose Gross Gram is `gram`, but the one along `skip`.
 
-    The list `[adj(n) for n in kneser_neighbours(half_form(gram, p), ell)]`,
-    with every check of `half_form` and of the neighbours, in one step:
-    the half form's even diagonal and det 2p are checked once, by
+    The Grams are `[adj(n) for n in kneser_neighbours(half_form(gram, p),
+    ell)]`, with every check of `half_form` and of the neighbours, in one
+    step: the half form's even diagonal and det 2p are checked once, by
     `half_form`, and each adjugate is read off the cofactors that the
-    neighbour's det check computes.  `ell` must be a prime; it is not
-    checked here, because `orders.enumerate_types` has checked it once.
+    neighbour's det check computes.  Since adj(adj(n)) = det(n) n = 2p n,
+    the half form of the neighbour's Gross Gram is n itself.
+
+    Each neighbour L' of the half-form lattice L comes with the line of L'
+    mod ell whose neighbour is L again (`_neighbour_hnf`), in the basis
+    behind n.  A walk that reached `gram` from a parent passes that line,
+    carried into the basis of `gram` by `line_in_basis`, as `skip`: the
+    neighbour along it is the parent, whose type the walk has seen, so its
+    Gram is neither computed nor returned.  LatticeError when ell is not a
+    prime, or when `skip` is not one of the ell + 1 isotropic lines.
     """
-    return _neighbours(half_form(gram, p), 2 * p, ell, True)
+    if not is_prime(ell):
+        raise LatticeError(f"ell = {ell} is not a prime")
+    return _neighbours(half_form(gram, p), 2 * p, ell, True, skip)
 
 
-def _neighbours(m, d: int, ell: int, adjugates: bool):
+def _neighbours(m, d: int, ell: int, adjugates: bool, skip=None):
     """`kneser_neighbours(m, ell)` for an even m of det d and a prime ell,
-    or the adjugates of the neighbours when `adjugates` is set."""
+    or, when `adjugates` is set, `gross_neighbours`' pairs of the
+    neighbours' adjugates and reverse lines, skipping the line `skip`."""
     if d // 2 % ell == 0:
         raise LatticeError(f"ell = {ell} divides det(m)/2 = {d // 2}")
     lines = _isotropic_lines(m, ell)
@@ -736,6 +799,11 @@ def _neighbours(m, d: int, ell: int, adjugates: bool):
         raise LatticeError(
             f"expected {ell + 1} isotropic lines mod {ell}, found {len(lines)}"
         )
+    if skip is not None:
+        kept = [line for line in lines if line[0] != skip]
+        if len(kept) == len(lines):
+            raise LatticeError(f"skip line {skip} is not an isotropic line")
+        lines = kept
     (m00, m01, m02), (_, m11, m12), (_, _, m22) = m
     ell2 = ell * ell
     out = []
@@ -753,9 +821,8 @@ def _neighbours(m, d: int, ell: int, adjugates: bool):
         inv = pow(bt, -1, ell)
         cs = ((i, bi * inv % ell), (j, bj * inv % ell))
         # ell L' has full rank, so its HNF H is upper triangular
-        (h00, h01, h02), (_, h11, h12), (_, _, h22) = _neighbour_hnf(
-            _lift(q, v, ell, t, inv), t, cs, ell
-        )
+        h, back = _neighbour_hnf(_lift(q, v, ell, t, inv), t, cs, ell)
+        (h00, h01, h02), (_, h11, h12), (_, _, h22) = h
         # the entries of H m that the upper triangle of H m H^T reads
         r00 = h00 * m00 + h01 * m01 + h02 * m02
         r01 = h00 * m01 + h01 * m11 + h02 * m12
@@ -782,11 +849,11 @@ def _neighbours(m, d: int, ell: int, adjugates: bool):
             raise LatticeError(f"ell-neighbour has det {nd}, expected {d}")
         if adjugates:
             k12 = n01 * n02 - n00 * n12
-            out.append((
+            out.append(((
                 (k00, -k01, k02),
                 (-k01, n00 * n22 - n02 * n02, k12),
                 (k02, k12, n00 * n11 - n01 * n01),
-            ))
+            ), back))
         else:
             out.append(((n00, n01, n02), (n01, n11, n12), (n02, n12, n22)))
     return out

@@ -25,6 +25,13 @@ the diagonal of the greedy-reduced Gram.  By
 Gross-Lucianovic every positive form of half-discriminant p is the form of a
 maximal order of B_p, so the checks on each neighbour Gram stand in for
 validating a maximal order.
+
+Every type but the seed is reached from a parent, and one of its ell + 1
+neighbours is that parent again: if L' = L_v + Z v/ell, then L is the
+ell-neighbour of L' along the line of ell e_t (Greenberg-Voight 2014, sec. 2).
+`gross_neighbours` hands each neighbour over with that reverse line, and the
+walk skips it when it expands the neighbour, so the parent's edge is known
+with no Gram and no reduction.
 """
 
 from __future__ import annotations
@@ -35,7 +42,8 @@ from math import isqrt
 
 from .exact import canonical_lattice, is_perfect_square, is_prime, legendre
 from .lattice import (
-    LatticeError, det3, greedy_reduce, gross_neighbours, minimal_basis,
+    LatticeError, det3, greedy_reduce, gross_neighbours, line_in_basis,
+    minimal_basis,
 )
 from .quat import QuaternionAlgebra, inner4
 
@@ -268,15 +276,24 @@ def enumerate_types(p: int, ell: int, keys_only: bool = False):
     standard maximal order, written down by `standard_gross_gram` with no
     order built.  The nodes are Gross Grams G, and the neighbours of G are
     the adjugates of the Kneser ell-neighbours of its half form adj(G) / 2p,
-    from `lattice.gross_neighbours`, which relies on the check of ell here.
-    A node is keyed by the diagonal of its greedy-reduced
-    Gram, which in dimension 3 is its successive minima triple (see
-    `lattice.greedy_reduce`), a complete type invariant, and is discarded
-    when that key was already seen.  Only a new key pays for a minimal
+    from `lattice.gross_neighbours`.  A node is keyed by the diagonal of its
+    greedy-reduced Gram, which in dimension 3 is its successive minima
+    triple (see `lattice.greedy_reduce`), a complete type invariant, and is
+    discarded when that key was already seen.  Only a new key pays for a minimal
     basis, from the key's own reduction (`minimal_basis` with `reduced`),
     which checks that its diagonal is the minima (LatticeError otherwise).
     The record keeps the key and that basis's Gram; the Gram the walk
     reached the type with and the basis coordinates are not kept.
+
+    A queued neighbour carries its reverse line, the line of its half form
+    whose neighbour is the Gram it was reached from (see the module
+    docstring).  A new key expands from U G U^T, not from G, with U the
+    minimal basis's coordinates or the greedy `u`; its half form is
+    U^-T adj(G) U^-1 / 2p, so the line y becomes y U^T there
+    (`lattice.line_in_basis`), and `gross_neighbours` skips it.  The skipped
+    neighbour has the parent's key, which is already seen, so the walk pops
+    the same new keys with the same Grams in the same order as without the
+    skip, and drops only the pops that would have been discarded.
 
     With `keys_only` the walk returns the sorted keys alone and builds no
     minimal basis: a new key's neighbours come from its greedy-reduced Gram,
@@ -291,11 +308,11 @@ def enumerate_types(p: int, ell: int, keys_only: bool = False):
         raise OrderError(f"{p} is not prime")
     if not is_prime(ell) or ell == p:
         raise OrderError("ell must be a prime different from p")
-    queue = deque([standard_gross_gram(p)])
+    queue = deque([(standard_gross_gram(p), None)])
     seen = set()
     records = []
     while queue:
-        walk_gram = queue.popleft()
+        walk_gram, back = queue.popleft()
         u, g = greedy_reduce(walk_gram)
         key = (g[0][0], g[1][1], g[2][2])
         if key in seen:
@@ -304,9 +321,11 @@ def enumerate_types(p: int, ell: int, keys_only: bool = False):
         if not keys_only:
             mb = minimal_basis(walk_gram, reduced=(u, g))
             records.append(TypeRecord(key, mb.gram))
-            g = mb.gram
+            u, g = mb.coords, mb.gram
+        if back is not None:
+            back = line_in_basis(back, u, ell)
         # from a reduced Gram, so entries do not grow along the walk
-        queue.extend(gross_neighbours(g, p, ell))
+        queue.extend(gross_neighbours(g, p, ell, back))
     if keys_only:
         return tuple(sorted(seen))
     records.sort(key=lambda r: r.minima)

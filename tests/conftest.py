@@ -18,7 +18,9 @@ OPT_IN = {
         "the full-enumeration minima, its closed-form seed against the "
         "standard order's Gross Gram, its Kneser neighbours against the "
         "seven-row HNF reference, gross_neighbours against the composed "
-        "half_form and kneser_neighbours route, and minimal_basis and "
+        "half_form and kneser_neighbours route, each skipped reverse line's "
+        "neighbour against the parent's key and the skipping walk against "
+        "the skip-free search, and minimal_basis and "
         "primitive_norms against the vector-list routes, at ell = 2 and 3 for "
         "every prime <= 2000, "
         "and the direct CM route against the walk up to each odd prime "

@@ -932,26 +932,32 @@ def test_neighbour_hnf_memo_stays_small():
 def test_neighbour_hnfs_are_upper_triangular(monkeypatch):
     # the Kneser step reads only the upper triangle of each memoised HNF:
     # every HNF the walks of every p <= 300 at ell = 2 and 3 and of 10007
-    # at ell = 2 fill is triangular, with positive pivots of product ell^3
+    # at ell = 2 fill is triangular, with positive pivots of product ell^3,
+    # and its reverse line is that of ell^2 e_t H^-1 = e_t adj(H) / ell
     filled = []
     real = lattice._neighbour_hnf.__wrapped__
 
     def recorded(w, t, cs, ell):
-        h = real(w, t, cs, ell)
-        filled.append((h, ell))
-        return h
+        h, y = real(w, t, cs, ell)
+        filled.append((h, y, t, ell))
+        return h, y
 
     monkeypatch.setattr(lattice, "_neighbour_hnf", lru_cache(maxsize=None)(recorded))
     forms = walk_half_forms(primes_between(2, 300)) + walk_half_forms([10007], (2,))
     for m, ell in forms:
         kneser_neighbours(m, ell)
     assert 100 <= len(filled) <= 300
-    for h, ell in filled:
+    for h, y, t, ell in filled:
         assert len(h) == 3
         (h00, _, _), (h10, h11, _), (h20, h21, h22) = h
         assert h10 == h20 == h21 == 0, h
         assert min(h00, h11, h22) > 0, h
         assert h00 * h11 * h22 == ell ** 3, h
+        assert y in lattice._points(ell), y
+        back, rem = zip(*(divmod(a, ell) for a in adj3(h)[t]))
+        assert rem == (0, 0, 0), h
+        k = next(a for a in back if a % ell)
+        assert all((k * c - a) % ell == 0 for c, a in zip(y, back)), (h, y)
 
 
 def test_kneser_neighbours_stay_in_the_genus_of_a_gross_lattice():
@@ -1000,15 +1006,12 @@ def test_kneser_neighbours_check_the_line_count(monkeypatch):
 
 
 def patch_neighbour_hnf(monkeypatch, h):
-    """Make every neighbour HNF `h`.
+    """Make every neighbour HNF `h`, with the reverse line (0, 0, 1).
 
-    The patched `hnf` runs under a fresh, empty copy of the memo, so an
-    entry cached by an earlier test cannot bypass it, and the module's memo
-    never holds `h`.
+    The memo itself is replaced, so an entry cached by an earlier test
+    cannot bypass the patch, and the module's memo never holds `h`.
     """
-    monkeypatch.setattr(lattice, "hnf", lambda rows: h)
-    fresh = lru_cache(maxsize=None)(lattice._neighbour_hnf.__wrapped__)
-    monkeypatch.setattr(lattice, "_neighbour_hnf", fresh)
+    monkeypatch.setattr(lattice, "_neighbour_hnf", lambda w, t, cs, ell: (h, (0, 0, 1)))
 
 
 def test_kneser_neighbours_check_integral_grams(monkeypatch):
@@ -1039,6 +1042,42 @@ def test_kneser_neighbours_check_the_determinant(monkeypatch):
 def test_gross_neighbours_need_ell_prime_to_p():
     with pytest.raises(LatticeError, match="ell = 11 divides det"):
         gross_neighbours(gram_of(11), 11, 11)
+
+
+@pytest.mark.parametrize("ell", [0, 1, 4, -2])
+def test_gross_neighbours_need_a_prime_ell(ell):
+    with pytest.raises(LatticeError, match=f"ell = {ell} is not a prime"):
+        gross_neighbours(gram_of(11), 11, ell)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5])
+def test_each_neighbours_reverse_line_leads_back(ell):
+    # on each neighbour's own Gram, skipping its reverse line drops one
+    # neighbour, and that one has the key of the Gram it came from
+    for p in (11, 37, 101):
+        gram = gram_of(p)
+        _, r = greedy_reduce(gram)
+        key = (r[0][0], r[1][1], r[2][2])
+        for n, back in gross_neighbours(gram, p, ell):
+            full = gross_neighbours(n, p, ell)
+            kept = gross_neighbours(n, p, ell, back)
+            dropped = [pair for pair in full if pair not in kept]
+            assert len(kept) == ell and len(dropped) == 1, (p, n)
+            _, r = greedy_reduce(dropped[0][0])
+            assert (r[0][0], r[1][1], r[2][2]) == key, (p, n)
+
+
+def test_gross_neighbours_reject_a_skip_line_that_is_not_isotropic():
+    gram = gram_of(11)
+    m = half_form(gram, 11)
+    for ell in (2, 3):
+        anisotropic = [
+            v for v in lattice._points(ell) if gram_inner(m, v, v) // 2 % ell
+        ]
+        assert len(anisotropic) == ell * ell
+        for v in anisotropic + [(0, 0, 0), (ell + 1, 0, 0)]:
+            with pytest.raises(LatticeError, match="not an isotropic line"):
+                gross_neighbours(gram, 11, ell, v)
 
 
 def drop_a_line(monkeypatch):

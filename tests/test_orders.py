@@ -398,8 +398,9 @@ def test_enumerate_types_checks_the_greedy_key_of_each_new_type(monkeypatch):
 
 def test_enumerate_types_reduces_each_popped_gram_once(monkeypatch):
     # the greedy reduction behind a new type's key also gives its minimal
-    # basis: one reduction for each Gram popped, the seed and ell + 1
-    # neighbours of each type
+    # basis: one reduction for each Gram popped, the seed, its ell + 1
+    # neighbours and ell neighbours of each other type, whose line back to
+    # its parent is skipped
     calls = []
     real = lattice.greedy_reduce
 
@@ -410,7 +411,7 @@ def test_enumerate_types_reduces_each_popped_gram_once(monkeypatch):
     monkeypatch.setattr(orders, "greedy_reduce", counted)
     monkeypatch.setattr(lattice, "greedy_reduce", counted)
     types = enumerate_types(101, 2)
-    assert len(calls) == 1 + 3 * len(types)
+    assert len(calls) == 1 + 3 + 2 * (len(types) - 1)
 
 
 @pytest.mark.parametrize("ell", [2, 3])

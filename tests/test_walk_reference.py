@@ -36,6 +36,14 @@ reached each type with.  Tier-1 requires `minimal_basis` of that Gram to
 give each record's (minima, Gram), at ell = 2 and 3 for every prime
 p <= 300, so the test-side search cannot drift from the walk.
 
+The walk skips, when it expands a type, the neighbour along the reverse
+line it reached the type by, which is the parent.  `walk_grams` is the
+skip-free search.  Tier-1 requires, at ell = 2 and 3 for every prime
+p <= 300, with records and keys only, that each skipped neighbour reduces
+to its parent's key, that the records walk expands the same types in the
+same order from the same Grams as `walk_grams`, and that both walks
+return its records and keys.
+
 `cm.locate_embedding_type` builds the type embedding -d, for the odd prime
 CM rows d = 3, 7, 11, 19, 43, 67, 163, from Pizer's order of (-d, -p)
 instead of keeping the one type of the walk whose Gram has a primitive
@@ -47,7 +55,8 @@ standard maximal order in closed form; `order_walk` starts from the order
 itself.  `tests/test_orders.py` compares the two seeds at every p <= 500.
 
 The gate over every prime up to 2000 at ell = 2 and 3, for the walk, its
-records, its key, its seed and its neighbour construction, and over every
+records, its key, its seed, its neighbour construction and its skipped
+reverse lines, and over every
 inert prime of each odd prime CM row up to its `default_p_max` (6887 for
 d = 163), is opt-in:
 
@@ -60,6 +69,7 @@ from itertools import product
 
 import pytest
 
+import grosslat.orders as orders
 from grosslat.cm import (
     PIZER_DS, cm_rows, locate_embedding_type, supersingular_primes,
 )
@@ -292,7 +302,7 @@ def assert_gross_neighbours_match_the_composed_steps(primes, ells=(2, 3)):
             for rec in walk(p, ell):
                 for gram in (walk_grams(p, ell)[rec.minima], rec.gram):
                     assert half_form(gram, p) == half_form_reference(gram, p)
-                    assert gross_neighbours(gram, p, ell) == (
+                    assert [n for n, _ in gross_neighbours(gram, p, ell)] == (
                         gross_neighbours_reference(gram, p, ell)
                     ), (p, ell, gram)
 
@@ -319,6 +329,70 @@ def test_gram_walk_records_reduce_from_their_walk_gram():
         for ell in (2, 3):
             if ell != p:
                 assert_records_reduce_from_their_walk_grams(p, ell)
+
+
+def skip_checked_walk(p, ell, keys_only):
+    """`enumerate_types(p, ell, keys_only)`, with the Grams it expands, in
+    order, and every skip of its `gross_neighbours` calls checked.
+
+    With `skip`, the list must be the skip-free list less one entry, and
+    that entry's Gram must reduce to the key of the type whose expansion
+    queued the Gram being expanded: the skipped line leads back to the
+    parent.  Returns (the walk's result, [(key, the Gram it was popped
+    with)] for each type expanded).
+    """
+    queued_by = {}   # queued Gram -> key of the first type that queued it
+    popped, expanded = [], []
+
+    def reduce(gram):
+        popped.append(gram)
+        return greedy_reduce(gram)
+
+    def neighbours(g, p_, ell_, skip=None):
+        key = (g[0][0], g[1][1], g[2][2])
+        expanded.append((key, popped[-1]))
+        full = gross_neighbours(g, p_, ell_)
+        out = gross_neighbours(g, p_, ell_, skip)
+        if skip is None:
+            assert out == full and popped == [standard_gross_gram(p)]
+        else:
+            assert (len(full), len(out)) == (ell + 1, ell), (p, ell, g)
+            dropped = next(
+                pair for i, pair in enumerate(full)
+                if full[:i] + full[i + 1:] == out
+            )
+            _, r = greedy_reduce(dropped[0])
+            parent = queued_by[popped[-1]]
+            assert (r[0][0], r[1][1], r[2][2]) == parent, (p, ell, g)
+        for n, _ in out:
+            queued_by.setdefault(n, key)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orders, "greedy_reduce", reduce)
+        mp.setattr(orders, "gross_neighbours", neighbours)
+        result = enumerate_types(p, ell, keys_only)
+    return result, expanded
+
+
+def assert_walk_skips_only_the_parent(p, ell):
+    # records: the skip-free search of `walks.walk_grams` expands the same
+    # types in the same order from the same Grams, and gives the same records
+    grams = walk_grams(p, ell)
+    types, expanded = skip_checked_walk(p, ell, False)
+    assert expanded == list(grams.items()), (p, ell)
+    assert [(rec.minima, rec.gram) for rec in types] == sorted(
+        (key, minimal_basis(gram).gram) for key, gram in grams.items()
+    ), (p, ell)
+    keys, expanded = skip_checked_walk(p, ell, True)
+    assert keys == tuple(sorted(grams)) == tuple(k for k, _ in sorted(expanded))
+
+
+def test_walk_skips_only_the_parent_to_300():
+    for p in primes_between(2, 300):
+        for ell in (2, 3):
+            if ell != p:
+                assert_walk_skips_only_the_parent(p, ell)
 
 
 def test_enumerated_orders_satisfy_order_axioms():
@@ -402,6 +476,14 @@ def test_greedy_key_is_the_minima_on_every_visited_gram_up_to_2000():
 @pytest.mark.walk_reference
 def test_gross_neighbours_match_the_composed_steps_to_2000():
     assert_gross_neighbours_match_the_composed_steps(primes_between(2, 2000))
+
+
+@pytest.mark.walk_reference
+def test_walk_skips_only_the_parent_to_2000():
+    for p in primes_between(2, 2000):
+        for ell in (2, 3):
+            if ell != p:
+                assert_walk_skips_only_the_parent(p, ell)
 
 
 @pytest.mark.walk_reference

@@ -35,7 +35,9 @@ def walk_grams(p, ell):
 
     The search of `enumerate_types`: seeded by the standard Gross Gram,
     keyed by the greedy diagonal, and a new type expanded from the Gram of
-    its minimal basis.  Keys in the order the walk met them.
+    its minimal basis.  Keys in the order the walk met them.  Each new type
+    expands to all ell + 1 neighbours, the parent's included, so this is
+    the skip-free reference for the walk's skip of the line back.
     """
     queue = deque([standard_gross_gram(p)])
     grams = {}
@@ -47,7 +49,7 @@ def walk_grams(p, ell):
             continue
         grams[key] = gram
         mb = minimal_basis(gram, reduced=(u, g))
-        queue.extend(gross_neighbours(mb.gram, p, ell))
+        queue.extend(n for n, _ in gross_neighbours(mb.gram, p, ell))
     return grams
 
 
