@@ -6,7 +6,10 @@ only vector fact read here, whether norm 3 or norm 4 occurs, comes from the
 type's `lattice.primitive_norms`, made once by the caller: a Gross lattice
 has minimum >= 3, so every vector of norm 3 or 4 is primitive.  The same
 list, cut at the discriminant bound, is the type's optimally embedded
-discriminants.
+discriminants.  `classify_type` needs the list only up to 4, and `types`
+passes it the sorted list cut there, at most the entries 3 and 4, so
+`special_j` reads two entries, not the whole list to 2p; `verify` passes
+its list to 8, and any container of the norms up to 4 will do.
 All comparisons are exact integer arithmetic; fractional bounds are
 cross-multiplied.
 """

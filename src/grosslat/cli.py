@@ -56,35 +56,43 @@ def _encode(obj, nl: str) -> str:
     """`obj` as indented JSON, `nl` being the newline and indent before its
     closing bracket.  Dict keys are strings."""
     if isinstance(obj, dict):
-        brackets = "{}"
-    elif isinstance(obj, (list, tuple)):
-        brackets = "[]"
-    else:
+        if not obj:
+            return "{}"
+        inner = nl + " "
+        body = ("," + inner).join([
+            encode_basestring_ascii(k) + ": " + (
+                _encode(v, inner) if isinstance(v, (dict, list, tuple))
+                else _scalar(v)
+            )
+            for k, v in sorted(obj.items())
+        ])
+        return "{" + inner + body + nl + "}"
+    if not isinstance(obj, (list, tuple)):
         return _scalar(obj)
     if not obj:
-        return brackets
+        return "[]"
     inner = nl + " "
     sep = "," + inner
-    if brackets == "{}":
-        body = sep.join(
-            encode_basestring_ascii(k) + ": " + _encode(v, inner)
-            for k, v in sorted(obj.items())
-        )
-    elif set(map(type, obj)) == {int} and -BIG < min(obj) and max(obj) < BIG:
-        body = sep.join(map(repr, obj))
-    else:
-        body = sep.join(_encode(v, inner) for v in obj)
-    return brackets[0] + inner + body + nl + brackets[1]
+    if set(map(type, obj)) == {int} and -BIG < min(obj) and max(obj) < BIG:
+        # ints in range print as repr prints them: one format for the list
+        fmt = "[" + inner + "%d" + (sep + "%d") * (len(obj) - 1) + nl + "]"
+        return fmt % tuple(obj)
+    return "[" + inner + sep.join([_encode(v, inner) for v in obj]) + nl + "]"
 
 
 def _type_payload(p: int, ell: int, disc_bound: int):
     types = enumerate_types(p, ell)
+    bound = max(disc_bound, 4)
     out = []
     for idx, rec in enumerate(types):
-        # one pass per type, on the normalized Gram the walk has reduced:
-        # special_j reads norms 3 and 4 from it
-        norms = primitive_norms(rec.gram, max(disc_bound, 4), reduced=True)
-        c = cl.classify_type(p, norms, rec.minima, rec.gram)
+        # one pass per type, on the normalized Gram the walk has reduced;
+        # classify_type gets it cut at 4, so special_j reads at most the
+        # entries 3 and 4
+        norms = primitive_norms(rec.gram, bound, reduced=True)
+        c = cl.classify_type(
+            p, norms[:bisect_right(norms, 4)], rec.minima, rec.gram
+        )
+        cut = bisect_right(norms, disc_bound)
         out.append(
             {
                 "index": idx,
@@ -95,7 +103,7 @@ def _type_payload(p: int, ell: int, disc_bound: int):
                 "embedding": c.embedding,
                 "orthogonal": c.orthogonal,
                 "well_rounded": c.well_rounded,
-                "embedded_discriminants": norms[:bisect_right(norms, disc_bound)],
+                "embedded_discriminants": norms if cut == len(norms) else norms[:cut],
             }
         )
     return {"schema": 1, "p": p, "ell": ell, "types": out}

@@ -55,12 +55,14 @@ def quadratic_residue_precheck(p: int, d1: int) -> bool:
 def gram_gross(p: int, d1: int):
     """Candidate Gram matrices of normalized successive minimal bases.
 
-    Requires p prime, D1 = 0 or 3 mod 4, and 3*D1^2 <= 16p.  Returns a
-    sorted, deduplicated list of GramCandidate.
+    Requires p prime, D1 > 0 with D1 = 0 or 3 mod 4, and 3*D1^2 <= 16p.
+    Returns a sorted, deduplicated list of GramCandidate.
     """
     if not is_prime(p):
         raise PreconditionError(f"p = {p} is not prime")
-    if d1 <= 0 or d1 % 4 not in (0, 3):
+    if d1 <= 0:
+        raise PreconditionError(f"D1 = {d1} is not positive")
+    if d1 % 4 not in (0, 3):
         raise PreconditionError(f"D1 = {d1} is not 0 or 3 mod 4")
     if 3 * d1 * d1 > 16 * p:
         raise PreconditionError(f"D1 = {d1} violates 3*D1^2 <= 16p at p = {p}")

@@ -422,16 +422,21 @@ def _norm_pools(u, g):
     norm >= d2 and every vector off the plane of e_0, e_1 has norm >= d3, so
     the diagonal is the successive minima triple; LatticeError otherwise.
 
-    Each row is then solved for its leaves of one norm with one isqrt: d3
-    on a row with z2 != 0, d2 on one with z2 = 0.  No basis takes a norm-d3
-    vector from that plane: when d3 > d2, b1 and b2 already lie in it.  Of
-    the row z1 = z2 = 0 only the primitive e_0 is kept.  Each vector, one
-    per +/- pair, is lifted to the coordinates behind G with its first
-    nonzero coordinate positive; the pools are unsorted.
+    A row's leaves of one norm, d3 on a row with z2 != 0 and d2 on one with
+    z2 = 0, are then read off that least norm: the norm is a quadratic in z0
+    symmetric about -b / g00, so it takes the value n only when its least
+    value, at the z0 nearest -b / g00, is n, and then at that z0 and at its
+    mirror -2b / g00 - z0 when this is another integer.  No basis takes a
+    norm-d3 vector from the plane of e_0, e_1: when d3 > d2, b1 and b2
+    already lie in it.  Of the row z1 = z2 = 0 only the primitive e_0 is
+    kept.  Each vector, one per +/- pair, is lifted to the coordinates
+    behind G with its first nonzero coordinate positive; the pools are
+    unsorted.
     """
     g00, d2, d3 = g[0][0], g[1][1], g[2][2]
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = u
     pools = {g00: [], d2: [], d3: []}
-    pools[g00].append(_from_reduced(u, (1, 0, 0)))
+    pools[g00].append(_canon_sign((a0, a1, a2)))
     for z1, z2, b, q in _rows(g, d3):
         if z2:
             n = d3
@@ -441,18 +446,21 @@ def _norm_pools(u, g):
             continue  # the row of e_0's multiples
         z0 = (g00 - 2 * b) // (2 * g00)  # the nearest integer to -b / g00
         least = (g00 * z0 + 2 * b) * z0 + q
-        if least < n:
-            raise LatticeError(
-                f"greedy diagonal ({g00}, {d2}, {d3}) is not the minima: "
-                f"the row (z1, z2) = ({z1}, {z2}) reaches norm {least}"
-            )
-        # n = g00 z0^2 + 2 b z0 + q  <=>  (g00 z0 + b)^2 = g00 n - g00 q + b^2
-        disc = g00 * (n - q) + b * b
-        s = isqrt(max(disc, 0))
-        if s * s == disc:
-            for t in {s - b, -s - b}:
-                if t % g00 == 0:
-                    pools[n].append(_from_reduced(u, (t // g00, z1, z2)))
+        if least != n:
+            if least < n:
+                raise LatticeError(
+                    f"greedy diagonal ({g00}, {d2}, {d3}) is not the minima: "
+                    f"the row (z1, z2) = ({z1}, {z2}) reaches norm {least}"
+                )
+            continue
+        mirror, rest = divmod(-2 * b, g00)
+        mirror -= z0
+        # t e_0 + r, lifted: r = z1 e_1 + z2 e_2 in the coordinates behind G
+        r0 = z1 * b0 + z2 * c0
+        r1 = z1 * b1 + z2 * c1
+        r2 = z1 * b2 + z2 * c2
+        for t in (z0,) if rest or mirror == z0 else (z0, mirror):
+            pools[n].append(_canon_sign((t * a0 + r0, t * a1 + r1, t * a2 + r2)))
     return pools
 
 
@@ -548,8 +556,11 @@ def _completed_basis(gram, pools, minima, tie_break: str):
     each sorted by `tie_break`, with its Gram and signs; None when there is
     none, LatticeError when its norms are not `minima`."""
     desc = tie_break == "desc"
+    d1, d2, d3 = minima
     chosen = _index_one_completion(
-        *(sorted(pools[n], reverse=desc) for n in minima)
+        sorted(pools[d1], reverse=desc),
+        sorted(pools[d2], reverse=desc),
+        sorted(pools[d3], reverse=desc),
     )
     if chosen is None:
         return None

@@ -5,6 +5,8 @@
 list with `greedy_minima`, and picks the basis from the norm-D1, D2 and D3
 vectors in list order.  `lattice.minimal_basis` lists only the vectors of
 norm exactly D1, D2 or D3 and takes the minima from the greedy diagonal.
+`norm_pools_reference` is those lists (`lattice._norm_pools`) read off the
+full `reduced_vectors` list, each vector lifted by `short_vectors`' route.
 
 `primitive_norms_reference` reduces a sorted `reduced_vectors` list to the
 set of its primitive norms, as `embedded_discriminants` did;
@@ -21,6 +23,7 @@ from grosslat.lattice import (
     MinimalBasis,
     _check_positive_definite,
     _cross,
+    _from_reduced,
     _interval,
     _rows,
     det3,
@@ -66,6 +69,22 @@ def minimal_basis_reference(gram, tie_break="asc"):
     basis = (b1, b2, b3)
     g = tuple(tuple(gram_inner(gram, x, y) for y in basis) for x in basis)
     return MinimalBasis(basis, g, MinimaTriple(d1, d2, d3))
+
+
+def norm_pools_reference(u, g):
+    """`lattice._norm_pools(u, g)`, each pool sorted, from every vector of
+    norm <= d3: the vectors of norm d1, d2 or d3, the diagonal of g, less
+    the multiples k e_0 with k > 1 and, when d3 > d2, the norm-d3 vectors
+    in the plane of e_0, e_1."""
+    d1, d2, d3 = g[0][0], g[1][1], g[2][2]
+    pools = {d1: [], d2: [], d3: []}
+    for n, z in reduced_vectors(g, d3, reduced=True):
+        z0, z1, z2 = z
+        if z1 == z2 == 0 and z0 != 1 or z2 == 0 and n == d3 != d2:
+            continue
+        if n in pools:
+            pools[n].append(_from_reduced(u, z))
+    return {n: sorted(vs) for n, vs in pools.items()}
 
 
 def embedded_discriminants(vecs, bound):

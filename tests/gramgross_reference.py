@@ -24,7 +24,9 @@ def gram_gross_reference(p: int, d1: int):
     """`gram_gross` with a scan over y <= D1/2 for every n: the same list."""
     if not is_prime(p):
         raise PreconditionError(f"p = {p} is not prime")
-    if d1 <= 0 or d1 % 4 not in (0, 3):
+    if d1 <= 0:
+        raise PreconditionError(f"D1 = {d1} is not positive")
+    if d1 % 4 not in (0, 3):
         raise PreconditionError(f"D1 = {d1} is not 0 or 3 mod 4")
     if 3 * d1 * d1 > 16 * p:
         raise PreconditionError(f"D1 = {d1} violates 3*D1^2 <= 16p at p = {p}")

@@ -1,3 +1,4 @@
+from bisect import bisect_right
 from collections import Counter
 from math import gcd
 
@@ -172,6 +173,21 @@ def test_classify_type_p11():
     c1 = classify_type(11, norms_of(11, 1), recs[1].minima, recs[1].gram)
     assert (c1.spine, c1.special_j, c1.embedding) == (True, "j1728", EMBED_BOTH)
     assert not c1.orthogonal and not c1.well_rounded
+
+
+@pytest.mark.parametrize("p", [*primes_between(2, 300), 10007])
+def test_classify_on_the_norms_cut_at_4_matches_the_full_list(p):
+    # `types` hands classify_type only the norms <= 4 of a type's list
+    # (special_j reads whether 3 and 4 occur) and prints the list to 2p
+    for rec in types_of(p):
+        full = primitive_norms(rec.gram, max(2 * p, 4), reduced=True)
+        cut = full[:bisect_right(full, 4)]
+        assert len(cut) <= 2 and set(cut) <= {3, 4}, (p, rec)
+        assert classify_type(p, cut, rec.minima, rec.gram) == classify_type(
+            p, full, rec.minima, rec.gram
+        ), (p, rec)
+    if p in (2, 3):
+        assert classify_type(p, cut, rec.minima, rec.gram).special_j == "both"
 
 
 def test_loop_discriminants_imply_spine():

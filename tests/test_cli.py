@@ -110,6 +110,13 @@ def test_gramgross_require_violation(capsys):
     assert "REQUIRE" in err
 
 
+def test_gramgross_rejects_d1_zero_as_not_positive(capsys):
+    code, out, err = run(capsys, "gramgross", "--p", "31", "--d1", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: REQUIRE violated: D1 = 0 is not positive\n"
+
+
 def test_verify_small_range(capsys):
     code, out, _ = run(capsys, "verify", "--pmin", "2", "--pmax", "30")
     assert code == 0

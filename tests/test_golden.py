@@ -5,9 +5,9 @@ change to the exact arithmetic behind them shows up as a byte difference.
 Outputs too large to keep as a file are checked by their SHA-256; they
 include every input of the benchmark in bench/workloads.py.
 
-`cli._dump` spells each scalar itself and joins a list of small ints in one
-call, and it writes every int of absolute value 2^63 or more as a decimal
-string, so the payloads hold raw ints.  Its reference is
+`cli._dump` spells each scalar itself and writes a list of small ints with
+one format string, and it writes every int of absolute value 2^63 or more
+as a decimal string, so the payloads hold raw ints.  Its reference is
 `json.dumps(..., indent=1)` of the same object with those ints converted to
 strings first, on every golden payload and on edge cases.
 """

@@ -50,6 +50,20 @@ def test_require_violations():
         gram_gross(9, 4)       # p not prime
 
 
+@pytest.mark.parametrize("d1, message", [
+    # 0 and -4 are 0 mod 4, so the residue message would be false there
+    (0, "D1 = 0 is not positive"),
+    (-4, "D1 = -4 is not positive"),
+    (-1, "D1 = -1 is not positive"),
+    (5, "D1 = 5 is not 0 or 3 mod 4"),
+])
+def test_d1_precondition_messages(d1, message):
+    with pytest.raises(PreconditionError, match=message):
+        gram_gross(31, d1)
+    with pytest.raises(PreconditionError, match=message):
+        gram_gross_reference(31, d1)
+
+
 def test_precheck_examples():
     assert quadratic_residue_precheck(31, 7)
     assert quadratic_residue_precheck(113, 19)

@@ -34,7 +34,12 @@ A type record keeps its minima and normalized Gram alone; `walk_grams` in
 `tests/walks.py` repeats the walk's search and keeps the Gram it first
 reached each type with.  Tier-1 requires `minimal_basis` of that Gram to
 give each record's (minima, Gram), at ell = 2 and 3 for every prime
-p <= 300, so the test-side search cannot drift from the walk.
+p <= 300, so the test-side search cannot drift from the walk.  On the same
+Grams the vector pools `minimal_basis` lists, row by row from each row's
+least norm, must equal those of the full vector list
+(`enumeration_reference.norm_pools_reference`), and the basis, ascending
+and descending, must not change when the walk's greedy reduction is passed
+in as `reduced`.
 
 The walk skips, when it expands a type, the neighbour along the reverse
 line it reached the type by, which is the parent.  `walk_grams` is the
@@ -69,6 +74,7 @@ from itertools import product
 
 import pytest
 
+import grosslat.lattice as lattice
 import grosslat.orders as orders
 from grosslat.cm import (
     PIZER_DS, cm_rows, locate_embedding_type, supersingular_primes,
@@ -92,7 +98,9 @@ from grosslat.orders import (
     standard_gross_gram,
     standard_maximal_order,
 )
-from enumeration_reference import minima_pass, primitive_norms_reference
+from enumeration_reference import (
+    minima_pass, norm_pools_reference, primitive_norms_reference,
+)
 from kneser_reference import (
     adj3, gross_neighbours_reference, half_form_reference,
     kneser_neighbours_reference,
@@ -316,11 +324,24 @@ def test_gross_neighbours_match_the_composed_steps_at_10007():
 
 
 def assert_records_reduce_from_their_walk_grams(p, ell):
+    """Each record is the minimal basis of its walk Gram; there the pools
+    `minimal_basis` reads equal those of the full vector list, and the
+    basis is the same whether the walk's reduction is passed in or not."""
     grams = walk_grams(p, ell)
     types = walk(p, ell)
     assert sorted(grams) == [rec.minima for rec in types], (p, ell)
     for rec in types:
-        mb = minimal_basis(grams[rec.minima])
+        gram = grams[rec.minima]
+        reduced = greedy_reduce(gram)
+        pools = lattice._norm_pools(*reduced)
+        assert {n: sorted(vs) for n, vs in pools.items()} == norm_pools_reference(
+            *reduced
+        ), (p, ell, gram)
+        for tie_break in ("desc", "asc"):
+            mb = minimal_basis(gram, tie_break)
+            assert minimal_basis(gram, tie_break, reduced=reduced) == mb, (
+                p, ell, gram, tie_break,
+            )
         assert (mb.minima, mb.gram) == (rec.minima, rec.gram), (p, ell)
 
 
