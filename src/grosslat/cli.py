@@ -144,11 +144,12 @@ def cmd_types(args) -> int:
     if disc_bound < 0:
         print(f"error: disc-bound = {disc_bound} is negative", file=sys.stderr)
         return 2
-    payload = _type_payload(p, ell, disc_bound)
     if args.csv:
-        sys.stdout.write(_types_csv(payload))
+        # the CSV prints no discriminants: enumerate only to the 4 that
+        # classify_type reads
+        sys.stdout.write(_types_csv(_type_payload(p, ell, 0)))
     else:
-        print(_dump(payload))
+        print(_dump(_type_payload(p, ell, disc_bound)))
     return 0
 
 

@@ -15,8 +15,11 @@ p) their adjugates are the Gross Grams of the ell-neighbouring maximal
 orders, so type enumeration walks Grams with no quaternion arithmetic at
 every ell, ell = 2 included, one `gross_neighbours` step per type.  The HNF
 of each neighbour's generators depends only on residues of its line mod ell
-and ell^2, so it is memoised on them, and each neighbour costs only its
-Gram H m H^T / ell^2.
+and ell^2, so it is memoised on them.  The isotropic lines and their pivots
+depend only on the form's six entries (m00/2, m11/2, m22/2, m01, m02, m12)
+mod ell, so they are memoised on that class, at most ell^6 of them, with
+each line's HNF kept per residue q(v)/ell mod ell, and each neighbour costs
+one q(v) and its Gram H m H^T / ell^2.
 
 The old lattice L is the ell-neighbour of each neighbour L' along ell e_t,
 so the memo also keeps that reverse line in the basis of L'.
@@ -231,19 +234,30 @@ def _rows(g, bound: int):
     the leading principal minors, is an integer quadratic in that
     coordinate, so `_interval` gives every range exactly.  On the row,
     z = (z0, z1, z2) has norm (g00 z0 + 2 b) z0 + q, and its z0 range is
-    `_interval(g00, b, q - bound)`.
+    `_interval(g00, b, q - bound)`, never empty of reals: g00 q - b^2 is
+    the z1 level's quadratic, at most g00 bound on every row.  Along a z2
+    slab b = g01 z1 + g02 z2 and q = (g11 z1 + 2 g12 z2) z1 + g22 z2^2 step
+    in place, b by g01 and q by g11 (2 z1 + 1) + 2 g12 z2, a difference
+    that itself grows by 2 g11.
     """
     (g00, g01, g02), (_, g11, g12), (_, _, g22) = g
     m2 = g00 * g11 - g01 * g01
     m1 = g00 * g12 - g01 * g02
     m0 = g00 * g22 - g02 * g02
+    step = 2 * g11
     # z2 >= 0: the stop of the symmetric range
     for z2 in range(_interval(det3(g), 0, -bound * m2).stop):
-        for z1 in _interval(m2, z2 * m1, z2 * z2 * m0 - g00 * bound):
-            if z2 or z1 >= 0:
-                b = g01 * z1 + g02 * z2
-                q = (g11 * z1 + 2 * g12 * z2) * z1 + g22 * z2 * z2
-                yield z1, z2, b, q
+        z1s = _interval(m2, z2 * m1, z2 * z2 * m0 - g00 * bound)
+        # the slab z2 = 0 is symmetric about z1 = 0 and keeps z1 >= 0
+        lo = z1s.start if z2 else 0
+        b = g01 * lo + g02 * z2
+        q = (g11 * lo + 2 * g12 * z2) * lo + g22 * z2 * z2
+        dq = g11 * (2 * lo + 1) + 2 * g12 * z2
+        for z1 in range(lo, z1s.stop):
+            yield z1, z2, b, q
+            b += g01
+            q += dq
+            dq += step
 
 
 def _enumerate_reduced(g, bound: int):
@@ -319,7 +333,9 @@ def primitive_norms(gram, bound: int, reduced: bool = False):
     it reaches with no per-vector gcd, and on the row z1 = z2 = 0 only the
     first basis vector is primitive.  Along a row the norms have the
     constant second difference 2 g00, so a full row is summed up by
-    `itertools.accumulate` from its first norm.  With `reduced`, as in
+    `itertools.accumulate` from its first norm.  The rows come with b and q
+    stepped in place along each slab, and each row's z0 range is read with
+    one inline `isqrt`, not an `_interval` call.  With `reduced`, as in
     `reduced_vectors`, the pass runs on `gram` itself.
     """
     if not reduced:
@@ -331,21 +347,26 @@ def primitive_norms(gram, bound: int, reduced: bool = False):
     step = 2 * g00
     out = {g00} if g00 <= bound else set()
     for z1, z2, b, q in _rows(g, bound):
+        # the row's z0 range, `_interval(g00, b, q - bound)`, inline: the
+        # discriminant is never negative on a row of `_rows`
+        s = isqrt(b * b - g00 * (q - bound))
+        lo = -((b + s) // g00)
+        k = (s - b) // g00 - lo  # the leaves are z0 = lo..lo + k
+        if k < 0:
+            continue
         h = gcd(z1, z2)
-        leaves = _interval(g00, b, q - bound)
         if h == 1:
-            if leaves:
-                # n(z0 + 1) - n(z0) = g00 (2 z0 + 1) + 2b grows by 2 g00
-                lo = leaves.start
-                d = g00 * (2 * lo + 1) + 2 * b
-                out.update(accumulate(
-                    range(d, d + step * (len(leaves) - 1), step),
-                    initial=(g00 * lo + 2 * b) * lo + q,
-                ))
+            # n(z0 + 1) - n(z0) = g00 (2 z0 + 1) + 2b grows by 2 g00
+            d = g00 * (2 * lo + 1) + 2 * b
+            out.update(accumulate(
+                range(d, d + step * k, step),
+                initial=(g00 * lo + 2 * b) * lo + q,
+            ))
         elif h:  # h = 0 is the row of e_0's multiples, done above
-            out.update(
-                [(g00 * z0 + 2 * b) * z0 + q for z0 in leaves if gcd(z0, h) == 1]
-            )
+            out.update([
+                (g00 * z0 + 2 * b) * z0 + q
+                for z0 in range(lo, lo + k + 1) if gcd(z0, h) == 1
+            ])
     return sorted(out)
 
 
@@ -645,22 +666,18 @@ def _points(ell: int):
     return tuple(points)
 
 
-def _isotropic_lines(m, ell: int):
-    """(v, q(v)) for one vector v per line of F_ell^3 on which
-    q(x) = x m x^T / 2 vanishes mod ell."""
-    (m00, m01, m02), (_, m11, m12), (_, _, m22) = m
-    h0, h1, h2 = m00 // 2, m11 // 2, m22 // 2
-    out = []
-    for v in _points(ell):
-        v0, v1, v2 = v
-        q = (
-            (h0 * v0 + m01 * v1 + m02 * v2) * v0
-            + (h1 * v1 + m12 * v2) * v1
-            + h2 * v2 * v2
-        )
-        if q % ell == 0:
-            out.append((v, q))
-    return out
+def _isotropic_lines(form, ell: int):
+    """The vectors v of `_points(ell)` on whose lines q(x) = x m x^T / 2
+    vanishes mod ell, for `form` = (m00/2, m11/2, m22/2, m01, m02, m12)."""
+    h0, h1, h2, m01, m02, m12 = form
+    return [
+        v for v in _points(ell)
+        if (
+            (h0 * v[0] + m01 * v[1] + m02 * v[2]) * v[0]
+            + (h1 * v[1] + m12 * v[2]) * v[1]
+            + h2 * v[2] * v[2]
+        ) % ell == 0
+    ]
 
 
 def _lift(q: int, v, ell: int, t: int, inv: int):
@@ -675,10 +692,49 @@ def _lift(q: int, v, ell: int, t: int, inv: int):
     return tuple(w)
 
 
-# Entries of the neighbour-HNF memo.  Its key is residue data mod ell and
-# ell^2, so it is bounded for each ell: the ell = 2 and 3 walks of every
-# p <= 300 and the ell = 2 walk at p = 10007 fill fewer than 200.
+# Entries of the neighbour-HNF memo and of the line memo.  Their keys are
+# residue data mod ell and ell^2, so they are bounded for each ell: the
+# ell = 2 and 3 walks of every p <= 300 and the ell = 2 walk at p = 10007
+# fill fewer than 200 HNFs, and the line memo holds at most ell^6 classes.
 _NEIGHBOUR_MEMO = 4096
+
+
+@lru_cache(maxsize=_NEIGHBOUR_MEMO)
+def _kneser_lines(form, ell: int):
+    """(v, t, inv, cs, slots) for each isotropic line v of q mod ell, for
+    the residue class `form` = (m00/2, m11/2, m22/2, m01, m02, m12) mod ell
+    of an even m.
+
+    Everything but the lift is fixed by that class: the lines, the first
+    coordinate t where b = v m is a unit mod ell, its inverse inv and the
+    pairs cs = (i, b_i / b_t mod ell) for i != t.  The lift v + ell c e_t
+    (`_lift`) reads q(v) only through r = (q(v) / ell) mod ell, so `slots`
+    keeps `_neighbour_hnf` of each lift under its r, filled by `_neighbours`
+    as the residues are met; a dict, not ell slots, since at a large ell
+    only a few are.  LatticeError when q has other than ell + 1 lines;
+    `lru_cache` keeps no exception, so such a class raises on every call.
+    """
+    lines = _isotropic_lines(form, ell)
+    if len(lines) != ell + 1:
+        raise LatticeError(
+            f"expected {ell + 1} isotropic lines mod {ell}, found {len(lines)}"
+        )
+    h0, h1, h2, m01, m02, m12 = form
+    out = []
+    for v in lines:
+        v0, v1, v2 = v
+        b0 = 2 * h0 * v0 + m01 * v1 + m02 * v2
+        b1 = m01 * v0 + 2 * h1 * v1 + m12 * v2
+        b2 = m02 * v0 + m12 * v1 + 2 * h2 * v2
+        if b0 % ell:
+            t, bt, i, bi, j, bj = 0, b0, 1, b1, 2, b2
+        elif b1 % ell:
+            t, bt, i, bi, j, bj = 1, b1, 0, b0, 2, b2
+        else:
+            t, bt, i, bi, j, bj = 2, b2, 0, b0, 1, b1
+        inv = pow(bt, -1, ell)
+        out.append((v, t, inv, ((i, bi * inv % ell), (j, bj * inv % ell)), {}))
+    return tuple(out)
 
 
 @lru_cache(maxsize=_NEIGHBOUR_MEMO)
@@ -763,6 +819,10 @@ def kneser_neighbours(m, ell: int):
     Gram per line, in line order; each neighbour is checked to be integral
     and even, with det(m).
 
+    The lines, each t and the residues b_i/b_t are memoised on the class
+    of m mod ell, with each line's HNF per residue q(v)/ell mod ell
+    (`_kneser_lines`); a call works out q(v) and the Gram per line.
+
     Duals of ell-neighbours are ell-neighbours, so on the half form of a
     Gross lattice (`half_form`) the adjugates of the neighbours are the
     Gross Grams of the ell-neighbouring maximal orders, for ell = 2 too;
@@ -783,7 +843,9 @@ def gross_neighbours(gram, p: int, ell: int, skip=None):
     ell)]`, with every check of `half_form` and of the neighbours, in one
     step: the half form's even diagonal and det 2p are checked once, by
     `half_form`, and each adjugate is read off the cofactors that the
-    neighbour's det check computes.  Since adj(adj(n)) = det(n) n = 2p n,
+    neighbour's det check computes.  The lines and their HNFs come from
+    the line memo of the half form's class mod ell, as in
+    `kneser_neighbours`.  Since adj(adj(n)) = det(n) n = 2p n,
     the half form of the neighbour's Gross Gram is n itself.
 
     Each neighbour L' of the half-form lattice L comes with the line of L'
@@ -802,37 +864,42 @@ def gross_neighbours(gram, p: int, ell: int, skip=None):
 def _neighbours(m, d: int, ell: int, adjugates: bool, skip=None):
     """`kneser_neighbours(m, ell)` for an even m of det d and a prime ell,
     or, when `adjugates` is set, `gross_neighbours`' pairs of the
-    neighbours' adjugates and reverse lines, skipping the line `skip`."""
+    neighbours' adjugates and reverse lines, skipping the line `skip`.
+
+    The lines and pivots are looked up in the line memo by the class
+    (m00/2, m11/2, m22/2, m01, m02, m12) mod ell, at most ell^6 classes per
+    ell (`_kneser_lines`), and a line's HNF by r = q(v)/ell mod ell, filled
+    from `_neighbour_hnf` of its lift the first time r is met; so the two
+    memos count the same HNFs, and `exact.hnf` runs once per HNF key.  The
+    checks stay per call: ell prime to d/2, `skip` an isotropic line, and
+    each neighbour integral and even, with det d."""
     if d // 2 % ell == 0:
         raise LatticeError(f"ell = {ell} divides det(m)/2 = {d // 2}")
-    lines = _isotropic_lines(m, ell)
-    if len(lines) != ell + 1:
-        raise LatticeError(
-            f"expected {ell + 1} isotropic lines mod {ell}, found {len(lines)}"
-        )
+    (m00, m01, m02), (_, m11, m12), (_, _, m22) = m
+    h0, h1, h2 = m00 // 2, m11 // 2, m22 // 2
+    lines = _kneser_lines(
+        (h0 % ell, h1 % ell, h2 % ell, m01 % ell, m02 % ell, m12 % ell), ell
+    )
     if skip is not None:
         kept = [line for line in lines if line[0] != skip]
         if len(kept) == len(lines):
             raise LatticeError(f"skip line {skip} is not an isotropic line")
         lines = kept
-    (m00, m01, m02), (_, m11, m12), (_, _, m22) = m
     ell2 = ell * ell
     out = []
-    for v, q in lines:
+    for v, t, inv, cs, slots in lines:
         v0, v1, v2 = v
-        b0 = v0 * m00 + v1 * m01 + v2 * m02
-        b1 = v0 * m01 + v1 * m11 + v2 * m12
-        b2 = v0 * m02 + v1 * m12 + v2 * m22
-        if b0 % ell:
-            t, bt, i, bi, j, bj = 0, b0, 1, b1, 2, b2
-        elif b1 % ell:
-            t, bt, i, bi, j, bj = 1, b1, 0, b0, 2, b2
-        else:
-            t, bt, i, bi, j, bj = 2, b2, 0, b0, 1, b1
-        inv = pow(bt, -1, ell)
-        cs = ((i, bi * inv % ell), (j, bj * inv % ell))
+        q = (
+            (h0 * v0 + m01 * v1 + m02 * v2) * v0
+            + (h1 * v1 + m12 * v2) * v1
+            + h2 * v2 * v2
+        )
+        r = q // ell % ell
+        hb = slots.get(r)
+        if hb is None:
+            hb = slots[r] = _neighbour_hnf(_lift(q, v, ell, t, inv), t, cs, ell)
         # ell L' has full rank, so its HNF H is upper triangular
-        h, back = _neighbour_hnf(_lift(q, v, ell, t, inv), t, cs, ell)
+        h, back = hb
         (h00, h01, h02), (_, h11, h12), (_, _, h22) = h
         # the entries of H m that the upper triangle of H m H^T reads
         r00 = h00 * m00 + h01 * m01 + h02 * m02

@@ -17,7 +17,8 @@ OPT_IN = {
         "minimal basis of its walk Gram, its greedy dedupe key against "
         "the full-enumeration minima, its closed-form seed against the "
         "standard order's Gross Gram, its Kneser neighbours against the "
-        "seven-row HNF reference, gross_neighbours against the composed "
+        "seven-row HNF reference, the Kneser line memo against a fresh line "
+        "search, gross_neighbours against the composed "
         "half_form and kneser_neighbours route, each skipped reverse line's "
         "neighbour against the parent's key and the skipping walk against "
         "the skip-free search, and minimal_basis and "

@@ -12,7 +12,12 @@ full `reduced_vectors` list, each vector lifted by `short_vectors`' route.
 set of its primitive norms, as `embedded_discriminants` did;
 `lattice.primitive_norms` collects the norms in the enumeration itself.
 `primitive_norms_per_leaf` is that pass as it was before a full row's norms
-were summed up by `itertools.accumulate`: one norm per leaf of every row.
+were summed up by `itertools.accumulate`: one norm per leaf of every row,
+each row's z0 range by `lattice._interval`.
+
+`rows_reference` is `lattice._rows` as it was before a slab's row values
+stepped in place: b and q from their products on every row.  The per-leaf
+pass runs over it, so it shares no row code with the pass it checks.
 """
 
 from math import gcd
@@ -25,7 +30,6 @@ from grosslat.lattice import (
     _cross,
     _from_reduced,
     _interval,
-    _rows,
     det3,
     gram_inner,
     greedy_minima,
@@ -98,6 +102,20 @@ def primitive_norms_reference(gram, bound):
     return embedded_discriminants(reduced_vectors(gram, bound), bound)
 
 
+def rows_reference(g, bound):
+    """`lattice._rows(g, bound)` with b and q worked out on each row."""
+    (g00, g01, g02), (_, g11, g12), (_, _, g22) = g
+    m2 = g00 * g11 - g01 * g01
+    m1 = g00 * g12 - g01 * g02
+    m0 = g00 * g22 - g02 * g02
+    for z2 in range(_interval(det3(g), 0, -bound * m2).stop):
+        for z1 in _interval(m2, z2 * m1, z2 * z2 * m0 - g00 * bound):
+            if z2 or z1 >= 0:
+                b = g01 * z1 + g02 * z2
+                q = (g11 * z1 + 2 * g12 * z2) * z1 + g22 * z2 * z2
+                yield z1, z2, b, q
+
+
 def primitive_norms_per_leaf(gram, bound):
     """`lattice.primitive_norms` with each row's norms listed leaf by leaf."""
     _check_positive_definite(gram)
@@ -106,7 +124,7 @@ def primitive_norms_per_leaf(gram, bound):
     g = greedy_reduce(gram)[1]
     g00 = g[0][0]
     out = {g00} if g00 <= bound else set()
-    for z1, z2, b, q in _rows(g, bound):
+    for z1, z2, b, q in rows_reference(g, bound):
         h = gcd(z1, z2)
         leaves = _interval(g00, b, q - bound)
         if h == 1:

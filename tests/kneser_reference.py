@@ -16,10 +16,25 @@ The walk used to expand a Gross Gram G as
 does the same in one step, with each check made once and each adjugate read
 off the cofactors of the neighbour's det check; `gross_neighbours_reference`
 and `half_form_reference` keep the composed route.
+
+The package also memoises, per residue class of the half form's six
+entries (m00/2, m11/2, m22/2, m01, m02, m12) mod ell, the isotropic lines
+with their pivots, and each line's HNF per residue q(v)/ell mod ell
+(`lattice._kneser_lines`).  `kneser_lines_reference` is the line search and
+pivot code the Kneser step ran on every call before, on m itself;
+`tests/test_walk_reference.py` compares the memo with it.
+`empty_line_memo` gives a test its own empty line memo, for a test that
+patches a step behind it.
 """
 
+from functools import lru_cache
+
+import grosslat.lattice as lattice
 from grosslat.exact import hnf, is_prime
 from grosslat.lattice import LatticeError, det3, gram_inner, kneser_neighbours
+
+# the line memo's search, unmemoised, as the module defines it
+_KNESER_LINES = lattice._kneser_lines.__wrapped__
 
 
 def adj3(rows):
@@ -70,7 +85,41 @@ def _isotropic_lines(m, ell):
 def _lift(m, v, ell, t, inv):
     v = list(v)
     v[t] -= ell * (gram_inner(m, v, v) // 2 // ell * inv % ell)
-    return v
+    return tuple(v)
+
+
+def kneser_lines_reference(m, ell):
+    """(v, t, inv, cs, w) for each isotropic line v of the even m mod ell,
+    worked out from m itself: the first coordinate t where b = v m is a unit
+    mod ell, inv = 1 / b_t mod ell, the pairs cs = (i, b_i / b_t mod ell)
+    for i != t, and the lifted line vector w."""
+    out = []
+    for v in _isotropic_lines(m, ell):
+        b = [sum(v[i] * m[i][j] for i in range(3)) for j in range(3)]
+        t = next(j for j in range(3) if b[j] % ell)
+        inv = pow(b[t], -1, ell)
+        cs = tuple((i, b[i] * inv % ell) for i in range(3) if i != t)
+        out.append((v, t, inv, cs, _lift(m, v, ell, t, inv)))
+    return out
+
+
+def empty_line_memo(monkeypatch):
+    """Give `lattice` an empty line memo for one test; returns {(class,
+    ell): lines} of the entries it fills.
+
+    A line memo entry keeps the neighbour HNFs of its lines, so an entry
+    filled by an earlier test would bypass a patched `_isotropic_lines`,
+    `_lift` or `_neighbour_hnf`; and the module's own memo never holds an
+    entry filled under such a patch.
+    """
+    entries = {}
+
+    def recorded(form, ell):
+        entries[form, ell] = lines = _KNESER_LINES(form, ell)
+        return lines
+
+    monkeypatch.setattr(lattice, "_kneser_lines", lru_cache(maxsize=None)(recorded))
+    return entries
 
 
 def kneser_neighbours_reference(m, ell):
@@ -82,18 +131,16 @@ def kneser_neighbours_reference(m, ell):
     d = det3(m)
     if d // 2 % ell == 0:
         raise LatticeError(f"ell = {ell} divides det(m)/2 = {d // 2}")
-    lines = _isotropic_lines(m, ell)
+    lines = kneser_lines_reference(m, ell)
     if len(lines) != ell + 1:
         raise LatticeError(
             f"expected {ell + 1} isotropic lines mod {ell}, found {len(lines)}"
         )
     ell2 = ell * ell
     out = []
-    for v in lines:
-        b = [sum(v[i] * m[i][j] for i in range(3)) for j in range(3)]
-        t = next(j for j in range(3) if b[j] % ell)
-        inv = pow(b[t], -1, ell)
-        rows = [_lift(m, v, ell, t, inv)]
+    for _, t, _, cs, w in lines:
+        cs = dict(cs)
+        rows = [w]
         for i in range(3):
             row = [0, 0, 0]
             row[i] = ell2
@@ -101,7 +148,7 @@ def kneser_neighbours_reference(m, ell):
             if i != t:
                 row = [0, 0, 0]
                 row[i] = ell
-                row[t] = -ell * (b[i] * inv % ell)
+                row[t] = -ell * cs[i]
                 rows.append(row)
         h = hnf(rows)
         nb = []

@@ -1,8 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
+import grosslat.cli as cli
 from grosslat.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -72,6 +76,32 @@ def test_types_csv_columns(capsys):
     assert lines[0] == "p,type_index,D1,D2,D3,x,y,z,spine,special_j,embedding"
     assert lines[1].startswith("11,0,3,15,15,1,1,-7,True,j0,")
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("p", [1009, 10007])
+def test_types_csv_enumerates_the_norms_only_to_4(capsys, monkeypatch, p):
+    # the CSV has no discriminant column: every --disc-bound prints the same
+    # bytes, each type's pass stops at the 4 that classify_type reads, and
+    # a negative bound is still an error
+    bounds = []
+    real = cli.primitive_norms
+
+    def spy(gram, bound, reduced=False):
+        bounds.append(bound)
+        return real(gram, bound, reduced=reduced)
+
+    monkeypatch.setattr(cli, "primitive_norms", spy)
+    outs = set()
+    for extra in ([], ["--disc-bound", "0"], ["--disc-bound", "50"]):
+        code, out, _ = run(capsys, "types", "--p", str(p), "--csv", *extra)
+        assert code == 0
+        outs.add(out)
+    assert len(outs) == 1
+    assert set(bounds) == {4}
+    if p == 1009:
+        assert outs == {(GOLDEN / "types_p1009.csv").read_text()}
+    code, out, err = run(capsys, "types", "--p", str(p), "--csv", "--disc-bound", "-1")
+    assert (code, out) == (2, "") and "disc-bound" in err
 
 
 def test_types_rejects_csv_with_json(capsys):

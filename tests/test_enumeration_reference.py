@@ -11,7 +11,11 @@ must give the same basis, Gram and minima.
 They must agree at the bounds 3, 8, D3 and 2p.  The pass sums a full row's
 norms up by `itertools.accumulate`; `primitive_norms_per_leaf`, the pass
 that listed them leaf by leaf, must give the same norms at the bounds 3, 8
-and 2p, at every p <= 300 and at p = 10007.
+and 2p, at every p <= 300 and at p = 10007 and 10039.  The per-leaf pass
+runs over `rows_reference`, the rows as `lattice._rows` gave them before a
+slab's row values stepped in place; the two must yield the same rows, in
+order, on every type Gram at every p <= 300 at ell = 2 and 3 and at
+p = 10007 and 10039 at ell = 2, at the bounds 0, 3, 8, D3 and 2p.
 
 Each type's walk Gram is compared, and the same Gram under a seeded random
 unimodular change of basis.  Tier-1 covers every type at every prime
@@ -37,6 +41,7 @@ import pytest
 from grosslat.classify import field_of_definition
 from grosslat.exact import primes_between
 from grosslat.lattice import (
+    _rows,
     greedy_minima,
     minimal_basis,
     minimal_basis_from_vectors,
@@ -45,9 +50,10 @@ from grosslat.lattice import (
 )
 from enumeration_reference import (
     minimal_basis_reference, primitive_norms_per_leaf, primitive_norms_reference,
+    rows_reference,
 )
 from test_lattice import EYE, change_basis, random_unimodular
-from walks import walk_grams, with_walk_grams
+from walks import walk, walk_grams, with_walk_grams
 
 
 def grams_of(p, ell):
@@ -105,8 +111,25 @@ def test_primitive_norms_match_the_per_leaf_pass_to_300():
         assert_primitive_norms_match_per_leaf(p, 3 if p == 2 else 2)
 
 
-def test_primitive_norms_match_the_per_leaf_pass_at_10007():
-    assert_primitive_norms_match_per_leaf(10007, 2)
+def test_primitive_norms_match_the_per_leaf_pass_at_10007_and_10039():
+    for p in (10007, 10039):
+        assert_primitive_norms_match_per_leaf(p, 2)
+
+
+def test_rows_match_the_rows_worked_out_per_row():
+    # the z2 = 0 slab starts at z1 = 0, bound 0 leaves it the one row
+    # (0, 0), and a slab may hold no row, as a few do at the bound 2p
+    walks = [(p, ell) for p in primes_between(2, 300) for ell in (2, 3) if ell != p]
+    compared = 0
+    for p, ell in walks + [(10007, 2), (10039, 2)]:
+        for rec in walk(p, ell):
+            g = rec.gram
+            for bound in (0, 3, 8, rec.minima[2], 2 * p):
+                assert list(_rows(g, bound)) == list(rows_reference(g, bound)), (
+                    p, ell, g, bound,
+                )
+                compared += 1
+    assert compared > 9000
 
 
 def assert_desc_bases_from_the_vector_lists_match(primes):

@@ -6,6 +6,7 @@ from grosslat.exact import hnf, is_prime, legendre, primes_between
 from grosslat.orders import enumerate_types
 from grosslat.verify import run_verify
 from hnf_reference import hnf_reference
+from kneser_reference import empty_line_memo
 from quat_elements import factorize, hnf_solve
 
 
@@ -89,6 +90,8 @@ def test_hnf_matches_the_list_and_min_pivot_search_on_the_walks(monkeypatch):
         return hnf(rows)
 
     def empty_memo():
+        # the line memo too, whose entries keep their lines' HNFs
+        empty_line_memo(monkeypatch)
         fresh = lru_cache(maxsize=None)(lattice._neighbour_hnf.__wrapped__)
         monkeypatch.setattr(lattice, "_neighbour_hnf", fresh)
 

@@ -138,6 +138,14 @@ DUMP_EDGE_CASES = [
     [0.5, 1, BIG, "x"],
     ["\u00e9\u4e2d\U0001f600", {"\u00fc": "\u00df"}],
     ((), [], {}, ((),), (1, 2, 3)),
+    # one-element lists at each edge of the one-format path: -2^63 is a
+    # string, though a C long long (array('q')) holds it
+    [-2 ** 63],
+    [2 ** 63 - 1],
+    [True],
+    (False,),
+    # a long int list that only its last entry takes off that path
+    list(range(299)) + [2 ** 63],
 ]
 
 

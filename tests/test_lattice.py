@@ -38,7 +38,7 @@ from grosslat.orders import (
 )
 from enumeration_reference import embedded_discriminants, minima_pass
 from greedy_reference import greedy_reduce_reference, greedy_reduce_until_idle
-from kneser_reference import adj3, kneser_neighbours_reference
+from kneser_reference import adj3, empty_line_memo, kneser_neighbours_reference
 from quat_elements import element, lattice_basis_elements, one
 from rank2_reference import hnf_rank2_sublattices
 from test_walk_reference import basis_elements, order_walk, walk_half_forms
@@ -916,16 +916,24 @@ def test_kneser_neighbours_of_random_forms_match_the_reference():
     assert compared > len(forms)
 
 
-def test_neighbour_hnf_memo_stays_small():
+def test_neighbour_hnf_memo_stays_small(monkeypatch):
     # the memo key is residue data mod ell and ell^2: the walks of every
-    # p <= 300 at ell = 2 and 3 and of p = 10007 at ell = 2 take 191 keys
+    # p <= 300 at ell = 2 and 3 and of p = 10007 at ell = 2 take 191 keys.
+    # The line memo asks it once per slot it fills, a line of a residue
+    # class under one residue q(v)/ell mod ell, never more often than the
+    # forms have lines, and keeps one entry per class it meets
     forms = walk_half_forms(primes_between(2, 300)) + walk_half_forms([10007], (2,))
+    entries = empty_line_memo(monkeypatch)
     memo = lattice._neighbour_hnf
     memo.cache_clear()
     for m, ell in forms:
         kneser_neighbours(m, ell)
     info = memo.cache_info()
-    assert info.hits + info.misses == sum(ell + 1 for _, ell in forms)
+    slots = sum(len(line[4]) for lines in entries.values() for line in lines)
+    assert info.hits + info.misses == slots <= sum(ell + 1 for _, ell in forms)
+    lines = lattice._kneser_lines.cache_info()
+    assert lines.hits + lines.misses == len(forms)
+    assert lines.currsize == len(entries) < len(forms)
     assert 100 <= info.currsize <= 300, info
 
 
@@ -942,6 +950,7 @@ def test_neighbour_hnfs_are_upper_triangular(monkeypatch):
         filled.append((h, y, t, ell))
         return h, y
 
+    empty_line_memo(monkeypatch)
     monkeypatch.setattr(lattice, "_neighbour_hnf", lru_cache(maxsize=None)(recorded))
     forms = walk_half_forms(primes_between(2, 300)) + walk_half_forms([10007], (2,))
     for m, ell in forms:
@@ -995,23 +1004,44 @@ def test_kneser_neighbours_reject_an_odd_diagonal():
 
 # The checks below patch a step of kneser_neighbours; the p = 11 half form
 # is built before the patch, because a walk behind it would run through the
-# patched step and raise first.
+# patched step and raise first.  Each patch comes with an empty line memo,
+# whose warm entries would skip the patched step.
 
-def test_kneser_neighbours_check_the_line_count(monkeypatch):
-    m = half_form(gram_of(11), 11)
+def drop_a_line(monkeypatch):
+    empty_line_memo(monkeypatch)
     real = lattice._isotropic_lines
     monkeypatch.setattr(lattice, "_isotropic_lines", lambda g, ell: real(g, ell)[1:])
-    with pytest.raises(LatticeError, match="expected 4 isotropic lines mod 3, found 3"):
-        kneser_neighbours(m, 3)
+
+
+def test_kneser_neighbours_check_the_line_count(monkeypatch):
+    # the line memo raises inside itself, and lru_cache keeps no exception,
+    # so a second call searches the class again and raises again
+    m = half_form(gram_of(11), 11)
+    drop_a_line(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(
+            LatticeError, match="expected 4 isotropic lines mod 3, found 3"
+        ):
+            kneser_neighbours(m, 3)
+    info = lattice._kneser_lines.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
 
 
 def patch_neighbour_hnf(monkeypatch, h):
     """Make every neighbour HNF `h`, with the reverse line (0, 0, 1).
 
     The memo itself is replaced, so an entry cached by an earlier test
-    cannot bypass the patch, and the module's memo never holds `h`.
+    cannot bypass the patch, and the module's memo never holds `h`; so is
+    the line memo, whose entries keep their lines' HNFs.
     """
+    empty_line_memo(monkeypatch)
     monkeypatch.setattr(lattice, "_neighbour_hnf", lambda w, t, cs, ell: (h, (0, 0, 1)))
+
+
+def unlift(monkeypatch):
+    """Leave every line vector unlifted, behind an empty line memo."""
+    empty_line_memo(monkeypatch)
+    monkeypatch.setattr(lattice, "_lift", lambda q, v, ell, t, inv: v)
 
 
 def test_kneser_neighbours_check_integral_grams(monkeypatch):
@@ -1026,7 +1056,7 @@ def test_kneser_neighbours_check_even_grams(monkeypatch):
     # unlifted, the line (1, 1, 1) of the p = 11 half form has q = 2 mod 4,
     # so v/2 has the odd norm q(v)/2 and every entry is still integral
     m = half_form(gram_of(11), 11)
-    monkeypatch.setattr(lattice, "_lift", lambda q, v, ell, t, inv: v)
+    unlift(monkeypatch)
     with pytest.raises(LatticeError, match="ell-neighbour has an odd diagonal"):
         kneser_neighbours(m, 2)
 
@@ -1080,11 +1110,6 @@ def test_gross_neighbours_reject_a_skip_line_that_is_not_isotropic():
                 gross_neighbours(gram, 11, ell, v)
 
 
-def drop_a_line(monkeypatch):
-    real = lattice._isotropic_lines
-    monkeypatch.setattr(lattice, "_isotropic_lines", lambda g, ell: real(g, ell)[1:])
-
-
 def seed(gram):
     def patch(monkeypatch):
         monkeypatch.setattr(orders, "standard_gross_gram", lambda p: gram)
@@ -1103,11 +1128,7 @@ WALK_CHECKS = {
     "integral": (
         3, lambda mp: patch_neighbour_hnf(mp, EYE), "non-integer Gram entry"
     ),
-    "even neighbour": (
-        2,
-        lambda mp: mp.setattr(lattice, "_lift", lambda q, v, ell, t, inv: v),
-        "ell-neighbour has an odd diagonal",
-    ),
+    "even neighbour": (2, unlift, "ell-neighbour has an odd diagonal"),
     "neighbour det": (
         3,
         lambda mp: patch_neighbour_hnf(mp, diagonal(3, 3, 9)),

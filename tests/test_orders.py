@@ -21,6 +21,7 @@ from grosslat.orders import (
     standard_maximal_order,
 )
 from grosslat.quat import QuaternionAlgebra
+from kneser_reference import empty_line_memo
 from quat_elements import (
     contains_vec,
     element,
@@ -444,7 +445,9 @@ def test_keys_only_walk_keeps_the_neighbour_checks(monkeypatch):
         m.setattr(orders, "standard_gross_gram", lambda p: seed)
         with pytest.raises(LatticeError, match="2p has an odd diagonal"):
             enumerate_types(37, 2, keys_only=True)
-    # an unlifted line at ell = 2 gives a neighbour of odd norm
+    # an unlifted line at ell = 2 gives a neighbour of odd norm; an empty
+    # line memo, since its entries keep the HNFs of lifted lines
+    empty_line_memo(monkeypatch)
     monkeypatch.setattr(lattice, "_lift", lambda q, v, ell, t, inv: v)
     with pytest.raises(LatticeError, match="ell-neighbour has an odd diagonal"):
         enumerate_types(37, 2, keys_only=True)

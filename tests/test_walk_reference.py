@@ -30,6 +30,15 @@ expands a type with `lattice.gross_neighbours`, one step;
 identical lists on each type's walk and normalized Gram at ell = 2 and 3
 for every prime p <= 300 and at ell = 2 at p = 10007.
 
+The Kneser step looks its lines, pivots and HNFs up in a line memo keyed
+by the half form's six entries mod ell (`lattice._kneser_lines`).  Tier-1
+requires, on every half form the ell = 2 and 3 walks of every prime
+p <= 300 and the ell = 2 walks at 10007 and 10039 expand, that the form's
+class holds the lines, pivots, inverses and ratios of a fresh line search
+on the form itself (`kneser_lines_reference`), that each filled slot holds
+the HNF and reverse line of that search's lift, and that each ell keeps
+at most ell^6 classes.
+
 A type record keeps its minima and normalized Gram alone; `walk_grams` in
 `tests/walks.py` repeats the walk's search and keeps the Gram it first
 reached each type with.  Tier-1 requires `minimal_basis` of that Gram to
@@ -60,8 +69,8 @@ standard maximal order in closed form; `order_walk` starts from the order
 itself.  `tests/test_orders.py` compares the two seeds at every p <= 500.
 
 The gate over every prime up to 2000 at ell = 2 and 3, for the walk, its
-records, its key, its seed, its neighbour construction and its skipped
-reverse lines, and over every
+records, its key, its seed, its neighbour construction, its line memo
+and its skipped reverse lines, and over every
 inert prime of each odd prime CM row up to its `default_p_max` (6887 for
 d = 163), is opt-in:
 
@@ -81,6 +90,7 @@ from grosslat.cm import (
 )
 from grosslat.exact import canonical_lattice, is_prime, primes_between
 from grosslat.lattice import (
+    gram_inner,
     greedy_reduce,
     gross_neighbours,
     half_form,
@@ -102,8 +112,8 @@ from enumeration_reference import (
     minima_pass, norm_pools_reference, primitive_norms_reference,
 )
 from kneser_reference import (
-    adj3, gross_neighbours_reference, half_form_reference,
-    kneser_neighbours_reference,
+    adj3, empty_line_memo, gross_neighbours_reference, half_form_reference,
+    kneser_lines_reference, kneser_neighbours_reference,
 )
 from quat_elements import conj4, is_ring, mul4, nrd4, vector_element
 from walks import walk, walk_grams
@@ -300,6 +310,45 @@ def test_neighbours_match_the_reference_on_the_walk_at_10007():
     forms = walk_half_forms([10007], (2,))
     assert len(forms) == 456
     assert_neighbours_match_the_reference(forms)
+
+
+def assert_line_memo_matches_a_fresh_search(forms, monkeypatch):
+    """Each form's class in the line memo has the lines, pivots, inverses
+    and pairs cs of a fresh line search on the form itself, and its slot
+    for the form's residue q(v)/ell mod ell holds the HNF and reverse line
+    of that search's lift; each filled slot is checked against
+    `_neighbour_hnf` of its lift once, and met again only with that lift."""
+    entries = empty_line_memo(monkeypatch)
+    hnf_of = lattice._neighbour_hnf.__wrapped__
+    lifts = {}
+    for m, ell in forms:
+        kneser_neighbours(m, ell)
+        (m00, m01, m02), (_, m11, m12), (_, _, m22) = m
+        form = tuple(x % ell for x in (m00 // 2, m11 // 2, m22 // 2, m01, m02, m12))
+        lines = entries[form, ell]
+        fresh = kneser_lines_reference(m, ell)
+        assert [line[:4] for line in lines] == [line[:4] for line in fresh], (m, ell)
+        for (v, t, _, cs, slots), (_, _, _, _, w) in zip(lines, fresh):
+            r = gram_inner(m, v, v) // 2 // ell % ell
+            slot = (form, ell, v, r)
+            if slot not in lifts:
+                lifts[slot] = w
+                assert slots[r] == hnf_of(w, t, cs, ell), (m, ell, v)
+            assert lifts[slot] == w, (m, ell, v)
+    assert len(lifts) == sum(
+        len(line[4]) for lines in entries.values() for line in lines
+    )
+    for ell in {ell for _, ell in forms}:
+        classes = [form for form, e in entries if e == ell]
+        assert len(classes) <= ell ** 6
+        assert all(0 <= x < ell for form in classes for x in form)
+
+
+def test_line_memo_matches_a_fresh_search_on_the_walks(monkeypatch):
+    forms = walk_half_forms(primes_between(2, 300))
+    forms += walk_half_forms([10007, 10039], (2,))
+    assert len(forms) > 1900
+    assert_line_memo_matches_a_fresh_search(forms, monkeypatch)
 
 
 def assert_gross_neighbours_match_the_composed_steps(primes, ells=(2, 3)):
@@ -505,6 +554,13 @@ def test_walk_skips_only_the_parent_to_2000():
         for ell in (2, 3):
             if ell != p:
                 assert_walk_skips_only_the_parent(p, ell)
+
+
+@pytest.mark.walk_reference
+def test_line_memo_matches_a_fresh_search_to_2000(monkeypatch):
+    assert_line_memo_matches_a_fresh_search(
+        walk_half_forms(primes_between(2, 2000)), monkeypatch
+    )
 
 
 @pytest.mark.walk_reference
